@@ -151,15 +151,8 @@ def eval_real(f: SymTensor, s):
     out = np.zeros(len(batch))
     for key, val in f.data.items():
         term = np.full(len(batch), float(multiplicity_factor(key)))
-        coord = None
-        run = 0
-        for i in list(key) + [None]:
-            if i == coord:
-                run += 1
-                continue
-            if coord is not None:
-                term = term * cache.value(coord, run)
-            coord, run = i, 1
+        for coord in sorted(set(key)):
+            term = term * cache.value(coord, key.count(coord))
         v = val.to_complex().real if isinstance(val, ExactComplex) else float(val)
         out += v * term
     return float(out[0]) if single else out
@@ -168,6 +161,12 @@ def eval_real(f: SymTensor, s):
 @lru_cache(maxsize=None)
 def _j_poly(a: int, b: int) -> BiPoly:
     return complex_hermite(a, b)
+
+
+def _coord_degrees(ta: Tuple[int, ...], tb: Tuple[int, ...]) -> List[Tuple[int, int, int]]:
+    """(k, a_k, b_k) for each coordinate k of a kernel key, in coordinate order:
+    a_k and b_k count the occurrences of k in the two blocks."""
+    return [(k, ta.count(k), tb.count(k)) for k in sorted(set(ta + tb))]
 
 
 def eval_complex(phi: ComplexKernel, s):
@@ -189,15 +188,9 @@ def eval_complex(phi: ComplexKernel, s):
     out = np.zeros(len(batch), dtype=np.complex128)
     for (ta, tb), val in phi.data.items():
         mult = multiplicity_factor(ta) * multiplicity_factor(tb)
-        a_counts: Dict[int, int] = {}
-        for i in ta:
-            a_counts[i] = a_counts.get(i, 0) + 1
-        b_counts: Dict[int, int] = {}
-        for j in tb:
-            b_counts[j] = b_counts.get(j, 0) + 1
         term = np.ones(len(batch), dtype=np.complex128)
-        for k in sorted(set(a_counts) | set(b_counts)):
-            term = term * jval(k, a_counts.get(k, 0), b_counts.get(k, 0))
+        for k, a, b in _coord_degrees(ta, tb):
+            term = term * jval(k, a, b)
         v = val.to_complex() if isinstance(val, ExactComplex) else complex(val)
         out += (mult * scale) * v * term
     return complex(out[0]) if single else out
@@ -229,19 +222,9 @@ def decompose(phi: ComplexKernel) -> Tuple[SymTensor, SymTensor]:
     P = phi.m + phi.n
     beta: Dict[Tuple[int, ...], ExactComplex] = {}
     for (ta, tb), val in phi.data.items():
-        a_counts: Dict[int, int] = {}
-        for i in ta:
-            a_counts[i] = a_counts.get(i, 0) + 1
-        b_counts: Dict[int, int] = {}
-        for j in tb:
-            b_counts[j] = b_counts.get(j, 0) + 1
-        support = sorted(set(a_counts) | set(b_counts))
-        base = EC(multiplicity_factor(ta) * multiplicity_factor(tb)) \
-            * ExactComplex.coerce(val) * half_power(P)
+        base = EC(multiplicity_factor(ta) * multiplicity_factor(tb)) * val * half_power(P)
         combos: List[Tuple[Dict[int, Tuple[int, int]], ExactComplex]] = [({}, base)]
-        for k in support:
-            a = a_counts.get(k, 0)
-            b = b_counts.get(k, 0)
+        for k, a, b in _coord_degrees(ta, tb):
             l = a + b
             table = _c2r_table(l)
             new_combos = []
@@ -260,22 +243,14 @@ def decompose(phi: ComplexKernel) -> Tuple[SymTensor, SymTensor]:
                 mvec[k] = j
                 mvec[D + k] = lj
             key = tuple(mvec)
-            cur = beta.get(key, ZERO) + cf
-            if cur.is_zero():
-                beta.pop(key, None)
-            else:
-                beta[key] = cur
+            beta[key] = beta[key] + cf if key in beta else cf
     u_data: Dict[Tuple[int, ...], ExactComplex] = {}
     v_data: Dict[Tuple[int, ...], ExactComplex] = {}
     for mvec, cf in beta.items():
         t = tuple(i for i, m in enumerate(mvec) for _ in range(m))
         w = EC(Fraction(1, multiplicity_factor(t)))
         scaled = cf * w
-        re, im = scaled.real(), scaled.imag()
-        if not re.is_zero():
-            u_data[t] = re
-        if not im.is_zero():
-            v_data[t] = im
+        u_data[t], v_data[t] = scaled.real(), scaled.imag()  # zeros are dropped
     return (SymTensor(P, 2 * D, u_data), SymTensor(P, 2 * D, v_data))
 
 
@@ -289,16 +264,9 @@ def real_element_poly(f: SymTensor) -> GaussPoly:
     dim = f.dim
     out = GaussPoly(dim)
     for key, val in f.data.items():
-        term = GaussPoly.constant(dim, EC(multiplicity_factor(key)) * ExactComplex.coerce(val))
-        coord = None
-        run = 0
-        for i in list(key) + [None]:
-            if i == coord:
-                run += 1
-                continue
-            if coord is not None:
-                term = term * _hermite_gauss_poly(dim, coord, run)
-            coord, run = i, 1
+        term = GaussPoly.constant(dim, EC(multiplicity_factor(key)) * val)
+        for coord in sorted(set(key)):
+            term = term * _hermite_gauss_poly(dim, coord, key.count(coord))
         out = out + term
     return out
 
@@ -322,17 +290,10 @@ def complex_element_poly(phi: ComplexKernel) -> GaussPoly:
     out = GaussPoly(dim)
     scale = half_power(phi.m + phi.n)
     for (ta, tb), val in phi.data.items():
-        a_counts: Dict[int, int] = {}
-        for i in ta:
-            a_counts[i] = a_counts.get(i, 0) + 1
-        b_counts: Dict[int, int] = {}
-        for j in tb:
-            b_counts[j] = b_counts.get(j, 0) + 1
-        coeff = EC(multiplicity_factor(ta) * multiplicity_factor(tb)) \
-            * ExactComplex.coerce(val) * scale
+        coeff = EC(multiplicity_factor(ta) * multiplicity_factor(tb)) * val * scale
         term = GaussPoly.constant(dim, coeff)
-        for k in sorted(set(a_counts) | set(b_counts)):
-            p = _j_poly(a_counts.get(k, 0), b_counts.get(k, 0))
+        for k, a, b in _coord_degrees(ta, tb):
+            p = _j_poly(a, b)
             sub = {}
             for (i, j), c in p.to_xy().items():
                 exps = [0] * dim

@@ -204,6 +204,18 @@ def _load_config(path: Path) -> dict:
     return doc
 
 
+def _int_value(value, name: str, minimum: int) -> int:
+    """A config integer, rejected as a ConfigError when missing, not an
+    integer, or below ``minimum``."""
+    if value is None:
+        raise fm.ConfigError(f"config needs {name}")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise fm.ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise fm.ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
 def _criterion_from(doc: dict) -> fm.CriterionSpec:
     crit = doc.get("criterion")
     if not isinstance(crit, dict) or "case" not in crit or "sigma2" not in crit:
@@ -226,10 +238,14 @@ def _kernels_from(doc: dict, base: Path):
         raise fm.ConfigError("config needs a kernel object")
     if "block" in kspec:
         blk = kspec["block"]
-        m, n = int(blk["m"]), int(blk["n"])
-        ks = [int(k) for k in doc.get("k_values", [1])]
-        if not ks or any(k < 1 for k in ks):
-            raise fm.ConfigError("k_values must be positive integers")
+        if not isinstance(blk, dict):
+            raise fm.ConfigError("kernel.block must be an object with m and n")
+        m = _int_value(blk.get("m"), "kernel.block.m", 0)
+        n = _int_value(blk.get("n"), "kernel.block.n", 0)
+        ks = doc.get("k_values", [1])
+        if not isinstance(ks, list) or not ks:
+            raise fm.ConfigError("k_values must be a non-empty list")
+        ks = [_int_value(k, "k_values", 1) for k in ks]
         return [(k, fm.gen_block_kernel(m, n, k)) for k in ks], (m, n)
     if "file" in kspec:
         path = Path(kspec["file"])
@@ -263,11 +279,9 @@ def run_experiment(doc: dict, base: Path) -> tuple:
     if seed is None:
         raise fm.ConfigError("config needs a seed (or CHAOSLAB_SEED)")
     seed = int(seed)
-    n_samples = int(doc.get("n_samples", 0))
-    if n_samples < 2:
-        raise fm.ConfigError("n_samples must be at least 2")
-    workers = int(doc.get("workers", 1))
-    chunk = int(doc.get("chunk_size", fm.DEFAULT_CHUNK))
+    n_samples = _int_value(doc.get("n_samples"), "n_samples", 2)
+    workers = _int_value(doc.get("workers", 1), "workers", 1)
+    chunk = _int_value(doc.get("chunk_size", fm.DEFAULT_CHUNK), "chunk_size", 1)
     spec = _criterion_from(doc)
     kernels, (m, n) = _kernels_from(doc, base)
     references = None

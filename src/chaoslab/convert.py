@@ -184,8 +184,8 @@ def rotation_expand(n: int, theta) -> list:
         c, s = Fraction(theta[0]), Fraction(theta[1])
         if c * c + s * s != 1:
             raise ValueError("(cos, sin) must lie on the unit circle")
-        return [math.comb(n, l) * c ** l * s ** (n - l) for l in range(n + 1)]
-    c, s = math.cos(theta), math.sin(theta)
+    else:
+        c, s = math.cos(theta), math.sin(theta)
     return [math.comb(n, l) * c ** l * s ** (n - l) for l in range(n + 1)]
 
 
@@ -316,34 +316,24 @@ def hermite_to_complex_coeffs(n: int, theta) -> list:
         d_k = 2^-n sum_{r+s=k} (-1)^s sum_l C(n,l) C(l,r) C(n-l,s)
                   cos^l t (i sin t)^{n-l}
     """
-    exact = isinstance(theta, tuple)
-    if exact:
+    if isinstance(theta, tuple):
         cos_t, sin_t = Fraction(theta[0]), Fraction(theta[1])
         if cos_t * cos_t + sin_t * sin_t != 1:
             raise ValueError("(cos, sin) must lie on the unit circle")
+        cos_t, i_sin_t, zero = EC(cos_t), EC(0, sin_t), ZERO
     else:
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        cos_t, i_sin_t, zero = math.cos(theta), 1j * math.sin(theta), 0j
     out = []
     for k in range(n + 1):
-        if exact:
-            acc = ZERO
-        else:
-            acc = 0j
+        acc = zero
         for r in range(k + 1):
             s = k - r
             sign = (-1) ** s
             for l in range(n + 1):
                 w = math.comb(n, l) * math.comb(l, r) * math.comb(n - l, s)
-                if not w:
-                    continue
-                if exact:
-                    acc = acc + EC(sign * w) * EC(cos_t) ** l * (EC(0, sin_t)) ** (n - l)
-                else:
-                    acc += sign * w * cos_t ** l * (1j * sin_t) ** (n - l)
-        if exact:
-            out.append(EC(Fraction(1, 2 ** n)) * acc)
-        else:
-            out.append(acc / 2 ** n)
+                if w:
+                    acc = acc + sign * w * cos_t ** l * i_sin_t ** (n - l)
+        out.append(acc / 2 ** n)
     return out
 
 
@@ -360,21 +350,18 @@ def complex_to_hermite_coeffs(n: int, k: int, grid: ThetaGrid,
     if grid.n != n:
         raise ValueError("grid degree does not match n")
     c2r, _ = conversion_tables(n)
-    exact = grid.trig is not None
-    if angle_matrix is None:
-        angle_matrix = build_angle_matrix_exact(grid) if exact else build_angle_matrix(grid)
+    if grid.trig is not None:
+        row, zero = c2r.rows[k], ZERO
+        angle_matrix = angle_matrix or build_angle_matrix_exact(grid)
+    else:
+        row, zero = [x.to_complex() for x in c2r.rows[k]], 0j
+        angle_matrix = angle_matrix or build_angle_matrix(grid)
     out = []
     for i in range(n + 1):
-        if exact:
-            acc = ZERO
-            for j in range(n + 1):
-                acc = acc + EC(angle_matrix.minv(j, i)) * c2r.coefficient(k, j)
-            out.append(acc)
-        else:
-            acc = 0j
-            for j in range(n + 1):
-                acc += angle_matrix.minv(j, i) * c2r.coefficient(k, j).to_complex()
-            out.append(acc)
+        acc = zero
+        for j in range(n + 1):
+            acc = acc + angle_matrix.minv(j, i) * row[j]
+        out.append(acc)
     return out
 
 

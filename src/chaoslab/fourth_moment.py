@@ -289,6 +289,24 @@ def eval_target(target: EstimateTarget, batch: SampleBatch) -> np.ndarray:
 DEFAULT_CHUNK = 8192
 
 
+def _map_chunks(fn, n_samples: int, chunk_size: int, workers: int = 1) -> list:
+    """``fn(start, size)`` over the chunks of the sample range, results in
+    chunk-index order whatever the worker count."""
+    jobs = [(start, min(chunk_size, n_samples - start))
+            for start in range(0, n_samples, chunk_size)]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda job: fn(*job), jobs))
+    return [fn(start, size) for start, size in jobs]
+
+
+def _mean_se(total, sq_total: float, n: float) -> Tuple[complex, float]:
+    """Plug-in mean of n samples and its standard error (sample sd / sqrt n)."""
+    mean = total / n
+    var = max((sq_total - n * abs(mean) ** 2) / (n - 1.0), 0.0)
+    return mean, math.sqrt(var / n)
+
+
 def _chunk_sums(target, D, size, seed, start):
     batch = sample_batch(D, size, seed, start=start)
     f = eval_target(target, batch)
@@ -319,32 +337,19 @@ def estimate(target: EstimateTarget, n_samples: int, seed: int, *,
     if n_samples < 2:
         raise ValueError("need at least two samples")
     D = _target_sample_dim(target)
-    starts = list(range(0, n_samples, chunk_size))
-    jobs = [(start, min(chunk_size, n_samples - start)) for start in starts]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(
-                lambda job: _chunk_sums(target, D, job[1], seed, job[0]), jobs))
-    else:
-        partials = [_chunk_sums(target, D, size, seed, start)
-                    for start, size in jobs]
+    partials = _map_chunks(lambda start, size: _chunk_sums(target, D, size, seed, start),
+                           n_samples, chunk_size, workers)
     sums = [0j] * 7
     for part in partials:  # fixed reduction order: chunk index
         for i, x in enumerate(part):
             sums[i] = sums[i] + x
     s_a2, s_a4, s_a8, s_f2, s_f4, s_t3, s_t3sq = sums
     n = float(n_samples)
-
-    def mean_se(total: complex, sq_total: float) -> Tuple[complex, float]:
-        mean = total / n
-        var = max((sq_total - n * abs(mean) ** 2) / (n - 1.0), 0.0)
-        return mean, math.sqrt(var / n)
-
-    abs2, abs2_se = mean_se(s_a2, s_a4.real)
-    sq, sq_se = mean_se(s_f2, s_a4.real)
-    abs4, abs4_se = mean_se(s_a4, s_a8.real)
-    fourth, fourth_se = mean_se(s_f4, s_a8.real)
-    t3, t3_se = mean_se(s_t3, s_t3sq.real)
+    abs2, abs2_se = _mean_se(s_a2, s_a4.real, n)
+    sq, sq_se = _mean_se(s_f2, s_a4.real, n)
+    abs4, abs4_se = _mean_se(s_a4, s_a8.real, n)
+    fourth, fourth_se = _mean_se(s_f4, s_a8.real, n)
+    t3, t3_se = _mean_se(s_t3, s_t3sq.real, n)
     return MomentReport(n_samples=n_samples, seed=seed, exact=False,
                         abs2=abs2.real, sq=sq, abs4=abs4.real, fourth=fourth, t3=t3,
                         abs2_se=abs2_se, sq_se=sq_se, abs4_se=abs4_se,
@@ -360,8 +365,7 @@ def exact_mixed_moment(terms: List[Tuple[ExactComplex, object]],
         factors = []
         for slot, term_idx in enumerate(choice):
             c, elem = terms[term_idx]
-            ce = ExactComplex.coerce(c) if not isinstance(c, ExactComplex) else c
-            coeff = coeff * (ce.conjugate() if conj_pattern[slot] else ce)
+            coeff = coeff * (c.conjugate() if conj_pattern[slot] else c)
             factors.append((elem, conj_pattern[slot]))
         total = total + coeff * exact_moment(factors)
     return total
@@ -369,8 +373,7 @@ def exact_mixed_moment(terms: List[Tuple[ExactComplex, object]],
 
 def exact_report(target: EstimateTarget, seed: Optional[int] = None) -> MomentReport:
     """Exact moment report via the Wick oracle."""
-    terms = [(ExactComplex.coerce(c) if not isinstance(c, ExactComplex) else c, e)
-             for c, e in _terms_of(target)]
+    terms = _terms_of(target)
 
     def mom(pattern):
         return exact_mixed_moment(terms, pattern).to_complex()
@@ -564,27 +567,23 @@ def estimate_cross_moments(first: EstimateTarget, second: EstimateTarget,
     d2 = _target_sample_dim(second)
     if d1 != d2:
         raise ValueError("targets must share the sample dimension")
-    sums = [0j, 0j, 0.0, 0.0]
-    for start in range(0, n_samples, chunk_size):
-        size = min(chunk_size, n_samples - start)
+
+    def chunk_sums(start, size):
         batch = sample_batch(d1, size, seed, start=start)
         f = eval_target(first, batch)
         g = eval_target(second, batch)
         sq = g * g * f
         mixed = (np.abs(g) ** 2) * f
-        sums[0] += complex(np.sum(sq))
-        sums[1] += complex(np.sum(mixed))
-        sums[2] += float(np.sum(np.abs(sq) ** 2))
-        sums[3] += float(np.sum(np.abs(mixed) ** 2))
+        return (complex(np.sum(sq)), complex(np.sum(mixed)),
+                float(np.sum(np.abs(sq) ** 2)), float(np.sum(np.abs(mixed) ** 2)))
+
+    sums = [0j, 0j, 0.0, 0.0]
+    for part in _map_chunks(chunk_sums, n_samples, chunk_size):  # chunk-index order
+        for i, x in enumerate(part):
+            sums[i] = sums[i] + x
     n = float(n_samples)
-
-    def mean_se(total, sq_total):
-        mean = total / n
-        var = max((sq_total - n * abs(mean) ** 2) / (n - 1.0), 0.0)
-        return mean, math.sqrt(var / n)
-
-    sq_mean, sq_se = mean_se(sums[0], sums[2])
-    mixed_mean, mixed_se = mean_se(sums[1], sums[3])
+    sq_mean, sq_se = _mean_se(sums[0], sums[2], n)
+    mixed_mean, mixed_se = _mean_se(sums[1], sums[3], n)
     return {"square_cross": sq_mean, "square_cross_se": sq_se,
             "abs_cross": mixed_mean, "abs_cross_se": mixed_se,
             "square_cross_pass": abs(sq_mean) <= _tolerance(0.0, sq_se),
@@ -694,8 +693,10 @@ def collect_component_samples(target: EstimateTarget, n_samples: int, seed: int,
         raise ValueError("component must be 're' or 'im'")
     D = _target_sample_dim(target)
     out = np.empty(n_samples)
-    for start in range(0, n_samples, chunk_size):
-        size = min(chunk_size, n_samples - start)
+
+    def fill(start, size):
         f = eval_target(target, sample_batch(D, size, seed, start=start))
         out[start:start + size] = f.real if component == "re" else f.imag
+
+    _map_chunks(fill, n_samples, chunk_size)
     return out

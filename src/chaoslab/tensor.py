@@ -2,9 +2,14 @@
 
 Tensors are stored canonically: one coefficient per sorted index tuple,
 equal to the dense entry at every permutation of that tuple.  Inner
-products therefore carry multinomial weights.  Values are either exact
-(ExactComplex, restricted to real for SymTensor) or floating point; all
-operations preserve exactness when inputs are exact.
+products therefore carry multinomial weights.
+
+Each tensor holds one scalar type, chosen once when it is built: if every
+input value is exact (int, Fraction or ExactComplex) the values become
+ExactComplex, otherwise float (SymTensor) or complex (ComplexKernel).  Each
+algorithm is written once with ``+``, ``*``, ``conjugate()`` and truthiness
+and int or Fraction weights, so exact inputs give exact results that
+compare with ``==``; an exact operand meets a floating one as floats.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .exact import EC, ExactComplex, ZERO
+from .exact import ExactComplex, ZERO
 
 IndexTuple = Tuple[int, ...]
 Value = Union[int, Fraction, float, complex, ExactComplex]
@@ -31,28 +36,56 @@ def multiplicity_factor(t: IndexTuple) -> int:
     return out
 
 
-def _is_exact(v) -> bool:
-    return isinstance(v, (int, Fraction, ExactComplex))
+# -- the scalar type of a tensor ---------------------------------------------------
 
 
-def _exact(v) -> ExactComplex:
-    return ExactComplex.coerce(v)
+def _converter(values: Iterable, exact: Callable, inexact: Callable) -> Callable:
+    """The one converter for a tensor built from ``values``: ``exact`` when
+    every value is exact, ``inexact`` otherwise."""
+    if all(isinstance(v, (int, Fraction, ExactComplex)) for v in values):
+        return exact
+    return inexact
 
 
-def _as_float(v):
-    if isinstance(v, ExactComplex):
-        z = v.to_complex()
-        return z.real if z.imag == 0 else z
-    if isinstance(v, Fraction):
-        return float(v)
+def _exact_real(v) -> ExactComplex:
+    v = ExactComplex.coerce(v)
+    if not v.is_real():
+        raise ValueError("SymTensor values must be real")
     return v
 
 
-def _values_exact(values: Iterable) -> bool:
-    return all(_is_exact(v) for v in values)
+def _float(v) -> float:
+    return _exact_real(v).to_complex().real if isinstance(v, ExactComplex) else float(v)
 
 
-class SymTensor:
+def _complex(v) -> complex:
+    return v.to_complex() if isinstance(v, ExactComplex) else complex(v)
+
+
+class _OneScalarType:
+    """Base of the tensor classes, whose values share one scalar type."""
+
+    __slots__ = ()
+
+    def is_exact(self) -> bool:
+        # one value tells: the type is chosen once per tensor
+        return isinstance(next(iter(self.data.values()), ZERO), ExactComplex)
+
+
+def _zero(*tensors: _OneScalarType):
+    """Additive identity of the operands' scalar type (a tensor without
+    values counts as exact)."""
+    return ZERO if all(t.is_exact() for t in tensors) else 0.0
+
+
+def _one_type(f, g):
+    """f and g over one scalar type: floating point if either is floating."""
+    if f.is_exact() == g.is_exact():
+        return f, g
+    return 1.0 * f, 1.0 * g
+
+
+class SymTensor(_OneScalarType):
     """Fully symmetric order-p tensor over R^dim in canonical sorted storage."""
 
     __slots__ = ("order", "dim", "data")
@@ -65,6 +98,7 @@ class SymTensor:
         self.dim = int(dim)
         store: Dict[IndexTuple, Value] = {}
         if data:
+            to_value = _converter(data.values(), _exact_real, _float)
             for key, val in data.items():
                 t = tuple(int(i) for i in key)
                 if len(t) != self.order:
@@ -73,14 +107,9 @@ class SymTensor:
                     raise ValueError(f"index out of range in {t}")
                 if tuple(sorted(t)) != t:
                     raise ValueError(f"tuple {t} is not sorted")
-                if _is_exact(val):
-                    v = _exact(val)
-                    if not v.is_real():
-                        raise ValueError("SymTensor values must be real")
-                    if not v.is_zero():
-                        store[t] = v
-                elif val != 0:
-                    store[t] = float(val)
+                v = to_value(val)
+                if v:
+                    store[t] = v
         self.data = store
 
     # -- constructors ------------------------------------------------------
@@ -94,11 +123,11 @@ class SymTensor:
     def vector_power(cls, vec: Sequence[Value], order: int) -> "SymTensor":
         """h^(x p): dense entry prod_k h[i_k] (already symmetric)."""
         dim = len(vec)
-        exact = _values_exact(vec)
-        vals = [(_exact(v) if exact else float(v)) for v in vec]
+        to_value = _converter(vec, ExactComplex.coerce, _float)
+        vals = [to_value(v) for v in vec]
         data = {}
         for t in combinations_with_replacement(range(dim), order):
-            prod = _exact(1) if exact else 1.0
+            prod = to_value(1)
             for i in t:
                 prod = prod * vals[i]
             data[t] = prod
@@ -118,9 +147,6 @@ class SymTensor:
             for arr in set(permutations(key)):
                 yield arr, val
 
-    def is_exact(self) -> bool:
-        return _values_exact(self.data.values())
-
     def __eq__(self, other):
         if not isinstance(other, SymTensor):
             return NotImplemented
@@ -129,31 +155,20 @@ class SymTensor:
     def __hash__(self):
         return hash((self.order, self.dim, frozenset(self.data.items())))
 
-    def float_copy(self) -> "SymTensor":
-        return SymTensor(self.order, self.dim,
-                         {t: _as_float(v) for t, v in self.data.items()})
-
     def __add__(self, other: "SymTensor") -> "SymTensor":
         if (other.order, other.dim) != (self.order, self.dim):
             raise ValueError("shape mismatch")
-        out = dict(self.data)
-        for t, v in other.data.items():
-            cur = out.get(t)
-            s = v if cur is None else _add_values(cur, v)
-            if _value_is_zero(s):
-                out.pop(t, None)
-            else:
-                out[t] = s
+        a, b = _one_type(self, other)
+        out = dict(a.data)
+        for t, v in b.data.items():
+            out[t] = out[t] + v if t in out else v
         return SymTensor(self.order, self.dim, out)
 
     def __rmul__(self, scalar):
-        if _is_exact(scalar) and self.is_exact():
-            c = _exact(scalar)
-            return SymTensor(self.order, self.dim,
-                             {t: c * v for t, v in self.data.items()})
-        c = float(scalar)
+        to_value = _converter([scalar, *self.data.values()], ExactComplex.coerce, _float)
+        c = to_value(scalar)
         return SymTensor(self.order, self.dim,
-                         {t: c * _as_float(v) for t, v in self.data.items()})
+                         {t: c * to_value(v) for t, v in self.data.items()})
 
     __mul__ = __rmul__
 
@@ -164,25 +179,13 @@ class SymTensor:
         return f"SymTensor(order={self.order}, dim={self.dim}, nnz={len(self.data)})"
 
 
-def _add_values(a, b):
-    if _is_exact(a) and _is_exact(b):
-        return _exact(a) + _exact(b)
-    return _as_float(a) + _as_float(b)
-
-
-def _value_is_zero(v) -> bool:
-    if isinstance(v, ExactComplex):
-        return v.is_zero()
-    return v == 0
-
-
 def symmetrize(raw: Mapping[IndexTuple, Value], order: int, dim: int) -> SymTensor:
     """Average a raw dense coefficient map over all slot permutations.
 
     Unlisted positions are zero.  Idempotent on tensors that are already
     symmetric (feeding back the canonical entries at their sorted keys).
     """
-    exact = _values_exact(raw.values())
+    to_value = _converter(raw.values(), ExactComplex.coerce, _float)
     acc: Dict[IndexTuple, Value] = {}
     for key, val in raw.items():
         t = tuple(int(i) for i in key)
@@ -191,40 +194,32 @@ def symmetrize(raw: Mapping[IndexTuple, Value], order: int, dim: int) -> SymTens
         if any(not 0 <= i < dim for i in t):
             raise ValueError(f"index {t} out of range for dim {dim}")
         st = tuple(sorted(t))
-        v = _exact(val) if exact else float(val)
-        acc[st] = _add_values(acc[st], v) if st in acc else v
+        v = to_value(val)
+        acc[st] = acc[st] + v if st in acc else v
     # each sorted key now holds the sum over listed arrangements; the
     # symmetrized dense entry is that sum divided by the arrangement count
-    data: Dict[IndexTuple, Value] = {}
-    for st, v in acc.items():
-        w = Fraction(1, multiplicity_factor(st))
-        data[st] = _exact(w) * v if exact else float(w) * _as_float(v)
-    return SymTensor(order, dim, data)
+    return SymTensor(order, dim, {st: Fraction(1, multiplicity_factor(st)) * v
+                                  for st, v in acc.items()})
 
 
 def inner(f: SymTensor, g: SymTensor):
     """Full-tuple inner product: sum over all index tuples of f * g."""
     if (f.order, f.dim) != (g.order, g.dim):
         raise ValueError("shape mismatch")
-    exact = f.is_exact() and g.is_exact()
+    f, g = _one_type(f, g)
     small, big = (f, g) if len(f.data) <= len(g.data) else (g, f)
-    total = ZERO if exact else 0.0
+    total = _zero(f, g)
     for t, v in small.data.items():
         w = big.data.get(t)
-        if w is None:
-            continue
-        m = multiplicity_factor(t)
-        if exact:
-            total = total + EC(m) * _exact(v) * _exact(w)
-        else:
-            total = total + m * _as_float(v) * _as_float(w)
+        if w is not None:
+            total = total + multiplicity_factor(t) * v * w
     return total
 
 
 # -- contractions -----------------------------------------------------------------
 
 
-class BlockTensor:
+class BlockTensor(_OneScalarType):
     """Tensor symmetric within two index blocks (the raw contraction shape)."""
 
     __slots__ = ("orders", "dim", "data")
@@ -239,20 +234,14 @@ class BlockTensor:
                 t1, t2 = tuple(t1), tuple(t2)
                 if len(t1) != self.orders[0] or len(t2) != self.orders[1]:
                     raise ValueError("block tuple of wrong length")
-                if not _value_is_zero(val):
+                if val:
                     store[(t1, t2)] = val
         self.data = store
 
     def norm_sq(self):
-        exact = _values_exact(self.data.values())
-        total = ZERO if exact else 0.0
+        total = _zero(self)
         for (t1, t2), v in self.data.items():
-            m = multiplicity_factor(t1) * multiplicity_factor(t2)
-            if exact:
-                total = total + EC(m) * _exact(v) * _exact(v)
-            else:
-                x = _as_float(v)
-                total = total + m * x * x
+            total = total + multiplicity_factor(t1) * multiplicity_factor(t2) * v * v
         return total
 
     def scalar(self):
@@ -290,7 +279,7 @@ def contract(u: SymTensor, v: SymTensor, r: int) -> BlockTensor:
     q = u.order
     if not 0 <= r <= q:
         raise ValueError(f"contraction order {r} outside 0..{q}")
-    exact = u.is_exact() and v.is_exact()
+    u, v = _one_type(u, v)
 
     def split_map(t: SymTensor):
         out: Dict[IndexTuple, List[Tuple[IndexTuple, Value]]] = {}
@@ -311,43 +300,19 @@ def contract(u: SymTensor, v: SymTensor, r: int) -> BlockTensor:
         for kept_l, val_l in lefts:
             for kept_r, val_r in rights:
                 key = (kept_l, kept_r)
-                if exact:
-                    inc = EC(w) * _exact(val_l) * _exact(val_r)
-                    cur = data.get(key, ZERO) + inc
-                    if cur.is_zero():
-                        data.pop(key, None)
-                    else:
-                        data[key] = cur
-                else:
-                    inc = w * _as_float(val_l) * _as_float(val_r)
-                    cur = data.get(key, 0.0) + inc
-                    if cur == 0:
-                        data.pop(key, None)
-                    else:
-                        data[key] = cur
+                inc = w * val_l * val_r
+                data[key] = data[key] + inc if key in data else inc
     return BlockTensor((q - r, q - r), u.dim, data)
 
 
 def contract_sym(u: SymTensor, v: SymTensor, r: int) -> SymTensor:
     """Symmetrization of the r-th contraction over all 2(q - r) slots."""
     block = contract(u, v, r)
-    p1, p2 = block.orders
-    order = p1 + p2
-    exact = _values_exact(block.data.values())
-    acc: Dict[IndexTuple, Value] = {}
-    for (t1, t2), val in block.data.items():
-        full = tuple(sorted(t1 + t2))
-        # sum of dense entries over distinct arrangements of `full` equals
-        # sum over multiset splits weighted by per-block arrangement counts;
-        # here we accumulate this entry's contribution to that sum
-        w = multiplicity_factor(t1) * multiplicity_factor(t2)
-        inc = EC(w) * _exact(val) if exact else w * _as_float(val)
-        acc[full] = _add_values(acc[full], inc) if full in acc else inc
-    data: Dict[IndexTuple, Value] = {}
-    for full, v_sum in acc.items():
-        w = Fraction(1, multiplicity_factor(full))
-        data[full] = _exact(w) * v_sum if exact else float(w) * _as_float(v_sum)
-    return SymTensor(order, u.dim, data)
+    # the dense entries of the block over all arrangements of a key (t1, t2)
+    # sum to the block entry times the per-block arrangement counts
+    raw = {t1 + t2: multiplicity_factor(t1) * multiplicity_factor(t2) * val
+           for (t1, t2), val in block.data.items()}
+    return symmetrize(raw, sum(block.orders), u.dim)
 
 
 def product_moment(u: SymTensor, v: SymTensor):
@@ -364,10 +329,9 @@ def product_moment(u: SymTensor, v: SymTensor):
     if q < 1:
         raise ValueError("order must be >= 1")
     qf = math.factorial(q)
-    exact = u.is_exact() and v.is_exact()
-    euv = EC(qf) * inner(u, v) if exact else qf * inner(u, v)
-    eu2 = EC(qf) * inner(u, u) if exact else qf * inner(u, u)
-    ev2 = EC(qf) * inner(v, v) if exact else qf * inner(v, v)
+    euv = qf * inner(u, v)
+    eu2 = qf * inner(u, u)
+    ev2 = qf * inner(v, v)
     total = 2 * euv * euv + eu2 * ev2
     for r in range(1, q):
         raw = contract(u, v, r).norm_sq()
@@ -376,17 +340,14 @@ def product_moment(u: SymTensor, v: SymTensor):
         rf = math.factorial(r)
         w1 = c * c * qf * qf
         w2 = c ** 4 * rf * rf * math.factorial(2 * q - 2 * r)
-        if exact:
-            total = total + EC(w1) * raw + EC(w2) * sym
-        else:
-            total = total + w1 * raw + w2 * sym
+        total = total + w1 * raw + w2 * sym
     return total
 
 
 # -- complex kernels ---------------------------------------------------------------
 
 
-class ComplexKernel:
+class ComplexKernel(_OneScalarType):
     """Element of the (m, n) bidegree kernel space over C^dim.
 
     Coefficients are indexed by a pair (sorted m-tuple, sorted n-tuple) in
@@ -403,6 +364,7 @@ class ComplexKernel:
         self.m, self.n, self.dim = int(m), int(n), int(dim)
         store: Dict[Tuple[IndexTuple, IndexTuple], Value] = {}
         if data:
+            to_value = _converter(data.values(), ExactComplex.coerce, _complex)
             for (ta, tb), val in data.items():
                 ta, tb = tuple(int(i) for i in ta), tuple(int(i) for i in tb)
                 if len(ta) != self.m or len(tb) != self.n:
@@ -411,24 +373,21 @@ class ComplexKernel:
                     raise ValueError("kernel tuples must be sorted")
                 if any(not 0 <= i < self.dim for i in ta + tb):
                     raise ValueError("index out of range")
-                if _is_exact(val):
-                    v = _exact(val)
-                    if not v.is_zero():
-                        store[(ta, tb)] = v
-                elif val != 0:
-                    store[(ta, tb)] = complex(val)
+                v = to_value(val)
+                if v:
+                    store[(ta, tb)] = v
         self.data = store
 
     @classmethod
     def rank_one(cls, h: Sequence[Value], m: int, n: int) -> "ComplexKernel":
         """h^(x m) (x) conj(h)^(x n) for a coefficient vector h."""
         dim = len(h)
-        exact = _values_exact(h)
-        vals = [(_exact(x) if exact else complex(x)) for x in h]
-        conj = [(v.conjugate() if exact else v.conjugate()) for v in vals]
+        to_value = _converter(h, ExactComplex.coerce, _complex)
+        vals = [to_value(x) for x in h]
+        conj = [v.conjugate() for v in vals]
         data = {}
         for ta in combinations_with_replacement(range(dim), m):
-            pa = _exact(1) if exact else 1 + 0j
+            pa = to_value(1)
             for i in ta:
                 pa = pa * vals[i]
             for tb in combinations_with_replacement(range(dim), n):
@@ -438,43 +397,25 @@ class ComplexKernel:
                 data[(ta, tb)] = pb
         return cls(m, n, dim, data)
 
-    def is_exact(self) -> bool:
-        return _values_exact(self.data.values())
-
     def conjugate_kernel(self) -> "ComplexKernel":
         """Kernel psi with conj of this kernel's integral = integral of psi.
 
         Swap the two blocks and conjugate coefficients; the result has
         bidegree (n, m).
         """
-        exact = self.is_exact()
-        data = {}
-        for (ta, tb), val in self.data.items():
-            data[(tb, ta)] = _exact(val).conjugate() if exact else complex(val).conjugate()
-        return ComplexKernel(self.n, self.m, self.dim, data)
+        return ComplexKernel(self.n, self.m, self.dim,
+                             {(tb, ta): v.conjugate() for (ta, tb), v in self.data.items()})
 
     def norm_sq(self):
         """Squared norm in the full (m+n)-fold tensor power, multinomial weights."""
-        exact = self.is_exact()
-        total = ZERO if exact else 0.0
-        for (ta, tb), v in self.data.items():
-            w = multiplicity_factor(ta) * multiplicity_factor(tb)
-            if exact:
-                ve = _exact(v)
-                total = total + EC(w) * ve * ve.conjugate()
-            else:
-                total = total + w * abs(complex(v)) ** 2
-        return total
+        total = kernel_inner(self, self)
+        return total if self.is_exact() else total.real
 
     def __rmul__(self, scalar):
-        if _is_exact(scalar) and self.is_exact():
-            c = _exact(scalar)
-            return ComplexKernel(self.m, self.n, self.dim,
-                                 {k: c * v for k, v in self.data.items()})
-        c = complex(scalar)
+        to_value = _converter([scalar, *self.data.values()], ExactComplex.coerce, _complex)
+        c = to_value(scalar)
         return ComplexKernel(self.m, self.n, self.dim,
-                             {k: c * (v.to_complex() if isinstance(v, ExactComplex) else v)
-                              for k, v in self.data.items()})
+                             {k: c * to_value(v) for k, v in self.data.items()})
 
     __mul__ = __rmul__
 
@@ -487,19 +428,13 @@ def kernel_inner(f: ComplexKernel, g: ComplexKernel):
     """Hermitian inner product <f, g>, conjugate-linear in g."""
     if (f.m, f.n, f.dim) != (g.m, g.n, g.dim):
         raise ValueError("shape mismatch")
-    exact = f.is_exact() and g.is_exact()
-    total = ZERO if exact else 0.0
+    f, g = _one_type(f, g)
+    total = _zero(f, g)
     for key, v in f.data.items():
         w = g.data.get(key)
-        if w is None:
-            continue
-        mult = multiplicity_factor(key[0]) * multiplicity_factor(key[1])
-        if exact:
-            total = total + EC(mult) * _exact(v) * _exact(w).conjugate()
-        else:
-            va = v.to_complex() if isinstance(v, ExactComplex) else complex(v)
-            wa = w.to_complex() if isinstance(w, ExactComplex) else complex(w)
-            total = total + mult * va * wa.conjugate()
+        if w is not None:
+            mult = multiplicity_factor(key[0]) * multiplicity_factor(key[1])
+            total = total + mult * v * w.conjugate()
     return total
 
 
@@ -508,12 +443,7 @@ def kernel_inner(f: ComplexKernel, g: ComplexKernel):
 
 def _value_str(v) -> str:
     if isinstance(v, ExactComplex):
-        if not v.is_rational():
-            return repr(_as_float(v))
-        f = v.as_fraction()
-        return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
+        return str(v.as_fraction()) if v.is_rational() else repr(_float(v))
     return repr(v)
 
 
@@ -552,11 +482,8 @@ def dump_kernel(k: ComplexKernel) -> str:
     lines = [f"{k.m} {k.n} {k.dim}"]
     for (ta, tb) in sorted(k.data):
         v = k.data[(ta, tb)]
-        if isinstance(v, ExactComplex):
-            re, im = v.real(), (v * EC(0, -1)).real()
-            re_s, im_s = _value_str(re), _value_str(im)
-        else:
-            re_s, im_s = repr(complex(v).real), repr(complex(v).imag)
+        parts = (v.real(), v.imag()) if isinstance(v, ExactComplex) else (v.real, v.imag)
+        re_s, im_s = (_value_str(x) for x in parts)
         idx = " ".join(str(i) for i in ta + tb)
         lines.append((idx + " " if idx else "") + f"{re_s} {im_s}")
     return "\n".join(lines) + "\n"

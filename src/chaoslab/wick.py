@@ -93,9 +93,8 @@ class GaussianFamily:
             for j in range(k):
                 if g[i][j] != g[j][i].conjugate():
                     raise ValueError("gram matrix must be Hermitian")
-                if not g[i][j].is_rational() and not g[i][j].conjugate().is_rational():
-                    if g[i][j].b or g[i][j].d:
-                        raise ValueError("gram entries must be rational-complex")
+                if g[i][j].b or g[i][j].d:
+                    raise ValueError("gram entries must be rational-complex")
         cov = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
         for i in range(k):
             for j in range(k):

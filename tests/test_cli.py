@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from chaoslab import cli, hermite
 from chaoslab.exact import EC
 from chaoslab.hermite import BiPoly
@@ -219,3 +221,18 @@ class TestExperiment:
         assert run_cli("experiment", str(cfg), "--out", str(out)) == 0
         doc = json.loads((out / "verdict.json").read_text())
         assert doc["seed"] == 7
+
+    @pytest.mark.parametrize("change", [
+        {"chunk_size": 0},
+        {"n_samples": "abc"},
+        {"kernel": {"block": {"m": 1}}},
+        {"workers": 0},
+        {"workers": -3},
+        {"k_values": [1.5]},
+    ], ids=["chunk_size-0", "n_samples-abc", "block-missing-n", "workers-0",
+            "workers-negative", "k_values-fraction"])
+    def test_bad_integer_fields_exit_65(self, tmp_path, change):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, **change}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        assert not (tmp_path / "o").exists()

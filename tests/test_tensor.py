@@ -250,6 +250,65 @@ class TestComplexKernel:
             ComplexKernel(1, 1, 2, {((3,), (0,)): 1})
 
 
+def random_exact_kernel(m, n, dim, rnd) -> ComplexKernel:
+    data = {}
+    for ta in itertools.combinations_with_replacement(range(dim), m):
+        for tb in itertools.combinations_with_replacement(range(dim), n):
+            data[(ta, tb)] = ExactComplex(Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)),
+                                          Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)))
+    return ComplexKernel(m, n, dim, data)
+
+
+class TestFloatingPath:
+    """The same algorithms on float copies agree with the exact results."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert isinstance(got, (float, complex))  # the floating path ran
+        assert complex(got) == pytest.approx(want.to_complex(), rel=1e-12, abs=1e-12)
+
+    def test_real_tensor_algebra(self):
+        rnd = random.Random(17)
+        for order in (1, 2, 3):
+            for _ in range(3):
+                u = random_exact_tensor(order, 3, rnd)
+                v = random_exact_tensor(order, 3, rnd)
+                fu = SymTensor(order, 3, {t: x.to_complex().real for t, x in u.data.items()})
+                fv = SymTensor(order, 3, {t: x.to_complex().real for t, x in v.data.items()})
+                assert not fu.is_exact() and not fv.is_exact()
+                self.assert_close(inner(fu, fv), inner(u, v))
+                # an exact operand meets a floating one in floating point
+                self.assert_close(inner(u, fv), inner(u, v))
+                for r in range(order + 1):
+                    self.assert_close(contract(fu, fv, r).norm_sq(),
+                                      contract(u, v, r).norm_sq())
+                    got, want = contract_sym(fu, fv, r), contract_sym(u, v, r)
+                    for key in got.data.keys() | want.data.keys():
+                        self.assert_close(float(got.entry(key)), ExactComplex.coerce(want.entry(key)))
+                self.assert_close(product_moment(fu, fv), product_moment(u, v))
+
+    def test_kernel_inner_and_norm(self):
+        rnd = random.Random(19)
+        for m, n in ((1, 1), (2, 1), (1, 2)):
+            f = random_exact_kernel(m, n, 2, rnd)
+            g = random_exact_kernel(m, n, 2, rnd)
+            ff = ComplexKernel(m, n, 2, {k: x.to_complex() for k, x in f.data.items()})
+            fg = ComplexKernel(m, n, 2, {k: x.to_complex() for k, x in g.data.items()})
+            self.assert_close(kernel_inner(ff, fg), kernel_inner(f, g))
+            norm = ff.norm_sq()
+            assert type(norm) is float
+            self.assert_close(norm, f.norm_sq())
+
+    def test_one_scalar_type_per_tensor(self):
+        mixed = SymTensor(2, 2, {(0, 0): 1, (0, 1): 0.5, (1, 1): EC(Fraction(1, 3))})
+        assert all(type(x) is float for x in mixed.data.values())
+        assert mixed.data[(1, 1)] == pytest.approx(1 / 3)
+        exact = SymTensor(2, 2, {(0, 0): 1, (0, 1): Fraction(1, 2), (1, 1): EC(3)})
+        assert all(isinstance(x, ExactComplex) for x in exact.data.values())
+        kernel = ComplexKernel(1, 1, 2, {((0,), (0,)): 1, ((0,), (1,)): 0.5j})
+        assert all(type(x) is complex for x in kernel.data.values())
+
+
 class TestSerialization:
     def test_tensor_roundtrip_exact(self):
         rnd = random.Random(4)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaoslab.exact import EC, ExactComplex
+from chaoslab.exact import EC, SQRT2, ExactComplex
 from chaoslab.hermite import BiPoly, complex_hermite
 from chaoslab.wick import (GaussPoly, GaussianFamily, bipoly_to_gausspoly,
                            expect, expect_complex, isserlis_moment)
@@ -179,6 +179,11 @@ class TestComplexExpectations:
     def test_gram_must_be_hermitian(self):
         with pytest.raises(ValueError):
             GaussianFamily.from_complex_gram([[EC(2), EC(1)], [EC(0), EC(2)]])
+
+    def test_gram_rejects_sqrt2_entries(self):
+        # Hermitian, but E[zeta_0 conj(zeta_1)] = sqrt(2) has no rational covariance
+        with pytest.raises(ValueError, match="rational-complex"):
+            GaussianFamily.from_complex_gram([[EC(2), SQRT2], [SQRT2, EC(2)]])
 
     def test_bipoly_substitution_layout(self):
         fam = GaussianFamily.complex_standard(2)
