@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -216,17 +217,29 @@ def _int_value(value, name: str, minimum: int) -> int:
     return value
 
 
+def _num_value(value, name: str) -> float:
+    """A finite config number, rejected as a ConfigError otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise fm.ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _criterion_from(doc: dict) -> fm.CriterionSpec:
     crit = doc.get("criterion")
     if not isinstance(crit, dict) or "case" not in crit or "sigma2" not in crit:
         raise fm.ConfigError("config needs a criterion object with case and sigma2")
-    kwargs = dict(case=crit["case"], sigma2=float(crit["sigma2"]),
-                  a=float(crit.get("a", 0.0)), b=float(crit.get("b", 0.0)))
+    kwargs = dict(case=crit["case"], sigma2=_num_value(crit["sigma2"], "criterion.sigma2"),
+                  a=_num_value(crit.get("a", 0.0), "criterion.a"),
+                  b=_num_value(crit.get("b", 0.0), "criterion.b"))
     for key in ("m", "n", "total_degree"):
         if key in crit:
-            kwargs[key] = int(crit[key])
+            kwargs[key] = _int_value(crit[key], f"criterion.{key}", 0)
     if "degrees" in crit:
-        kwargs["degrees"] = tuple(int(x) for x in crit["degrees"])
+        if not isinstance(crit["degrees"], list):
+            raise fm.ConfigError("criterion.degrees must be a list")
+        kwargs["degrees"] = tuple(_int_value(x, "criterion.degrees", 0)
+                                  for x in crit["degrees"])
     if "chi2_variance_is_alpha" in crit:
         kwargs["chi2_variance_is_alpha"] = bool(crit["chi2_variance_is_alpha"])
     return fm.CriterionSpec(**kwargs)
@@ -242,6 +255,8 @@ def _kernels_from(doc: dict, base: Path):
             raise fm.ConfigError("kernel.block must be an object with m and n")
         m = _int_value(blk.get("m"), "kernel.block.m", 0)
         n = _int_value(blk.get("n"), "kernel.block.n", 0)
+        if m + n < 2:
+            raise fm.ConfigError(f"kernel.block needs m + n >= 2, got ({m}, {n})")
         ks = doc.get("k_values", [1])
         if not isinstance(ks, list) or not ks:
             raise fm.ConfigError("k_values must be a non-empty list")
@@ -263,6 +278,23 @@ def _kernels_from(doc: dict, base: Path):
     return [(1, kern)], (kern.m, kern.n)
 
 
+def _ks_from(ks_cfg, k_values: list) -> tuple:
+    """(k, component, mean, var) of the KS section, checked before any sampling."""
+    if not isinstance(ks_cfg, dict):
+        raise fm.ConfigError("ks must be an object")
+    k_at = _int_value(ks_cfg.get("k", k_values[-1]), "ks.k", 1)
+    if k_at not in k_values:
+        raise fm.ConfigError(f"ks.k={k_at} is not among the run's k values")
+    component = ks_cfg.get("component", "re")
+    if component not in ("re", "im"):
+        raise fm.ConfigError(f"ks.component must be 're' or 'im', got {component!r}")
+    mean = _num_value(ks_cfg.get("mean", 0.0), "ks.mean")
+    var = _num_value(ks_cfg.get("var", 1.0), "ks.var")
+    if var <= 0:
+        raise fm.ConfigError(f"ks.var must be positive, got {var}")
+    return k_at, component, mean, var
+
+
 def _format_quantity(name: str, value: complex) -> str:
     if name in ("abs2", "abs4"):
         return repr(float(value.real))
@@ -274,16 +306,24 @@ def run_experiment(doc: dict, base: Path) -> tuple:
     seed = doc.get("seed")
     if seed is None:
         env = os.environ.get("CHAOSLAB_SEED")
-        if env is not None:
+        if env is None:
+            raise fm.ConfigError("config needs a seed (or CHAOSLAB_SEED)")
+        try:
             seed = int(env)
-    if seed is None:
-        raise fm.ConfigError("config needs a seed (or CHAOSLAB_SEED)")
-    seed = int(seed)
+        except ValueError:
+            raise fm.ConfigError(f"CHAOSLAB_SEED must be an integer, got {env!r}")
+    seed = _int_value(seed, "seed", 0)
     n_samples = _int_value(doc.get("n_samples"), "n_samples", 2)
     workers = _int_value(doc.get("workers", 1), "workers", 1)
     chunk = _int_value(doc.get("chunk_size", fm.DEFAULT_CHUNK), "chunk_size", 1)
     spec = _criterion_from(doc)
     kernels, (m, n) = _kernels_from(doc, base)
+    for key, kernel_value in (("m", m), ("n", n), ("total_degree", m + n)):
+        value = getattr(spec, key)
+        if value is not None and value != kernel_value:
+            raise fm.ConfigError(f"criterion {key}={value} does not match the "
+                                 f"kernel of bidegree ({m}, {n})")
+    ks = None if doc.get("ks") is None else _ks_from(doc["ks"], [k for k, _ in kernels])
     references = None
     if bool(doc.get("exact_reference", False)):
         if "block" not in doc.get("kernel", {}):
@@ -297,17 +337,12 @@ def run_experiment(doc: dict, base: Path) -> tuple:
     result["seed"] = seed
     result["n_samples"] = n_samples
 
-    ks_cfg = doc.get("ks")
-    if ks_cfg is not None:
-        k_at = int(ks_cfg.get("k", kernels[-1][0]))
-        component = ks_cfg.get("component", "re")
-        by_k = dict(kernels)
-        if k_at not in by_k:
-            raise fm.ConfigError(f"ks.k={k_at} is not among the run's k values")
-        samples = fm.collect_component_samples(by_k[k_at], n_samples, seed,
-                                               component=component, chunk_size=chunk)
-        cdf = fm.normal_cdf(float(ks_cfg.get("mean", 0.0)), float(ks_cfg.get("var", 1.0)))
-        d, p = fm.ks_distance(samples, cdf)
+    if ks is not None:
+        k_at, component, mean, var = ks
+        samples = fm.collect_component_samples(dict(kernels)[k_at], n_samples, seed,
+                                               component=component, chunk_size=chunk,
+                                               workers=workers)
+        d, p = fm.ks_distance(samples, fm.normal_cdf(mean, var))
         result["ks"] = {"k": k_at, "component": component, "distance": d, "p_bound": p}
 
     buf = io.StringIO()

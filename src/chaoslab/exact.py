@@ -18,11 +18,15 @@ _SQRT2 = sqrt(2.0)
 RationalLike = Union[int, Fraction]
 
 
+# Every absent component is this one object, so zeros cost no allocation.
+_FZERO = Fraction(0)
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return Fraction(x) if x else _FZERO
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not a rational value: {x!r}")
@@ -66,13 +70,14 @@ class ExactComplex:
         return self.a
 
     def real(self) -> "ExactComplex":
-        return ExactComplex(self.a, 0, self.b, 0)
+        return _new(self.a, self.b, _FZERO, _FZERO)
 
     def imag(self) -> "ExactComplex":
-        return ExactComplex(self.c, 0, self.d, 0)
+        return _new(self.c, self.d, _FZERO, _FZERO)
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.a, -self.c, self.b, -self.d)
+        c, d = self.c, self.d
+        return _new(self.a, self.b, -c if c else c, -d if d else d)
 
     def to_complex(self) -> complex:
         return complex(float(self.a) + float(self.b) * _SQRT2,
@@ -99,40 +104,123 @@ class ExactComplex:
 
     # -- arithmetic -------------------------------------------------------------
 
+    # Values are never mutated after construction, so a result may share
+    # an operand (or its components) whenever the other operand is zero.
+
     def __add__(self, other):
-        if not isinstance(other, (ExactComplex, int, Fraction)):
-            return NotImplemented
-        o = ExactComplex.coerce(other)
-        return ExactComplex(self.a + o.a, self.c + o.c, self.b + o.b, self.d + o.d)
+        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
+        if isinstance(other, ExactComplex):
+            if not (a1 or b1 or c1 or d1):
+                return other
+            a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+            if not (a2 or b2 or c2 or d2):
+                return self
+            return _new((a1 + a2 if a2 else a1) if a1 else a2,
+                        (b1 + b2 if b2 else b1) if b1 else b2,
+                        (c1 + c2 if c2 else c1) if c1 else c2,
+                        (d1 + d2 if d2 else d1) if d1 else d2)
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return self
+            return _new(a1 + other if a1 else _frac(other), b1, c1, d1)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (ExactComplex, int, Fraction)):
-            return NotImplemented
-        o = ExactComplex.coerce(other)
-        return ExactComplex(self.a - o.a, self.c - o.c, self.b - o.b, self.d - o.d)
+        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
+        if isinstance(other, ExactComplex):
+            a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+            if not (a2 or b2 or c2 or d2):
+                return self
+            return _new((a1 - a2 if a2 else a1) if a1 else -a2 if a2 else a1,
+                        (b1 - b2 if b2 else b1) if b1 else -b2 if b2 else b1,
+                        (c1 - c2 if c2 else c1) if c1 else -c2 if c2 else c1,
+                        (d1 - d2 if d2 else d1) if d1 else -d2 if d2 else d1)
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return self
+            return _new(a1 - other if a1 else _frac(-other), b1, c1, d1)
+        return NotImplemented
 
     def __rsub__(self, other):
         if not isinstance(other, (ExactComplex, int, Fraction)):
             return NotImplemented
-        return ExactComplex.coerce(other) - self
+        return -self + other
 
     def __neg__(self):
-        return ExactComplex(-self.a, -self.c, -self.b, -self.d)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return _new(-a if a else a, -b if b else b, -c if c else c, -d if d else d)
 
     def __mul__(self, other):
-        if not isinstance(other, (ExactComplex, int, Fraction)):
-            return NotImplemented
-        o = ExactComplex.coerce(other)
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        # (r1 + i m1)(r2 + i m2) with r, m in Q(sqrt2) as (rat, sqrt2) pairs
-        re0 = a1 * a2 + 2 * (b1 * b2) - c1 * c2 - 2 * (d1 * d2)
-        re1 = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
-        im0 = a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)
-        im1 = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-        return ExactComplex(re0, im0, re1, im1)
+        if isinstance(other, ExactComplex):
+            a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+        elif isinstance(other, (int, Fraction)):
+            if not other:
+                return ZERO
+            return _new(a1 * other if a1 else a1, b1 * other if b1 else b1,
+                        c1 * other if c1 else c1, d1 * other if d1 else d1)
+        else:
+            return NotImplemented
+        # (r1 + i m1)(r2 + i m2) with r, m in Q(sqrt2) as (rat, sqrt2) pairs:
+        #   re0 = a1 a2 + 2 b1 b2 - c1 c2 - 2 d1 d2
+        #   re1 = a1 b2 + b1 a2 - c1 d2 - d1 c2
+        #   im0 = a1 c2 + c1 a2 + 2 (b1 d2 + d1 b2)
+        #   im1 = a1 d2 + b1 c2 + c1 b2 + d1 a2
+        # Only products of two nonzero components are formed; a sum starts
+        # from its first term, never from a zero.
+        na, nb, nc, nd = bool(a2), bool(b2), bool(c2), bool(d2)
+        re0 = re1 = im0 = im1 = _FZERO
+        if a1:
+            if na:
+                re0 = a1 * a2
+            if nb:
+                re1 = a1 * b2
+            if nc:
+                im0 = a1 * c2
+            if nd:
+                im1 = a1 * d2
+        if b1:
+            if na:
+                t = b1 * a2
+                re1 = re1 + t if re1 else t
+            if nb:
+                t = 2 * (b1 * b2)
+                re0 = re0 + t if re0 else t
+            if nc:
+                t = b1 * c2
+                im1 = im1 + t if im1 else t
+            if nd:
+                t = 2 * (b1 * d2)
+                im0 = im0 + t if im0 else t
+        if c1:
+            if na:
+                t = c1 * a2
+                im0 = im0 + t if im0 else t
+            if nb:
+                t = c1 * b2
+                im1 = im1 + t if im1 else t
+            if nc:
+                t = c1 * c2
+                re0 = re0 - t if re0 else -t
+            if nd:
+                t = c1 * d2
+                re1 = re1 - t if re1 else -t
+        if d1:
+            if na:
+                t = d1 * a2
+                im1 = im1 + t if im1 else t
+            if nb:
+                t = 2 * (d1 * b2)
+                im0 = im0 + t if im0 else t
+            if nc:
+                t = d1 * c2
+                re1 = re1 - t if re1 else -t
+            if nd:
+                t = 2 * (d1 * d2)
+                re0 = re0 - t if re0 else -t
+        return _new(re0, re1, im0, im1)
 
     __rmul__ = __mul__
 
@@ -201,6 +289,17 @@ class ExactComplex:
             return str(self.a)
         sign = "+" if self.c > 0 else "-"
         return f"{self.a} {sign} {abs(self.c)}*i"
+
+
+_object_new = object.__new__
+
+
+def _new(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> ExactComplex:
+    """Build a + b*sqrt(2) + (c + d*sqrt(2))*i from Fraction components,
+    skipping the coercions of ``ExactComplex.__init__``."""
+    z = _object_new(ExactComplex)
+    z.a, z.b, z.c, z.d = a, b, c, d
+    return z
 
 
 ZERO = ExactComplex(0)

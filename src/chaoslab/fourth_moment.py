@@ -687,8 +687,12 @@ def ks_distance(samples: np.ndarray, cdf) -> Tuple[float, float]:
 
 def collect_component_samples(target: EstimateTarget, n_samples: int, seed: int,
                               component: str = "re",
-                              chunk_size: int = DEFAULT_CHUNK) -> np.ndarray:
-    """Samples of Re F or Im F for distributional spot checks."""
+                              chunk_size: int = DEFAULT_CHUNK,
+                              workers: int = 1) -> np.ndarray:
+    """Samples of Re F or Im F for distributional spot checks.
+
+    Each chunk fills its own slice of the output, so the array is the same
+    whatever the worker count."""
     if component not in ("re", "im"):
         raise ValueError("component must be 're' or 'im'")
     D = _target_sample_dim(target)
@@ -698,5 +702,5 @@ def collect_component_samples(target: EstimateTarget, n_samples: int, seed: int,
         f = eval_target(target, sample_batch(D, size, seed, start=start))
         out[start:start + size] = f.real if component == "re" else f.imag
 
-    _map_chunks(fill, n_samples, chunk_size)
+    _map_chunks(fill, n_samples, chunk_size, workers)
     return out

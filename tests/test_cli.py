@@ -135,7 +135,9 @@ class TestExperiment:
         outs = []
         for workers in (1, 3):
             cfg = tmp_path / f"cfg{workers}.json"
-            cfg.write_text(json.dumps({**BASE_CONFIG, "workers": workers}))
+            cfg.write_text(json.dumps({**BASE_CONFIG, "workers": workers,
+                                       "chunk_size": 1000,
+                                       "ks": {"k": 4, "component": "im"}}))
             out = tmp_path / f"out{workers}"
             assert run_cli("experiment", str(cfg), "--out", str(out)) == 0
             outs.append(((out / "moments.csv").read_bytes(),
@@ -229,10 +231,28 @@ class TestExperiment:
         {"workers": 0},
         {"workers": -3},
         {"k_values": [1.5]},
+        {"criterion": {**BASE_CONFIG["criterion"], "m": "abc"}},
+        {"criterion": {**BASE_CONFIG["criterion"], "sigma2": "abc"}},
+        {"seed": "abc"},
+        {"ks": {"k": "abc"}},
+        {"kernel": {"block": {"m": 1, "n": 0}}, "criterion": {
+            "case": "gaussian-offdiag", "sigma2": 1.0}},
     ], ids=["chunk_size-0", "n_samples-abc", "block-missing-n", "workers-0",
-            "workers-negative", "k_values-fraction"])
+            "workers-negative", "k_values-fraction", "criterion-m-abc",
+            "sigma2-abc", "seed-abc", "ks-k-abc", "block-degree-1"])
     def test_bad_integer_fields_exit_65(self, tmp_path, change):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**BASE_CONFIG, **change}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("criterion", [
+        {"case": "multichaos", "sigma2": 2.0, "total_degree": 2},
+        {"case": "gaussian-offdiag", "sigma2": 2.0, "m": 2, "n": 1},
+    ], ids=["total_degree", "bidegree"])
+    def test_kernel_degree_must_match_criterion(self, tmp_path, criterion):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, "n_samples": 200,
+                                   "criterion": criterion}))
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
         assert not (tmp_path / "o").exists()
