@@ -316,13 +316,22 @@ def element_poly(elem: ChaosElementT, conj: bool = False) -> GaussPoly:
     return poly.conj() if conj else poly
 
 
-def _top_degree(elem: ChaosElementT) -> int:
+def top_degree(elem: ChaosElementT) -> int:
+    """The chaos order of an element: p for I_p(f), m + n for I_{m,n}(phi)."""
     if isinstance(elem, SymTensor):
         return elem.order
     return elem.m + elem.n
 
 
 WICK_DEGREE_BUDGET = 16
+
+
+def check_wick_budget(total_degree: int, budget: int = WICK_DEGREE_BUDGET) -> None:
+    """Raise ValueError when a product of this Gaussian degree is over the
+    Wick budget, before any product is formed."""
+    if total_degree > budget:
+        raise ValueError(
+            f"total Gaussian degree {total_degree} exceeds the budget {budget}")
 
 
 def exact_moment(factors: Iterable, budget: int = WICK_DEGREE_BUDGET) -> ExactComplex:
@@ -341,10 +350,7 @@ def exact_moment(factors: Iterable, budget: int = WICK_DEGREE_BUDGET) -> ExactCo
             normalized.append((f, False))
     if not normalized:
         raise ValueError("need at least one factor")
-    total_degree = sum(_top_degree(e) for e, _ in normalized)
-    if total_degree > budget:
-        raise ValueError(
-            f"total Gaussian degree {total_degree} exceeds the budget {budget}")
+    check_wick_budget(sum(top_degree(e) for e, _ in normalized), budget)
     polys = [element_poly(e, conj) for e, conj in normalized]
     dims = {p.dim for p in polys}
     if len(dims) != 1:

@@ -131,16 +131,14 @@ def _parse_exact(x) -> ExactComplex:
 def _factor_poly(spec: dict) -> tuple:
     if not isinstance(spec, dict):
         raise ValueError("factor must be an object")
-    var = spec.get("var", 0)
-    if not isinstance(var, int) or var < 0:
-        raise ValueError("factor var must be a nonnegative integer")
-    conj = bool(spec.get("conj", False))
+    var = _int_value(spec.get("var", 0), "factor var", 0)
+    conj = _bool_value(spec.get("conj", False), "factor conj")
     if "j" in spec:
-        m, n = spec["j"]
-        poly = hermite.complex_hermite(int(m), int(n))
+        m, n = (_int_value(x, "factor j", 0) for x in spec["j"])
+        poly = hermite.complex_hermite(m, n)
     elif "zpow" in spec:
-        a, b = spec["zpow"]
-        poly = hermite.BiPoly({(int(a), int(b)): 1})
+        a, b = (_int_value(x, "factor zpow", 0) for x in spec["zpow"])
+        poly = hermite.BiPoly({(a, b): 1})
     else:
         raise ValueError("factor needs a 'j' or 'zpow' field")
     return (poly.conj() if conj else poly), var
@@ -156,9 +154,7 @@ def _cmd_oracle(args) -> int:
         doc = json.loads(text)
         if not isinstance(doc, dict) or "terms" not in doc:
             raise ValueError("expression file must be an object with a 'terms' list")
-        dim = int(doc.get("complex_dim", 1))
-        if dim < 1:
-            raise ValueError("complex_dim must be >= 1")
+        dim = _int_value(doc.get("complex_dim", 1), "complex_dim", 1)
         if "gram" in doc:
             gram = [[_parse_exact(x) for x in row] for row in doc["gram"]]
             if len(gram) != dim or any(len(r) != dim for r in gram):
@@ -206,14 +202,21 @@ def _load_config(path: Path) -> dict:
 
 
 def _int_value(value, name: str, minimum: int) -> int:
-    """A config integer, rejected as a ConfigError when missing, not an
+    """An integer field, rejected as a ConfigError when missing, not an
     integer, or below ``minimum``."""
     if value is None:
-        raise fm.ConfigError(f"config needs {name}")
+        raise fm.ConfigError(f"{name} is missing")
     if isinstance(value, bool) or not isinstance(value, int):
         raise fm.ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise fm.ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def _bool_value(value, name: str) -> bool:
+    """A JSON true or false, rejected as a ConfigError otherwise."""
+    if not isinstance(value, bool):
+        raise fm.ConfigError(f"{name} must be true or false, got {value!r}")
     return value
 
 
@@ -229,6 +232,8 @@ def _criterion_from(doc: dict) -> fm.CriterionSpec:
     crit = doc.get("criterion")
     if not isinstance(crit, dict) or "case" not in crit or "sigma2" not in crit:
         raise fm.ConfigError("config needs a criterion object with case and sigma2")
+    if crit["case"] == "multivariate":
+        raise fm.ConfigError("the multivariate case cannot be run from a config")
     kwargs = dict(case=crit["case"], sigma2=_num_value(crit["sigma2"], "criterion.sigma2"),
                   a=_num_value(crit.get("a", 0.0), "criterion.a"),
                   b=_num_value(crit.get("b", 0.0), "criterion.b"))
@@ -241,7 +246,8 @@ def _criterion_from(doc: dict) -> fm.CriterionSpec:
         kwargs["degrees"] = tuple(_int_value(x, "criterion.degrees", 0)
                                   for x in crit["degrees"])
     if "chi2_variance_is_alpha" in crit:
-        kwargs["chi2_variance_is_alpha"] = bool(crit["chi2_variance_is_alpha"])
+        kwargs["chi2_variance_is_alpha"] = _bool_value(
+            crit["chi2_variance_is_alpha"], "criterion.chi2_variance_is_alpha")
     return fm.CriterionSpec(**kwargs)
 
 
@@ -325,7 +331,7 @@ def run_experiment(doc: dict, base: Path) -> tuple:
                                  f"kernel of bidegree ({m}, {n})")
     ks = None if doc.get("ks") is None else _ks_from(doc["ks"], [k for k, _ in kernels])
     references = None
-    if bool(doc.get("exact_reference", False)):
+    if _bool_value(doc.get("exact_reference", False), "exact_reference"):
         if "block" not in doc.get("kernel", {}):
             raise fm.ConfigError("exact_reference requires a block kernel")
         references = fm.block_reference_trajectory(m, n, [k for k, _ in kernels])

@@ -1,15 +1,23 @@
 """Fourth-moment experiment harness.
 
 Builds block-kernel sequences whose integrals are normalized i.i.d. sums
-inside a fixed chaos, estimates the moment quantities the limit theorems
-compare (E|F|^2, E F^2, E|F|^4, E F^4 and the third-moment combination
-E[F^3 + 3 |F|^2 conj F]), and renders a structured verdict: per-index
-consistency against references, plus a monotone-approach check of the gap
-to the limit.  The harness certifies moment trajectories; it never claims
-convergence in distribution itself.  A KS side channel measures the
-empirical distance to the limit law; the limit theorems promise nothing at
-one finite k, so there its p-value measures the distance that remains and is
-not expected to clear any threshold.
+inside a fixed chaos, computes the moment quantities the limit theorems
+compare, and renders a structured verdict: per-index consistency against
+references, plus a monotone-approach check of the gap to the limit.  The
+harness certifies moment trajectories; it never claims convergence in
+distribution itself.  A KS side channel measures the empirical distance to
+the limit law; the limit theorems promise nothing at one finite k, so there
+its p-value measures the distance that remains and is not expected to clear
+any threshold.
+
+The five quantities of a chaos variable F are
+
+    abs2 = E|F|^2      sq = E F^2      abs4 = E|F|^4      fourth = E F^4
+    t3   = E[F^3 + 3 |F|^2 conj(F)]
+
+:func:`moment_quantities` is their one definition.  The Monte Carlo chunk
+sums apply it to sample arrays and :func:`exact_report` to the exact
+polynomial of F.
 
 Chi-square targets: the limit law G1(alpha1) + i G2(alpha2) uses centered
 chi-square factors whose normalization is configuration, not hardcoded
@@ -25,16 +33,16 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import gammainc, kolmogorov, ndtr
 
-from .chaos import (SampleBatch, decompose, eval_complex, eval_real,
-                    exact_moment, sample_batch)
-from .exact import EC, ExactComplex, I_UNIT, ONE, ZERO
+from .chaos import (SampleBatch, check_wick_budget, decompose, element_poly,
+                    eval_complex, eval_real, exact_moment, sample_batch, top_degree)
+from .exact import EC, ExactComplex, I_UNIT, ONE
 from .tensor import ComplexKernel, SymTensor, contract
+from .wick import GaussianFamily, expect
 
 QUANTITIES = ("abs2", "sq", "abs4", "fourth", "t3")
 _COMPLEX_QUANTITIES = {"sq", "fourth", "t3"}
@@ -307,82 +315,74 @@ def _mean_se(total, sq_total: float, n: float) -> Tuple[complex, float]:
     return mean, math.sqrt(var / n)
 
 
-def _chunk_sums(target, D, size, seed, start):
-    batch = sample_batch(D, size, seed, start=start)
-    f = eval_target(target, batch)
-    a2 = np.abs(f) ** 2
-    a4 = a2 * a2
+def _streamed_means(arrays_of, dim: int, n_samples: int, seed: int,
+                    chunk_size: int, workers: int = 1) -> List[Tuple[complex, float]]:
+    """Monte Carlo means and standard errors of per-sample quantities.
+
+    ``arrays_of(batch)`` returns, for each quantity, its values on the batch and
+    their squared moduli.  Chunk sums are added in chunk-index order, so the
+    result is the same for a given (seed, chunk_size) whatever the worker count
+    (sampling is counter-based).
+    """
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
+
+    def chunk_sums(start, size):
+        arrays = arrays_of(sample_batch(dim, size, seed, start=start))
+        return [(complex(np.sum(value)), complex(np.sum(square))) for value, square in arrays]
+
+    parts = _map_chunks(chunk_sums, n_samples, chunk_size, workers)
+    totals = [(0j, 0j)] * len(parts[0])
+    for part in parts:
+        totals = [(v + pv, s + ps) for (v, s), (pv, ps) in zip(totals, part)]
+    return [_mean_se(value_sum, sq_sum.real, float(n_samples))
+            for value_sum, sq_sum in totals]
+
+
+def moment_quantities(f, fbar, a2):
+    """(abs2, sq, abs4, fourth, t3) of F, before the expectation, from F,
+    conj(F) and |F|^2 (see the module docstring).
+
+    Only ``*``, ``+`` and an int scale are used, so the operands may be numpy
+    sample arrays or exact ``GaussPoly`` polynomials.
+    """
     f2 = f * f
-    t3 = f2 * f + 3.0 * a2 * np.conj(f)
-    return (complex(np.sum(a2)), complex(np.sum(a4)), complex(np.sum(a4 * a4)),
-            complex(np.sum(f2)), complex(np.sum(f2 * f2)),
-            complex(np.sum(t3)), complex(np.sum(np.abs(t3) ** 2)))
+    return a2, f2, a2 * a2, f2 * f2, f2 * f + 3 * a2 * fbar
+
+
+def _moment_arrays(target, batch):
+    f = eval_target(target, batch)
+    abs2, sq, abs4, fourth, t3 = moment_quantities(f, np.conj(f), np.abs(f) ** 2)
+    a8 = abs4 * abs4
+    # squared moduli: |sq|^2 = abs2^2 = abs4 and |fourth|^2 = abs4^2
+    return [(abs2, abs4), (sq, abs4), (abs4, a8), (fourth, a8), (t3, np.abs(t3) ** 2)]
 
 
 def estimate(target: EstimateTarget, n_samples: int, seed: int, *,
-             workers: int = 1, chunk_size: int = DEFAULT_CHUNK,
-             mode: str = "mc") -> MomentReport:
-    """Moment report for a chaos target.
-
-    mode "mc": plug-in Monte Carlo means with (sample sd / sqrt N) standard
-    errors, deterministic for a given (seed, chunk_size) regardless of the
-    worker count (counter-based sampling; chunk partial sums are reduced in
-    index order).  mode "exact": closed-form values via the Wick oracle,
-    zero standard errors (requires an exact target).
-    """
-    if mode == "exact":
-        return exact_report(target, seed=seed)
-    if mode != "mc":
-        raise ValueError("mode must be 'mc' or 'exact'")
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-    D = _target_sample_dim(target)
-    partials = _map_chunks(lambda start, size: _chunk_sums(target, D, size, seed, start),
-                           n_samples, chunk_size, workers)
-    sums = [0j] * 7
-    for part in partials:  # fixed reduction order: chunk index
-        for i, x in enumerate(part):
-            sums[i] = sums[i] + x
-    s_a2, s_a4, s_a8, s_f2, s_f4, s_t3, s_t3sq = sums
-    n = float(n_samples)
-    abs2, abs2_se = _mean_se(s_a2, s_a4.real, n)
-    sq, sq_se = _mean_se(s_f2, s_a4.real, n)
-    abs4, abs4_se = _mean_se(s_a4, s_a8.real, n)
-    fourth, fourth_se = _mean_se(s_f4, s_a8.real, n)
-    t3, t3_se = _mean_se(s_t3, s_t3sq.real, n)
+             workers: int = 1, chunk_size: int = DEFAULT_CHUNK) -> MomentReport:
+    """Monte Carlo moment report for a chaos target: plug-in means with
+    (sample sd / sqrt N) standard errors, deterministic for a given
+    (seed, chunk_size) whatever the worker count."""
+    means = _streamed_means(lambda batch: _moment_arrays(target, batch),
+                            _target_sample_dim(target), n_samples, seed, chunk_size, workers)
+    (abs2, abs2_se), (sq, sq_se), (abs4, abs4_se), (fourth, fourth_se), (t3, t3_se) = means
     return MomentReport(n_samples=n_samples, seed=seed, exact=False,
                         abs2=abs2.real, sq=sq, abs4=abs4.real, fourth=fourth, t3=t3,
                         abs2_se=abs2_se, sq_se=sq_se, abs4_se=abs4_se,
                         fourth_se=fourth_se, t3_se=t3_se)
 
 
-def exact_mixed_moment(terms: List[Tuple[ExactComplex, object]],
-                       conj_pattern: Sequence[bool]) -> ExactComplex:
-    """E[prod over slots of (sum of terms, conjugated per pattern)], exact."""
-    total = ZERO
-    for choice in iter_product(range(len(terms)), repeat=len(conj_pattern)):
-        coeff = ONE
-        factors = []
-        for slot, term_idx in enumerate(choice):
-            c, elem = terms[term_idx]
-            coeff = coeff * (c.conjugate() if conj_pattern[slot] else c)
-            factors.append((elem, conj_pattern[slot]))
-        total = total + coeff * exact_moment(factors)
-    return total
-
-
 def exact_report(target: EstimateTarget, seed: Optional[int] = None) -> MomentReport:
-    """Exact moment report via the Wick oracle."""
+    """Exact values of the five quantities of the module docstring, as Wick
+    expectations of the target's polynomial (requires an exact target)."""
     terms = _terms_of(target)
-
-    def mom(pattern):
-        return exact_mixed_moment(terms, pattern).to_complex()
-
-    abs2 = mom([False, True])
-    sq = mom([False, False])
-    abs4 = mom([False, False, True, True])
-    fourth = mom([False, False, False, False])
-    t3 = mom([False, False, False]) + 3 * mom([False, False, True])
+    check_wick_budget(4 * max(top_degree(elem) for _, elem in terms))
+    polys = [element_poly(elem) * coeff for coeff, elem in terms]
+    f = sum(polys[1:], polys[0])
+    fbar = f.conj()
+    fam = GaussianFamily.standard(f.dim)
+    abs2, sq, abs4, fourth, t3 = (expect(fam, q).to_complex()
+                                  for q in moment_quantities(f, fbar, f * fbar))
     return MomentReport(n_samples=0, seed=seed, exact=True,
                         abs2=abs2.real, sq=sq, abs4=abs4.real, fourth=fourth, t3=t3)
 
@@ -561,29 +561,17 @@ def estimate_cross_moments(first: EstimateTarget, second: EstimateTarget,
     imposes on components whose degree doubles another's; both must vanish
     in the limit.
     """
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-    d1 = _target_sample_dim(first)
-    d2 = _target_sample_dim(second)
-    if d1 != d2:
+    dim = _target_sample_dim(first)
+    if _target_sample_dim(second) != dim:
         raise ValueError("targets must share the sample dimension")
 
-    def chunk_sums(start, size):
-        batch = sample_batch(d1, size, seed, start=start)
+    def cross_arrays(batch):
         f = eval_target(first, batch)
         g = eval_target(second, batch)
-        sq = g * g * f
-        mixed = (np.abs(g) ** 2) * f
-        return (complex(np.sum(sq)), complex(np.sum(mixed)),
-                float(np.sum(np.abs(sq) ** 2)), float(np.sum(np.abs(mixed) ** 2)))
+        return [(x, np.abs(x) ** 2) for x in (g * g * f, (np.abs(g) ** 2) * f)]
 
-    sums = [0j, 0j, 0.0, 0.0]
-    for part in _map_chunks(chunk_sums, n_samples, chunk_size):  # chunk-index order
-        for i, x in enumerate(part):
-            sums[i] = sums[i] + x
-    n = float(n_samples)
-    sq_mean, sq_se = _mean_se(sums[0], sums[2], n)
-    mixed_mean, mixed_se = _mean_se(sums[1], sums[3], n)
+    (sq_mean, sq_se), (mixed_mean, mixed_se) = _streamed_means(
+        cross_arrays, dim, n_samples, seed, chunk_size)
     return {"square_cross": sq_mean, "square_cross_se": sq_se,
             "abs_cross": mixed_mean, "abs_cross_se": mixed_se,
             "square_cross_pass": abs(sq_mean) <= _tolerance(0.0, sq_se),

@@ -106,6 +106,20 @@ class TestOracle:
             {"terms": [{"factors": [{"zpow": [9, 9], "var": 0}]}]}))
         assert run_cli("oracle", str(path)) == 64
 
+    @pytest.mark.parametrize("doc", [
+        {"terms": [{"factors": [{"zpow": [2, 0]}, {"zpow": [2, 0], "conj": "false"}]}]},
+        {"terms": [{"factors": [{"j": [1.9, 1]}, {"j": [1, 1]}]}]},
+        {"terms": [{"factors": [{"j": ["1", 1]}, {"j": [1, 1]}]}]},
+        {"terms": [{"factors": [{"zpow": [1, 1.0]}]}]},
+        {"terms": [{"factors": [{"zpow": [1, 1], "var": True}]}]},
+        {"complex_dim": 1.5, "terms": [{"factors": [{"zpow": [1, 1]}]}]},
+    ], ids=["conj-string", "j-fraction", "j-string", "zpow-float", "var-boolean",
+            "complex_dim-fraction"])
+    def test_malformed_fields_exit_65(self, tmp_path, doc):
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("oracle", str(path)) == 65
+
 
 BASE_CONFIG = {
     "seed": 7,
@@ -237,9 +251,12 @@ class TestExperiment:
         {"ks": {"k": "abc"}},
         {"kernel": {"block": {"m": 1, "n": 0}}, "criterion": {
             "case": "gaussian-offdiag", "sigma2": 1.0}},
+        {"exact_reference": "no"},
+        {"criterion": {**BASE_CONFIG["criterion"], "chi2_variance_is_alpha": "no"}},
     ], ids=["chunk_size-0", "n_samples-abc", "block-missing-n", "workers-0",
             "workers-negative", "k_values-fraction", "criterion-m-abc",
-            "sigma2-abc", "seed-abc", "ks-k-abc", "block-degree-1"])
+            "sigma2-abc", "seed-abc", "ks-k-abc", "block-degree-1",
+            "exact_reference-string", "chi2_variance_is_alpha-string"])
     def test_bad_integer_fields_exit_65(self, tmp_path, change):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**BASE_CONFIG, **change}))
@@ -254,5 +271,16 @@ class TestExperiment:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**BASE_CONFIG, "n_samples": 200,
                                    "criterion": criterion}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        assert not (tmp_path / "o").exists()
+
+    def test_multivariate_rejected_before_sampling(self, tmp_path, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(cli.fm, "estimate", no_sampling)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, "criterion": {
+            "case": "multivariate", "sigma2": 1.0, "degrees": [1, 3]}}))
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
         assert not (tmp_path / "o").exists()

@@ -2,13 +2,15 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chaoslab import fourth_moment as fm
-from chaoslab.chaos import exact_moment, sample_batch
-from chaoslab.exact import EC
+from chaoslab.chaos import decompose, exact_moment, sample_batch
+from chaoslab.exact import EC, ExactComplex, I_UNIT
 from chaoslab.tensor import ComplexKernel
 
 
@@ -73,12 +75,6 @@ class TestTrajectoryLaw:
 
 
 class TestEstimate:
-    def test_exact_mode_matches_oracle(self):
-        phi = fm.gen_block_kernel(1, 2, 2)
-        rep = fm.estimate(phi, 10, seed=0, mode="exact")
-        assert rep.exact and rep.abs4_se == 0.0
-        assert rep == fm.exact_report(phi, seed=0)
-
     def test_deterministic_per_seed(self):
         phi = fm.gen_block_kernel(1, 2, 2)
         assert fm.estimate(phi, 5000, seed=3) == fm.estimate(phi, 5000, seed=3)
@@ -137,9 +133,62 @@ class TestThirdMomentCombination:
         # for a real-valued F the combination E[F^3 + 3|F|^2 conj F] is 4 E[F^3]
         phi = fm.gen_block_kernel(1, 1, 1)
         rep = fm.exact_report(phi)
-        cube = fm.exact_mixed_moment([(EC(1), phi)], [False, False, False])
+        cube = exact_moment([phi] * 3)
         assert rep.t3 == 4 * cube.to_complex()
         assert rep.t3.imag == 0
+
+    def test_imaginary_sequence_matches_monte_carlo(self):
+        # F = i G with G real: E F^3 = -i E G^3 and E[|F|^2 conj F] = -i E G^3,
+        # so T3 = -4i E G^3 = -8i; conjugating the wrong factor gives +4i
+        phi = I_UNIT * fm.gen_block_kernel(1, 1, 1)
+        exact = fm.exact_report(phi)
+        assert exact.t3 == -8j
+        rep = fm.estimate(phi, 100_000, seed=3)
+        for name in fm.QUANTITIES:
+            assert abs(rep.value(name) - exact.value(name)) <= 5 * rep.se(name), name
+
+
+rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def small_exact_kernels(draw):
+    """Sparse kernels with m + n <= 3 over dim <= 2, rational-complex values."""
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 3 - m).filter(lambda n: m + n >= 1))
+    dim = draw(st.integers(1, 2))
+    keys = [(ta, tb) for ta in combinations_with_replacement(range(dim), m)
+            for tb in combinations_with_replacement(range(dim), n)]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+    return ComplexKernel(m, n, dim, {
+        key: ExactComplex(draw(rational), draw(rational)) for key in chosen})
+
+
+class TestExactReport:
+    @given(small_exact_kernels())
+    @example(ComplexKernel(1, 1, 1, {((0,), (0,)): I_UNIT}))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_conjugation_patterns(self, phi):
+        def moment(*conj):
+            return exact_moment([(phi, c) for c in conj])
+
+        rep = fm.exact_report(phi)
+        assert rep.abs2 == moment(False, True).to_complex().real
+        assert rep.sq == moment(False, False).to_complex()
+        assert rep.abs4 == moment(False, False, True, True).to_complex().real
+        assert rep.fourth == moment(False, False, False, False).to_complex()
+        # T3 = E[F^3] + 3 E[|F|^2 conj F], and |F|^2 conj F = F conj F conj F
+        assert rep.t3 == (moment(False, False, False)
+                          + 3 * moment(False, True, True)).to_complex()
+        assert fm.exact_report(decompose(phi)) == rep
+
+    def test_degree_budget_checked_before_any_product(self, monkeypatch):
+        def no_products(*args):
+            raise AssertionError("formed a polynomial before the budget check")
+
+        monkeypatch.setattr(fm, "element_poly", no_products)
+        with pytest.raises(ValueError, match="budget"):
+            fm.exact_report(fm.gen_block_kernel(3, 2, 1))
 
 
 class TestCriterionSpec:
