@@ -17,8 +17,8 @@ from .tensor import (BlockTensor, ComplexKernel, SymTensor, contract,
                      contract_sym, dump_kernel, dump_sym_tensor, inner,
                      kernel_inner, load_kernel, load_sym_tensor,
                      product_moment, symmetrize)
-from .chaos import (GaussianSample, SampleBatch, decompose, eval_complex,
-                    eval_real, exact_moment, sample_batch)
+from .chaos import (SampleBatch, decompose, eval_complex, eval_real,
+                    exact_moment, sample_batch)
 from .fourth_moment import (CriterionSpec, MomentReport, Verdict,
                             block_reference_trajectory, centered_chi2_cdf,
                             chi2_target_moments, component_gaps, estimate,

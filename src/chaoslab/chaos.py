@@ -18,7 +18,6 @@ is chunked across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple, Union
@@ -38,28 +37,8 @@ ChaosElementT = Union[SymTensor, ComplexKernel]
 # -- sampling ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianSample:
-    """One draw of the D-dimensional process pair: xi for X, eta for Y."""
-
-    xi: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        if self.xi.shape != self.eta.shape:
-            raise ValueError("xi and eta must have equal length")
-
-    @property
-    def dim(self) -> int:
-        return self.xi.shape[0]
-
-    @property
-    def zeta(self) -> np.ndarray:
-        return self.xi + 1j * self.eta
-
-
 class SampleBatch:
-    """N samples held as (N, D) arrays, indexable into GaussianSample views."""
+    """N samples held as (N, D) arrays."""
 
     __slots__ = ("xi", "eta")
 
@@ -80,13 +59,6 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.xi.shape[0]
 
-    def __getitem__(self, i: int) -> GaussianSample:
-        return GaussianSample(self.xi[i], self.eta[i])
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
 
 def sample_batch(D: int, N: int, seed: int, start: int = 0) -> SampleBatch:
     """Samples ``start .. start + N - 1`` of the stream keyed by ``seed``.
@@ -106,14 +78,6 @@ def sample_batch(D: int, N: int, seed: int, start: int = 0) -> SampleBatch:
     u = (raw >> np.uint64(11)) * (2.0 ** -53) + 2.0 ** -54
     normals = ndtri(u)
     return SampleBatch(normals[:, :D], normals[:, D:])
-
-
-def _as_batch(s) -> Tuple[SampleBatch, bool]:
-    if isinstance(s, SampleBatch):
-        return s, False
-    if isinstance(s, GaussianSample):
-        return SampleBatch(s.xi[None, :], s.eta[None, :]), True
-    raise TypeError("expected a GaussianSample or SampleBatch")
 
 
 # -- pathwise evaluation -------------------------------------------------------------
@@ -138,12 +102,11 @@ class _HermiteCache:
         return tab[degree]
 
 
-def eval_real(f: SymTensor, s):
+def eval_real(f: SymTensor, batch: SampleBatch) -> np.ndarray:
     """Pathwise value of the order-p integral of a symmetric tensor.
 
     The tensor lives over 2D coordinates: slots 0..D-1 are xi, D..2D-1 eta.
     """
-    batch, single = _as_batch(s)
     if f.dim != 2 * batch.dim:
         raise ValueError(f"tensor dim {f.dim} != 2 x sample dim {batch.dim}")
     w = np.hstack([batch.xi, batch.eta])
@@ -155,7 +118,7 @@ def eval_real(f: SymTensor, s):
             term = term * cache.value(coord, key.count(coord))
         v = val.to_complex().real if isinstance(val, ExactComplex) else float(val)
         out += v * term
-    return float(out[0]) if single else out
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -169,9 +132,8 @@ def _coord_degrees(ta: Tuple[int, ...], tb: Tuple[int, ...]) -> List[Tuple[int, 
     return [(k, ta.count(k), tb.count(k)) for k in sorted(set(ta + tb))]
 
 
-def eval_complex(phi: ComplexKernel, s):
+def eval_complex(phi: ComplexKernel, batch: SampleBatch) -> np.ndarray:
     """Pathwise value of the bidegree-(m, n) integral of a complex kernel."""
-    batch, single = _as_batch(s)
     if phi.dim != batch.dim:
         raise ValueError(f"kernel dim {phi.dim} != sample dim {batch.dim}")
     zeta = batch.zeta
@@ -193,7 +155,7 @@ def eval_complex(phi: ComplexKernel, s):
             term = term * jval(k, a, b)
         v = val.to_complex() if isinstance(val, ExactComplex) else complex(val)
         out += (mult * scale) * v * term
-    return complex(out[0]) if single else out
+    return out
 
 
 # -- real-pair decomposition ----------------------------------------------------------
@@ -326,20 +288,20 @@ def top_degree(elem: ChaosElementT) -> int:
 WICK_DEGREE_BUDGET = 16
 
 
-def check_wick_budget(total_degree: int, budget: int = WICK_DEGREE_BUDGET) -> None:
+def check_wick_budget(total_degree: int) -> None:
     """Raise ValueError when a product of this Gaussian degree is over the
     Wick budget, before any product is formed."""
-    if total_degree > budget:
-        raise ValueError(
-            f"total Gaussian degree {total_degree} exceeds the budget {budget}")
+    if total_degree > WICK_DEGREE_BUDGET:
+        raise ValueError(f"total Gaussian degree {total_degree} exceeds the "
+                         f"budget {WICK_DEGREE_BUDGET}")
 
 
-def exact_moment(factors: Iterable, budget: int = WICK_DEGREE_BUDGET) -> ExactComplex:
+def exact_moment(factors: Iterable) -> ExactComplex:
     """Exact expectation of a product of chaos elements and conjugates.
 
     Each factor is a SymTensor, a ComplexKernel, or an (element, conj: bool)
-    pair.  The total Gaussian degree of the product must not exceed the
-    Wick budget (default 16).
+    pair.  The total Gaussian degree of the product must not exceed
+    ``WICK_DEGREE_BUDGET``.
     """
     normalized: List[Tuple[ChaosElementT, bool]] = []
     for f in factors:
@@ -350,7 +312,7 @@ def exact_moment(factors: Iterable, budget: int = WICK_DEGREE_BUDGET) -> ExactCo
             normalized.append((f, False))
     if not normalized:
         raise ValueError("need at least one factor")
-    check_wick_budget(sum(top_degree(e) for e, _ in normalized), budget)
+    check_wick_budget(sum(top_degree(e) for e, _ in normalized))
     polys = [element_poly(e, conj) for e, conj in normalized]
     dims = {p.dim for p in polys}
     if len(dims) != 1:

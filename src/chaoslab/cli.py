@@ -6,7 +6,8 @@ Exit codes are a stable contract:
     1   unexpected execution failure
     2   an exact identity suite failed
     64  bad arguments or a degree-budget violation
-    65  config or expression file parse error
+    65  config or expression file parse error, including a malformed kernel
+        section (kernel text, kernel file contents, file name or scale)
     66  missing kernel file
 
 A default seed may be supplied via the CHAOSLAB_SEED environment variable;
@@ -128,10 +129,12 @@ def _parse_exact(x) -> ExactComplex:
     raise ValueError(f"not an exact number: {x!r}")
 
 
-def _factor_poly(spec: dict) -> tuple:
+def _factor_poly(spec: dict, complex_dim: int) -> tuple:
     if not isinstance(spec, dict):
         raise ValueError("factor must be an object")
     var = _int_value(spec.get("var", 0), "factor var", 0)
+    if var >= complex_dim:
+        raise ValueError(f"factor var {var} is out of range for complex_dim {complex_dim}")
     conj = _bool_value(spec.get("conj", False), "factor conj")
     if "j" in spec:
         m, n = (_int_value(x, "factor j", 0) for x in spec["j"])
@@ -162,10 +165,13 @@ def _cmd_oracle(args) -> int:
             fam = GaussianFamily.from_complex_gram(gram)
         else:
             fam = GaussianFamily.complex_standard(dim)
+        terms = doc["terms"]
+        if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
+            raise ValueError("terms must be a list of objects")
         parsed = []
-        for term in doc["terms"]:
+        for term in terms:
             coeff = _parse_exact(term.get("coeff", 1))
-            factors = [_factor_poly(f) for f in term["factors"]]
+            factors = [_factor_poly(f, dim) for f in term["factors"]]
             parsed.append((coeff, factors))
     except (ValueError, KeyError, TypeError, json.JSONDecodeError,
             ZeroDivisionError) as exc:
@@ -232,19 +238,12 @@ def _criterion_from(doc: dict) -> fm.CriterionSpec:
     crit = doc.get("criterion")
     if not isinstance(crit, dict) or "case" not in crit or "sigma2" not in crit:
         raise fm.ConfigError("config needs a criterion object with case and sigma2")
-    if crit["case"] == "multivariate":
-        raise fm.ConfigError("the multivariate case cannot be run from a config")
     kwargs = dict(case=crit["case"], sigma2=_num_value(crit["sigma2"], "criterion.sigma2"),
                   a=_num_value(crit.get("a", 0.0), "criterion.a"),
                   b=_num_value(crit.get("b", 0.0), "criterion.b"))
     for key in ("m", "n", "total_degree"):
         if key in crit:
             kwargs[key] = _int_value(crit[key], f"criterion.{key}", 0)
-    if "degrees" in crit:
-        if not isinstance(crit["degrees"], list):
-            raise fm.ConfigError("criterion.degrees must be a list")
-        kwargs["degrees"] = tuple(_int_value(x, "criterion.degrees", 0)
-                                  for x in crit["degrees"])
     if "chi2_variance_is_alpha" in crit:
         kwargs["chi2_variance_is_alpha"] = _bool_value(
             crit["chi2_variance_is_alpha"], "criterion.chi2_variance_is_alpha")
@@ -268,19 +267,27 @@ def _kernels_from(doc: dict, base: Path):
             raise fm.ConfigError("k_values must be a non-empty list")
         ks = [_int_value(k, "k_values", 1) for k in ks]
         return [(k, fm.gen_block_kernel(m, n, k)) for k in ks], (m, n)
-    if "file" in kspec:
-        path = Path(kspec["file"])
-        if not path.is_absolute():
-            path = base / path
-        if not path.exists():
-            raise FileNotFoundError(str(path))
-        kern = load_kernel(path.read_text())
-    elif "inline" in kspec:
-        kern = load_kernel(str(kspec["inline"]))
-    else:
-        raise fm.ConfigError("kernel must have a block, file or inline field")
-    if "scale" in kspec:
-        kern = _parse_exact(kspec["scale"]) * kern
+    try:
+        if "file" in kspec:
+            if not isinstance(kspec["file"], str):
+                raise ValueError(f"kernel.file must be a string, got {kspec['file']!r}")
+            path = Path(kspec["file"])
+            if not path.is_absolute():
+                path = base / path
+            if not path.is_file():
+                raise FileNotFoundError(str(path))
+            text = path.read_text()
+        elif "inline" in kspec:
+            text = kspec["inline"]
+            if not isinstance(text, str):
+                raise ValueError(f"kernel.inline must be a string, got {text!r}")
+        else:
+            raise ValueError("kernel must have a block, file or inline field")
+        kern = load_kernel(text)
+        if "scale" in kspec:
+            kern = _parse_exact(kspec["scale"]) * kern
+    except (ValueError, ZeroDivisionError) as exc:  # a file that is not UTF-8 included
+        raise fm.ConfigError(f"malformed kernel section: {exc}")
     return [(1, kern)], (kern.m, kern.n)
 
 

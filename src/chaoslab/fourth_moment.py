@@ -110,16 +110,14 @@ def _jsonable(x):
 
 
 _CASES = ("gaussian-offdiag", "gaussian-diag", "gaussian-degenerate",
-          "chi2-offdiag", "chi2-diag", "multichaos", "multivariate")
+          "chi2-offdiag", "chi2-diag", "multichaos")
 
 
 @dataclass(frozen=True)
 class CriterionSpec:
     """Target parameters for one limit-theorem case.
 
-    ``m``/``n`` describe a fixed bidegree, ``total_degree`` a multichaos sum,
-    ``degrees`` the per-component degrees of a multivariate family (which
-    must be pairwise distinct).
+    ``m``/``n`` describe a fixed bidegree, ``total_degree`` a multichaos sum.
     """
 
     case: str
@@ -129,7 +127,6 @@ class CriterionSpec:
     m: Optional[int] = None
     n: Optional[int] = None
     total_degree: Optional[int] = None
-    degrees: Optional[Tuple[int, ...]] = None
     chi2_variance_is_alpha: bool = True
 
     def __post_init__(self):
@@ -147,11 +144,6 @@ class CriterionSpec:
                     "no chi-square limit exists in an odd-degree chaos: no sequence "
                     "with bounded variances converges to the chi-square target when "
                     "m + n is odd")
-        if self.case == "multivariate":
-            if not self.degrees or len(self.degrees) < 2:
-                raise ConfigError("multivariate case needs at least two degrees")
-            if len(set(self.degrees)) != len(self.degrees):
-                raise ConfigError("multivariate degrees must be pairwise distinct")
 
     def is_degenerate(self) -> bool:
         return abs(self.a * self.a + self.b * self.b - 1.0) <= 1e-9
@@ -180,7 +172,7 @@ def case_targets(spec: CriterionSpec) -> Dict[str, complex]:
         return {"abs2": s2, "sq": ab * s2,
                 "t3": 8 * complex(1 + a, -(1 - a)) * s2,
                 "abs4": (2 + a * a) * s2 * s2 + 24 * s2}
-    raise ConfigError(f"case {spec.case!r} has no single-sequence targets")
+    raise ConfigError(f"unknown case {spec.case!r}")
 
 
 def chi2_target_moments(alpha1: float, alpha2: float,
@@ -315,30 +307,6 @@ def _mean_se(total, sq_total: float, n: float) -> Tuple[complex, float]:
     return mean, math.sqrt(var / n)
 
 
-def _streamed_means(arrays_of, dim: int, n_samples: int, seed: int,
-                    chunk_size: int, workers: int = 1) -> List[Tuple[complex, float]]:
-    """Monte Carlo means and standard errors of per-sample quantities.
-
-    ``arrays_of(batch)`` returns, for each quantity, its values on the batch and
-    their squared moduli.  Chunk sums are added in chunk-index order, so the
-    result is the same for a given (seed, chunk_size) whatever the worker count
-    (sampling is counter-based).
-    """
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-
-    def chunk_sums(start, size):
-        arrays = arrays_of(sample_batch(dim, size, seed, start=start))
-        return [(complex(np.sum(value)), complex(np.sum(square))) for value, square in arrays]
-
-    parts = _map_chunks(chunk_sums, n_samples, chunk_size, workers)
-    totals = [(0j, 0j)] * len(parts[0])
-    for part in parts:
-        totals = [(v + pv, s + ps) for (v, s), (pv, ps) in zip(totals, part)]
-    return [_mean_se(value_sum, sq_sum.real, float(n_samples))
-            for value_sum, sq_sum in totals]
-
-
 def moment_quantities(f, fbar, a2):
     """(abs2, sq, abs4, fourth, t3) of F, before the expectation, from F,
     conj(F) and |F|^2 (see the module docstring).
@@ -361,18 +329,30 @@ def _moment_arrays(target, batch):
 def estimate(target: EstimateTarget, n_samples: int, seed: int, *,
              workers: int = 1, chunk_size: int = DEFAULT_CHUNK) -> MomentReport:
     """Monte Carlo moment report for a chaos target: plug-in means with
-    (sample sd / sqrt N) standard errors, deterministic for a given
-    (seed, chunk_size) whatever the worker count."""
-    means = _streamed_means(lambda batch: _moment_arrays(target, batch),
-                            _target_sample_dim(target), n_samples, seed, chunk_size, workers)
-    (abs2, abs2_se), (sq, sq_se), (abs4, abs4_se), (fourth, fourth_se), (t3, t3_se) = means
+    (sample sd / sqrt N) standard errors.  Chunk sums are added in
+    chunk-index order and sampling is counter-based, so the report is the
+    same for a given (seed, chunk_size) whatever the worker count."""
+    dim = _target_sample_dim(target)
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
+
+    def chunk_sums(start, size):
+        arrays = _moment_arrays(target, sample_batch(dim, size, seed, start=start))
+        return [(complex(np.sum(value)), complex(np.sum(square))) for value, square in arrays]
+
+    parts = _map_chunks(chunk_sums, n_samples, chunk_size, workers)
+    totals = [(0j, 0j)] * len(parts[0])
+    for part in parts:
+        totals = [(v + pv, s + ps) for (v, s), (pv, ps) in zip(totals, part)]
+    (abs2, abs2_se), (sq, sq_se), (abs4, abs4_se), (fourth, fourth_se), (t3, t3_se) = (
+        _mean_se(value_sum, sq_sum.real, float(n_samples)) for value_sum, sq_sum in totals)
     return MomentReport(n_samples=n_samples, seed=seed, exact=False,
                         abs2=abs2.real, sq=sq, abs4=abs4.real, fourth=fourth, t3=t3,
                         abs2_se=abs2_se, sq_se=sq_se, abs4_se=abs4_se,
                         fourth_se=fourth_se, t3_se=t3_se)
 
 
-def exact_report(target: EstimateTarget, seed: Optional[int] = None) -> MomentReport:
+def exact_report(target: EstimateTarget) -> MomentReport:
     """Exact values of the five quantities of the module docstring, as Wick
     expectations of the target's polynomial (requires an exact target)."""
     terms = _terms_of(target)
@@ -383,7 +363,7 @@ def exact_report(target: EstimateTarget, seed: Optional[int] = None) -> MomentRe
     fam = GaussianFamily.standard(f.dim)
     abs2, sq, abs4, fourth, t3 = (expect(fam, q).to_complex()
                                   for q in moment_quantities(f, fbar, f * fbar))
-    return MomentReport(n_samples=0, seed=seed, exact=True,
+    return MomentReport(n_samples=0, seed=None, exact=True,
                         abs2=abs2.real, sq=sq, abs4=abs4.real, fourth=fourth, t3=t3)
 
 
@@ -529,53 +509,6 @@ def verdict(reports: Sequence[Tuple[int, MomentReport]], spec: CriterionSpec,
     return Verdict(case=effective.case,
                    passed=all(q.passed for q in quantities.values()),
                    quantities=quantities, notes=tuple(notes))
-
-
-def multivariate_verdict(component_specs: Sequence[CriterionSpec],
-                         component_reports: Sequence[Sequence[Tuple[int, MomentReport]]],
-                         references=None) -> Dict[str, object]:
-    """Componentwise verdicts for a vector of sequences with distinct degrees."""
-    degrees = []
-    for s in component_specs:
-        if s.total_degree is not None:
-            degrees.append(s.total_degree)
-        elif s.m is not None and s.n is not None:
-            degrees.append(s.m + s.n)
-        else:
-            raise ConfigError("each component needs a degree")
-    if len(set(degrees)) != len(degrees):
-        raise ConfigError("multivariate degrees must be pairwise distinct")
-    verdicts = []
-    for i, (s, reps) in enumerate(zip(component_specs, component_reports)):
-        refs = references[i] if references else None
-        verdicts.append(verdict(reps, s, refs))
-    return {"components": verdicts, "pass": all(v.passed for v in verdicts)}
-
-
-def estimate_cross_moments(first: EstimateTarget, second: EstimateTarget,
-                           n_samples: int, seed: int,
-                           chunk_size: int = DEFAULT_CHUNK) -> Dict[str, object]:
-    """Monte Carlo E[G^2 F] and E[|G|^2 F] for two targets on shared samples.
-
-    These are the cross conditions a multivariate chi-square criterion
-    imposes on components whose degree doubles another's; both must vanish
-    in the limit.
-    """
-    dim = _target_sample_dim(first)
-    if _target_sample_dim(second) != dim:
-        raise ValueError("targets must share the sample dimension")
-
-    def cross_arrays(batch):
-        f = eval_target(first, batch)
-        g = eval_target(second, batch)
-        return [(x, np.abs(x) ** 2) for x in (g * g * f, (np.abs(g) ** 2) * f)]
-
-    (sq_mean, sq_se), (mixed_mean, mixed_se) = _streamed_means(
-        cross_arrays, dim, n_samples, seed, chunk_size)
-    return {"square_cross": sq_mean, "square_cross_se": sq_se,
-            "abs_cross": mixed_mean, "abs_cross_se": mixed_se,
-            "square_cross_pass": abs(sq_mean) <= _tolerance(0.0, sq_se),
-            "abs_cross_pass": abs(mixed_mean) <= _tolerance(0.0, mixed_se)}
 
 
 # -- contraction trajectories (multichaos condition) -----------------------------------

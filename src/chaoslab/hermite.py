@@ -73,10 +73,6 @@ class BiPoly:
         return cls({(0, 1): 1})
 
     @classmethod
-    def linear(cls, cz, czbar, const=0) -> "BiPoly":
-        return cls({(1, 0): cz, (0, 1): czbar, (0, 0): const})
-
-    @classmethod
     def from_xy(cls, xy_terms: Mapping[ExponentPair, Scalar]) -> "BiPoly":
         """Build from a real-coordinate map (i, j) -> coeff of x^i y^j."""
         x = cls({(1, 0): HALF, (0, 1): HALF})                 # (z + zbar)/2
@@ -99,12 +95,6 @@ class BiPoly:
 
     def degree(self) -> int:
         return max((a + b for a, b in self._terms), default=0)
-
-    def degrees(self) -> ExponentPair:
-        """(max degree in z, max degree in zbar)."""
-        dz = max((a for a, _ in self._terms), default=0)
-        db = max((b for _, b in self._terms), default=0)
-        return dz, db
 
     # -- algebra -----------------------------------------------------------
 

@@ -176,12 +176,6 @@ class GaussPoly:
     def constant(cls, dim: int, value) -> "GaussPoly":
         return cls(dim, {(0,) * dim: value})
 
-    @classmethod
-    def coordinate(cls, dim: int, i: int) -> "GaussPoly":
-        exps = [0] * dim
-        exps[i] = 1
-        return cls(dim, {tuple(exps): 1})
-
     def terms(self) -> Dict[Exponents, ExactComplex]:
         return dict(self._terms)
 

@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chaoslab.chaos import (GaussianSample, decompose, element_poly,
-                            eval_complex, eval_real, exact_moment, sample_batch)
+from chaoslab.chaos import (decompose, element_poly, eval_complex, eval_real,
+                            exact_moment, sample_batch)
 from chaoslab.exact import EC, ExactComplex
 from chaoslab.hermite import complex_hermite
 from chaoslab.tensor import ComplexKernel, SymTensor, inner, kernel_inner
@@ -64,11 +64,9 @@ class TestSampling:
             sample_batch(1, 0, seed=0)
 
     def test_single_sample_view(self):
-        batch = sample_batch(2, 3, seed=5)
-        s = batch[1]
-        assert isinstance(s, GaussianSample)
-        assert s.dim == 2
-        assert (s.zeta == s.xi + 1j * s.eta).all()
+        batch = sample_batch(2, 1, seed=5)
+        assert len(batch) == 1 and batch.dim == 2
+        assert (batch.zeta == batch.xi + 1j * batch.eta).all()
 
 
 class TestEvalReal:
@@ -91,9 +89,10 @@ class TestEvalReal:
         assert np.allclose(eval_real(f, batch), arg ** 2 - 1, atol=1e-12)
 
     def test_single_sample(self):
-        s = sample_batch(1, 1, seed=4)[0]
+        # slots D..2D-1 of a real tensor are the eta coordinates
+        batch = sample_batch(1, 1, seed=4)
         f = SymTensor(1, 2, {(1,): 1})
-        assert eval_real(f, s) == pytest.approx(float(s.eta[0]))
+        assert (eval_real(f, batch) == batch.eta[:, 0]).all()
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -113,8 +113,12 @@ class TestOracle:
         {"terms": [{"factors": [{"zpow": [1, 1.0]}]}]},
         {"terms": [{"factors": [{"zpow": [1, 1], "var": True}]}]},
         {"complex_dim": 1.5, "terms": [{"factors": [{"zpow": [1, 1]}]}]},
+        {"terms": [5]},
+        {"terms": "ab"},
+        {"terms": [{"factors": [{"zpow": [1, 1], "var": 3}]}]},
     ], ids=["conj-string", "j-fraction", "j-string", "zpow-float", "var-boolean",
-            "complex_dim-fraction"])
+            "complex_dim-fraction", "term-not-object", "terms-string",
+            "var-out-of-range"])
     def test_malformed_fields_exit_65(self, tmp_path, doc):
         path = tmp_path / "expr.json"
         path.write_text(json.dumps(doc))
@@ -181,6 +185,14 @@ class TestExperiment:
         cfg.write_text(json.dumps({
             "seed": 1, "n_samples": 200,
             "kernel": {"file": "missing_kernel.txt"},
+            "criterion": {"case": "gaussian-offdiag", "sigma2": 1.0}}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 66
+
+    def test_kernel_path_to_a_directory_exits_66(self, tmp_path):
+        (tmp_path / "kernels").mkdir()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "n_samples": 200, "kernel": {"file": "kernels"},
             "criterion": {"case": "gaussian-offdiag", "sigma2": 1.0}}))
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 66
 
@@ -260,6 +272,28 @@ class TestExperiment:
     def test_bad_integer_fields_exit_65(self, tmp_path, change):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**BASE_CONFIG, **change}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kernel, file_text", [
+        ({"inline": "garbage"}, None),
+        ({"inline": "1 1 1\n0 5 1 0"}, None),
+        ({"inline": 5}, None),
+        ({"file": "kern.txt"}, b"garbage"),
+        ({"file": "kern.txt"}, b"\xff\xfe1 1 1"),
+        ({"file": 5}, None),
+        ({"inline": "1 1 1\n0 0 1 0", "scale": "abc"}, None),
+        ({"inline": "1 1 1\n0 0 1 0", "scale": 0.5}, None),
+    ], ids=["inline-garbage", "inline-index-out-of-range", "inline-number",
+            "file-garbage", "file-not-utf8", "file-number", "scale-string",
+            "scale-float"])
+    def test_malformed_kernel_section_exit_65(self, tmp_path, kernel, file_text):
+        if file_text is not None:
+            (tmp_path / kernel["file"]).write_bytes(file_text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "n_samples": 200, "kernel": kernel,
+            "criterion": {"case": "gaussian-offdiag", "sigma2": 1.0}}))
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
         assert not (tmp_path / "o").exists()
 

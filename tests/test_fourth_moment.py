@@ -205,11 +205,6 @@ class TestCriterionSpec:
             fm.CriterionSpec(case="chi2-offdiag", sigma2=2.0, m=1, n=2)
         fm.CriterionSpec(case="chi2-offdiag", sigma2=2.0, m=1, n=3)
 
-    def test_multivariate_needs_distinct_degrees(self):
-        with pytest.raises(fm.ConfigError):
-            fm.CriterionSpec(case="multivariate", sigma2=1.0, degrees=(2, 2))
-        fm.CriterionSpec(case="multivariate", sigma2=1.0, degrees=(2, 3))
-
 
 class TestTargets:
     def test_gaussian_cases(self):
@@ -307,18 +302,6 @@ class TestVerdict:
         v = fm.verdict(reports, spec)
         assert any("chi-square law" in note for note in v.notes)
 
-    def test_multivariate_componentwise(self):
-        specs = [fm.CriterionSpec(case="gaussian-offdiag", sigma2=1.0, m=1, n=1,
-                                  total_degree=2),
-                 fm.CriterionSpec(case="gaussian-offdiag", sigma2=1.0, m=1, n=2,
-                                  total_degree=3)]
-        reports = [[(1, synthetic_report(1.0, 0j, 2.001))],
-                   [(1, synthetic_report(1.0, 0j, 2.001))]]
-        out = fm.multivariate_verdict(specs, reports)
-        assert out["pass"]
-        with pytest.raises(fm.ConfigError):
-            fm.multivariate_verdict([specs[0], specs[0]], reports)
-
 
 class TestContractionTrajectory:
     def test_block_contractions_shrink(self):
@@ -368,32 +351,6 @@ class TestMultichaos:
             norms = fm.contraction_norms_sq(u) + fm.contraction_norms_sq(v)
             vals.append(max(norms))
         assert vals[0] > vals[1] > vals[2] > 0
-
-
-class TestCrossMoments:
-    def test_matches_oracle_at_small_k(self):
-        low = fm.gen_block_kernel(1, 1, 4)
-        high = fm.gen_block_kernel(2, 2, 4)
-        out = fm.estimate_cross_moments(high, low, 40_000, seed=99)
-        want = exact_moment([low, low, high]).to_complex()
-        assert abs(out["square_cross"] - want) <= 5 * out["square_cross_se"]
-        # the low component is real-valued here, so both cross moments agree
-        assert out["abs_cross"] == pytest.approx(out["square_cross"])
-
-    def test_cross_conditions_shrink_along_k(self):
-        # degrees 2 and 4 with aligned blocks: cross moments decay like 1/sqrt(k)
-        vals = []
-        for k in (4, 16, 64):
-            out = fm.estimate_cross_moments(fm.gen_block_kernel(2, 2, k),
-                                            fm.gen_block_kernel(1, 1, k),
-                                            20_000, seed=99)
-            vals.append(abs(out["square_cross"]))
-        assert vals[0] > vals[1] > vals[2] > 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fm.estimate_cross_moments(fm.gen_block_kernel(1, 1, 2),
-                                      fm.gen_block_kernel(1, 1, 4), 1000, seed=0)
 
 
 class TestComponentGaps:
