@@ -288,20 +288,12 @@ def top_degree(elem: ChaosElementT) -> int:
 WICK_DEGREE_BUDGET = 16
 
 
-def check_wick_budget(total_degree: int) -> None:
-    """Raise ValueError when a product of this Gaussian degree is over the
-    Wick budget, before any product is formed."""
-    if total_degree > WICK_DEGREE_BUDGET:
-        raise ValueError(f"total Gaussian degree {total_degree} exceeds the "
-                         f"budget {WICK_DEGREE_BUDGET}")
-
-
 def exact_moment(factors: Iterable) -> ExactComplex:
     """Exact expectation of a product of chaos elements and conjugates.
 
     Each factor is a SymTensor, a ComplexKernel, or an (element, conj: bool)
     pair.  The total Gaussian degree of the product must not exceed
-    ``WICK_DEGREE_BUDGET``.
+    ``WICK_DEGREE_BUDGET``; that is checked before any product is formed.
     """
     normalized: List[Tuple[ChaosElementT, bool]] = []
     for f in factors:
@@ -312,7 +304,10 @@ def exact_moment(factors: Iterable) -> ExactComplex:
             normalized.append((f, False))
     if not normalized:
         raise ValueError("need at least one factor")
-    check_wick_budget(sum(top_degree(e) for e, _ in normalized))
+    total_degree = sum(top_degree(e) for e, _ in normalized)
+    if total_degree > WICK_DEGREE_BUDGET:
+        raise ValueError(f"total Gaussian degree {total_degree} exceeds the "
+                         f"budget {WICK_DEGREE_BUDGET}")
     polys = [element_poly(e, conj) for e, conj in normalized]
     dims = {p.dim for p in polys}
     if len(dims) != 1:

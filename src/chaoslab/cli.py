@@ -291,10 +291,13 @@ def _kernels_from(doc: dict, base: Path):
     return [(1, kern)], (kern.m, kern.n)
 
 
-def _ks_from(ks_cfg, k_values: list) -> tuple:
+def _ks_from(ks_cfg, k_values: list, n_samples: int) -> tuple:
     """(k, component, mean, var) of the KS section, checked before any sampling."""
     if not isinstance(ks_cfg, dict):
         raise fm.ConfigError("ks must be an object")
+    if n_samples < fm.KS_MIN_SAMPLES:
+        raise fm.ConfigError(f"the ks section needs n_samples >= {fm.KS_MIN_SAMPLES}, "
+                             f"got {n_samples}")
     k_at = _int_value(ks_cfg.get("k", k_values[-1]), "ks.k", 1)
     if k_at not in k_values:
         raise fm.ConfigError(f"ks.k={k_at} is not among the run's k values")
@@ -336,7 +339,8 @@ def run_experiment(doc: dict, base: Path) -> tuple:
         if value is not None and value != kernel_value:
             raise fm.ConfigError(f"criterion {key}={value} does not match the "
                                  f"kernel of bidegree ({m}, {n})")
-    ks = None if doc.get("ks") is None else _ks_from(doc["ks"], [k for k, _ in kernels])
+    ks = None if doc.get("ks") is None else _ks_from(
+        doc["ks"], [k for k, _ in kernels], n_samples)
     references = None
     if _bool_value(doc.get("exact_reference", False), "exact_reference"):
         if "block" not in doc.get("kernel", {}):

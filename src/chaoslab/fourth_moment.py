@@ -16,8 +16,13 @@ The five quantities of a chaos variable F are
     t3   = E[F^3 + 3 |F|^2 conj(F)]
 
 :func:`moment_quantities` is their one definition.  The Monte Carlo chunk
-sums apply it to sample arrays and :func:`exact_report` to the exact
-polynomial of F.
+sums apply it to sample arrays.  :func:`exact_report` applies it to
+F = U + iV as a polynomial in two symbols, where F = I_q(u) + i I_q(v) is
+the real pair of the target, and replaces each monomial U^a V^b by its
+exact mean.  Those means come from inner products and contractions of u
+and v (the product formula), so the cost is polynomial in the kernel
+size.  The Wick pairing oracle (:mod:`chaoslab.wick`) stays the
+independent check; :func:`component_gaps` uses it.
 
 Chi-square targets: the limit law G1(alpha1) + i G2(alpha2) uses centered
 chi-square factors whose normalization is configuration, not hardcoded
@@ -38,11 +43,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import gammainc, kolmogorov, ndtr
 
-from .chaos import (SampleBatch, check_wick_budget, decompose, element_poly,
-                    eval_complex, eval_real, exact_moment, sample_batch, top_degree)
-from .exact import EC, ExactComplex, I_UNIT, ONE
-from .tensor import ComplexKernel, SymTensor, contract
-from .wick import GaussianFamily, expect
+from .chaos import (SampleBatch, decompose, eval_complex, eval_real, exact_moment,
+                    sample_batch, top_degree)
+from .exact import EC, ExactComplex, I_UNIT, ONE, ZERO
+from .tensor import (ComplexKernel, SymTensor, contract, contract_sym, inner,
+                     product_moment)
+from .wick import GaussPoly
 
 QUANTITIES = ("abs2", "sq", "abs4", "fourth", "t3")
 _COMPLEX_QUANTITIES = {"sq", "fourth", "t3"}
@@ -243,12 +249,17 @@ EstimateTarget = Union[ComplexKernel,
                        Sequence[Tuple[object, ComplexKernel]]]
 
 
+def _is_pair(target: EstimateTarget) -> bool:
+    """Whether the target is a real pair (u, v), meaning I(u) + i I(v)."""
+    return isinstance(target, tuple) and len(target) == 2 \
+        and isinstance(target[0], SymTensor)
+
+
 def _terms_of(target: EstimateTarget) -> List[Tuple[ExactComplex, object]]:
     """Normalize a target to scalar-weighted chaos elements."""
     if isinstance(target, ComplexKernel):
         return [(ONE, target)]
-    if isinstance(target, tuple) and len(target) == 2 \
-            and isinstance(target[0], SymTensor):
+    if _is_pair(target):
         u, v = target
         return [(ONE, u), (I_UNIT, v)]
     terms = []
@@ -312,7 +323,8 @@ def moment_quantities(f, fbar, a2):
     conj(F) and |F|^2 (see the module docstring).
 
     Only ``*``, ``+`` and an int scale are used, so the operands may be numpy
-    sample arrays or exact ``GaussPoly`` polynomials.
+    sample arrays or exact ``GaussPoly`` polynomials in the real pair's
+    symbols U and V.
     """
     f2 = f * f
     return a2, f2, a2 * a2, f2 * f2, f2 * f + 3 * a2 * fbar
@@ -352,17 +364,72 @@ def estimate(target: EstimateTarget, n_samples: int, seed: int, *,
                         fourth_se=fourth_se, t3_se=t3_se)
 
 
-def exact_report(target: EstimateTarget) -> MomentReport:
-    """Exact values of the five quantities of the module docstring, as Wick
-    expectations of the target's polynomial (requires an exact target)."""
+def _real_pair(target: EstimateTarget) -> Tuple[SymTensor, SymTensor]:
+    """Exact real tensors (u, v) with target = I_q(u) + i I_q(v).
+
+    Each term c * I(elem) adds Re(c) u_e - Im(c) v_e to u and
+    Im(c) u_e + Re(c) v_e to v, where (u_e, v_e) is the element's own real
+    pair; a ``(u, v)`` target is already one.
+    """
     terms = _terms_of(target)
-    check_wick_budget(4 * max(top_degree(elem) for _, elem in terms))
-    polys = [element_poly(elem) * coeff for coeff, elem in terms]
-    f = sum(polys[1:], polys[0])
+    orders = {top_degree(elem) for _, elem in terms}
+    if len(orders) != 1:
+        raise ValueError(f"target mixes total orders {sorted(orders)}; the exact "
+                         "report needs one chaos")
+    if not all(isinstance(c, ExactComplex) and elem.is_exact() for c, elem in terms):
+        raise ValueError("the exact report needs exact coefficients and kernel values")
+    if _is_pair(target):
+        return target  # type: ignore[return-value]
+    u = v = None
+    for coeff, elem in terms:
+        if isinstance(elem, ComplexKernel):
+            eu, ev = decompose(elem)
+        else:
+            eu, ev = elem, SymTensor(elem.order, elem.dim)
+        re, im = coeff.real(), coeff.imag()
+        du, dv = re * eu + (-im) * ev, im * eu + re * ev
+        u, v = (du, dv) if u is None else (u + du, v + dv)
+    return u, v
+
+
+def _pair_moments(u: SymTensor, v: SymTensor) -> Dict[Tuple[int, int], ExactComplex]:
+    """E[U^a V^b] for 2 <= a + b <= 4, U = I_q(u) and V = I_q(v), from the
+    contractions of u and v (product formula; no Wick products)."""
+    q = u.order
+    qf = math.factorial(q)
+    moments = {(2, 0): qf * inner(u, u), (1, 1): qf * inner(u, v), (0, 2): qf * inner(v, v)}
+    # E[I_q(x) I_q(y) I_q(z)] = (q!)^3 / ((q/2)!)^3 <x (x~)_{q/2} y, z>, 0 for odd q
+    if q % 2:
+        moments.update(dict.fromkeys(((3, 0), (2, 1), (1, 2), (0, 3)), ZERO))
+    else:
+        c3 = (qf // math.factorial(q // 2)) ** 3
+        uu, uv, vv = (contract_sym(x, y, q // 2) for x, y in ((u, u), (u, v), (v, v)))
+        moments.update({(3, 0): c3 * inner(uu, u), (2, 1): c3 * inner(uu, v),
+                        (1, 2): c3 * inner(uv, v), (0, 3): c3 * inner(vv, v)})
+    u4, v4, u2v2 = product_moment(u, u), product_moment(v, v), product_moment(u, v)
+    w = u + v
+    # E[U^2 (U + V)^2] = E U^4 + 2 E U^3 V + E U^2 V^2, and likewise for V
+    moments.update({(4, 0): u4, (0, 4): v4, (2, 2): u2v2,
+                    (3, 1): (product_moment(u, w) - u4 - u2v2) * Fraction(1, 2),
+                    (1, 3): (product_moment(v, w) - v4 - u2v2) * Fraction(1, 2)})
+    return moments
+
+
+def exact_report(target: EstimateTarget) -> MomentReport:
+    """Exact values of the five quantities of the module docstring.
+
+    The target folds into its real pair (u, v) of one chaos order q, and
+    the table of E[U^a V^b] (:func:`_pair_moments`) is read through
+    :func:`moment_quantities` applied to F = U + iV as a polynomial in the
+    two symbols U, V.  Requires an exact target of one total order; the
+    cost is polynomial in the kernel size.
+    """
+    moments = _pair_moments(*_real_pair(target))
+    f = GaussPoly(2, {(1, 0): ONE, (0, 1): I_UNIT})
     fbar = f.conj()
-    fam = GaussianFamily.standard(f.dim)
-    abs2, sq, abs4, fourth, t3 = (expect(fam, q).to_complex()
-                                  for q in moment_quantities(f, fbar, f * fbar))
+    abs2, sq, abs4, fourth, t3 = (
+        sum((c * moments[exps] for exps, c in poly.terms().items()), ZERO).to_complex()
+        for poly in moment_quantities(f, fbar, f * fbar))
     return MomentReport(n_samples=0, seed=None, exact=True,
                         abs2=abs2.real, sq=sq, abs4=abs4.real, fourth=fourth, t3=t3)
 
@@ -587,6 +654,9 @@ def centered_chi2_cdf(alpha: float, variance_is_alpha: bool = True):
     return cdf
 
 
+KS_MIN_SAMPLES = 100
+
+
 def ks_distance(samples: np.ndarray, cdf) -> Tuple[float, float]:
     """Two-sided Kolmogorov-Smirnov distance and an asymptotic p-value bound.
 
@@ -596,8 +666,8 @@ def ks_distance(samples: np.ndarray, cdf) -> Tuple[float, float]:
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.shape[0]
-    if n < 100:
-        raise ValueError("need at least 100 samples")
+    if n < KS_MIN_SAMPLES:
+        raise ValueError(f"need at least {KS_MIN_SAMPLES} samples")
     f = np.asarray(cdf(x), dtype=float)
     i = np.arange(1, n + 1)
     d = max(float(np.max(f - (i - 1) / n)), float(np.max(i / n - f)))

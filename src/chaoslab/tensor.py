@@ -453,7 +453,10 @@ def _parse_value(s: str):
     try:
         return int(s)
     except ValueError:
-        return float(s)
+        x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"value {s!r} is not finite")
+    return x
 
 
 def dump_sym_tensor(t: SymTensor) -> str:

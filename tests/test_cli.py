@@ -284,9 +284,11 @@ class TestExperiment:
         ({"file": 5}, None),
         ({"inline": "1 1 1\n0 0 1 0", "scale": "abc"}, None),
         ({"inline": "1 1 1\n0 0 1 0", "scale": 0.5}, None),
+        ({"inline": "1 1 1\n0 0 nan 0"}, None),
+        ({"file": "kern.txt"}, b"1 1 1\n0 0 1 1e999\n"),
     ], ids=["inline-garbage", "inline-index-out-of-range", "inline-number",
             "file-garbage", "file-not-utf8", "file-number", "scale-string",
-            "scale-float"])
+            "scale-float", "inline-nan", "file-overflow"])
     def test_malformed_kernel_section_exit_65(self, tmp_path, kernel, file_text):
         if file_text is not None:
             (tmp_path / kernel["file"]).write_bytes(file_text)
@@ -305,6 +307,27 @@ class TestExperiment:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**BASE_CONFIG, "n_samples": 200,
                                    "criterion": criterion}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        assert not (tmp_path / "o").exists()
+
+    def test_degree_five_block_has_exact_references(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 2, "n_samples": 200, "kernel": {"block": {"m": 3, "n": 2}},
+            "k_values": [1], "exact_reference": True,
+            "criterion": {"case": "gaussian-offdiag", "sigma2": 12.0, "m": 3, "n": 2}}))
+        out = tmp_path / "o"
+        assert run_cli("experiment", str(cfg), "--out", str(out)) == 0
+        doc = json.loads((out / "verdict.json").read_text())
+        assert doc["quantities"]["abs2"]["rows"][0]["reference"] == [12.0, 0.0]
+
+    def test_ks_with_too_few_samples_rejected_before_sampling(self, tmp_path, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(cli.fm, "estimate", no_sampling)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, "n_samples": 99, "ks": {"k": 4}}))
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
         assert not (tmp_path / "o").exists()
 

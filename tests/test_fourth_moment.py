@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chaoslab import fourth_moment as fm
-from chaoslab.chaos import decompose, exact_moment, sample_batch
-from chaoslab.exact import EC, ExactComplex, I_UNIT
+from chaoslab.chaos import decompose, element_poly, exact_moment, sample_batch
+from chaoslab.exact import EC, ExactComplex, I_UNIT, ONE
 from chaoslab.tensor import ComplexKernel
+from chaoslab.wick import GaussianFamily, expect
 
 
 class TestBlockKernel:
@@ -164,6 +165,26 @@ def small_exact_kernels(draw):
         key: ExactComplex(draw(rational), draw(rational)) for key in chosen})
 
 
+@st.composite
+def summed_exact_targets(draw):
+    """Two kernels of one total order q <= 3 and different bidegrees over
+    dim <= 2, with exact coefficients that have a nonzero imaginary part."""
+    q = draw(st.integers(1, 3))
+    m1, m2 = draw(st.lists(st.integers(0, q), min_size=2, max_size=2, unique=True))
+    dim = draw(st.integers(1, 2))
+    target = []
+    for m in (m1, m2):
+        keys = [(ta, tb) for ta in combinations_with_replacement(range(dim), m)
+                for tb in combinations_with_replacement(range(dim), q - m)]
+        chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True))
+        kern = ComplexKernel(m, q - m, dim, {
+            key: ExactComplex(draw(rational), draw(rational)) for key in chosen})
+        coeff = ExactComplex(draw(rational), draw(rational.filter(bool)),
+                             draw(rational), draw(rational))
+        target.append((coeff, kern))
+    return target
+
+
 class TestExactReport:
     @given(small_exact_kernels())
     @example(ComplexKernel(1, 1, 1, {((0,), (0,)): I_UNIT}))
@@ -182,13 +203,49 @@ class TestExactReport:
                           + 3 * moment(False, True, True)).to_complex()
         assert fm.exact_report(decompose(phi)) == rep
 
-    def test_degree_budget_checked_before_any_product(self, monkeypatch):
-        def no_products(*args):
-            raise AssertionError("formed a polynomial before the budget check")
+    @given(summed_exact_targets())
+    @settings(max_examples=15, deadline=None)
+    def test_summed_target_matches_wick(self, target):
+        (c1, kern1), (c2, kern2) = target
+        f = c1 * element_poly(kern1) + c2 * element_poly(kern2)
+        fbar = f.conj()
+        fam = GaussianFamily.standard(f.dim)
 
-        monkeypatch.setattr(fm, "element_poly", no_products)
-        with pytest.raises(ValueError, match="budget"):
-            fm.exact_report(fm.gen_block_kernel(3, 2, 1))
+        def wick(poly):
+            return expect(fam, poly).to_complex()
+
+        a2, f2 = f * fbar, f * f
+        rep = fm.exact_report(target)
+        assert rep.abs2 == wick(a2).real
+        assert rep.sq == wick(f2)
+        assert rep.abs4 == wick(a2 * a2).real
+        assert rep.fourth == wick(f2 * f2)
+        assert rep.t3 == wick(f2 * f + 3 * (a2 * fbar))
+
+    def test_degree_five_block_is_computed(self):
+        phi = fm.gen_block_kernel(3, 2, 1)
+        rep = fm.exact_report(phi)
+        assert rep.abs2 == 12  # the isometry: 3! 2!
+        assert rep.sq == rep.fourth == rep.t3 == 0
+        # |F|^4 has Gaussian degree 20, beyond exact_moment's budget; the
+        # oracle's pairing sum on the one polynomial is still quick
+        f = element_poly(phi)
+        a2 = f * f.conj()
+        assert expect(GaussianFamily.standard(f.dim), a2 * a2) == EC(265248)
+        assert rep.abs4 == 265248
+
+    def test_mixed_total_orders_rejected_before_decompose(self, monkeypatch):
+        def no_decompose(*args):
+            raise AssertionError("decomposed a kernel before the order check")
+
+        monkeypatch.setattr(fm, "decompose", no_decompose)
+        target = [(ONE, fm.gen_block_kernel(1, 1, 1)), (ONE, fm.gen_block_kernel(1, 2, 1))]
+        with pytest.raises(ValueError, match="total orders"):
+            fm.exact_report(target)
+
+    def test_floating_kernel_rejected(self):
+        with pytest.raises(ValueError, match="exact"):
+            fm.exact_report(fm.gen_block_kernel(1, 2, 3))
 
 
 class TestCriterionSpec:

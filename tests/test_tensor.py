@@ -341,6 +341,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_kernel("")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_rejects_non_finite_values(self, value):
+        with pytest.raises(ValueError, match="not finite"):
+            load_sym_tensor(f"2 2\n0 1 {value}\n")
+        with pytest.raises(ValueError, match="not finite"):
+            load_kernel(f"1 1 1\n0 0 {value} 0\n")
+        with pytest.raises(ValueError, match="not finite"):
+            load_kernel(f"1 1 1\n0 0 1 {value}\n")
+
 
 @given(st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                           st.fractions(min_value=-2, max_value=2, max_denominator=3)),
