@@ -14,10 +14,19 @@ Evaluation rules (validated against the Wick oracle, never trusted bare):
 Sampling is counter-based (Philox keyed by the seed, counter derived from
 the sample index), so batches are reproducible and independent of how work
 is chunked across workers.
+
+Pathwise evaluation works coordinate-major: a batch's values are laid out
+as one contiguous row of N samples per coordinate, (2D, N) for the real
+rule and (D, N) complex zeta for the complex one.  A complex kernel's term
+plan (each term's float constant (m!/a!)(n!/b!) 2^(-(m+n)/2) f[a,b] and its
+(k, a_k, b_k) factors) is built once per kernel and kept on the kernel; each
+call then evaluates every distinct J factor once and accumulates the terms
+into one scratch buffer.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple, Union
@@ -60,6 +69,9 @@ class SampleBatch:
         return self.xi.shape[0]
 
 
+SEED_LIMIT = 1 << 128
+
+
 def sample_batch(D: int, N: int, seed: int, start: int = 0) -> SampleBatch:
     """Samples ``start .. start + N - 1`` of the stream keyed by ``seed``.
 
@@ -67,13 +79,17 @@ def sample_batch(D: int, N: int, seed: int, start: int = 0) -> SampleBatch:
     Philox blocks no matter how the index range is chunked, so
     ``sample_batch(D, N, s)`` equals the concatenation of any partition of
     the range.  Normals come from the inverse normal CDF applied to
-    53-bit uniforms.
+    53-bit uniforms.  The seed is the Philox key, so it must lie in
+    [0, 2**128); a larger one would alias a smaller one's stream.
     """
     if D < 1 or N < 1 or start < 0:
         raise ValueError("need D >= 1, N >= 1, start >= 0")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2**128): Philox takes a 128-bit key, "
+                         f"got {seed}")
     per_sample = 2 * D
     blocks = (per_sample + 3) // 4  # Philox yields 4 uint64 words per block
-    bg = np.random.Philox(key=int(seed) & ((1 << 128) - 1), counter=start * blocks)
+    bg = np.random.Philox(key=int(seed), counter=start * blocks)
     raw = bg.random_raw(4 * blocks * N).reshape(N, 4 * blocks)[:, :per_sample]
     u = (raw >> np.uint64(11)) * (2.0 ** -53) + 2.0 ** -54
     normals = ndtri(u)
@@ -84,15 +100,16 @@ def sample_batch(D: int, N: int, seed: int, start: int = 0) -> SampleBatch:
 
 
 class _HermiteCache:
-    """Per-coordinate probabilists' Hermite values He_j(w), grown on demand."""
+    """Per-coordinate probabilists' Hermite values He_j(w), grown on demand;
+    ``w`` holds one row of samples per coordinate."""
 
     def __init__(self, w: np.ndarray):
         self.w = w
         self.tables: Dict[int, List[np.ndarray]] = {}
 
     def value(self, coord: int, degree: int) -> np.ndarray:
-        tab = self.tables.setdefault(coord, [np.ones_like(self.w[:, coord])])
-        x = self.w[:, coord]
+        x = self.w[coord]
+        tab = self.tables.setdefault(coord, [np.ones_like(x)])
         while len(tab) <= degree:
             j = len(tab) - 1
             if j == 0:
@@ -109,8 +126,7 @@ def eval_real(f: SymTensor, batch: SampleBatch) -> np.ndarray:
     """
     if f.dim != 2 * batch.dim:
         raise ValueError(f"tensor dim {f.dim} != 2 x sample dim {batch.dim}")
-    w = np.hstack([batch.xi, batch.eta])
-    cache = _HermiteCache(w)
+    cache = _HermiteCache(np.vstack((batch.xi.T, batch.eta.T)))
     out = np.zeros(len(batch))
     for key, val in f.data.items():
         term = np.full(len(batch), float(multiplicity_factor(key)))
@@ -132,29 +148,56 @@ def _coord_degrees(ta: Tuple[int, ...], tb: Tuple[int, ...]) -> List[Tuple[int, 
     return [(k, ta.count(k), tb.count(k)) for k in sorted(set(ta + tb))]
 
 
+def _build_term_plan(phi: ComplexKernel) -> tuple:
+    """(factors, terms): the distinct (k, a, b) J factors of phi, and per
+    stored term its float constant with the positions of its factors in
+    ``factors``."""
+    scale = 2.0 ** (-(phi.m + phi.n) / 2)
+    slots: Dict[Tuple[int, int, int], int] = {}
+    terms = []
+    for (ta, tb), val in phi.data.items():
+        mult = multiplicity_factor(ta) * multiplicity_factor(tb)
+        v = val.to_complex() if isinstance(val, ExactComplex) else complex(val)
+        where = tuple(slots.setdefault(f, len(slots)) for f in _coord_degrees(ta, tb))
+        terms.append(((mult * scale) * v, where))
+    return tuple(slots), tuple(terms)
+
+
+_PLAN_LOCK = threading.Lock()
+
+
+def _plan_of(phi: ComplexKernel) -> tuple:
+    """phi's term plan, built on first use and kept on the kernel (kernels
+    are not mutated after construction); the lock makes concurrent chunks
+    of one estimate build it once."""
+    plan = phi._term_plan
+    if plan is None:
+        with _PLAN_LOCK:
+            if phi._term_plan is None:
+                phi._term_plan = _build_term_plan(phi)
+            plan = phi._term_plan
+    return plan
+
+
 def eval_complex(phi: ComplexKernel, batch: SampleBatch) -> np.ndarray:
     """Pathwise value of the bidegree-(m, n) integral of a complex kernel."""
     if phi.dim != batch.dim:
         raise ValueError(f"kernel dim {phi.dim} != sample dim {batch.dim}")
-    zeta = batch.zeta
-    scale = 2.0 ** (-(phi.m + phi.n) / 2)
-    jcache: Dict[Tuple[int, int, int], np.ndarray] = {}
-
-    def jval(coord: int, a: int, b: int) -> np.ndarray:
-        key = (coord, a, b)
-        got = jcache.get(key)
-        if got is None:
-            got = jcache[key] = _j_poly(a, b)(zeta[:, coord])
-        return got
-
+    factors, terms = _plan_of(phi)
+    zeta = np.empty((batch.dim, len(batch)), dtype=np.complex128)
+    zeta.real = batch.xi.T
+    zeta.imag = batch.eta.T
+    jvals = [_j_poly(a, b)(zeta[k]) for k, a, b in factors]
     out = np.zeros(len(batch), dtype=np.complex128)
-    for (ta, tb), val in phi.data.items():
-        mult = multiplicity_factor(ta) * multiplicity_factor(tb)
-        term = np.ones(len(batch), dtype=np.complex128)
-        for k, a, b in _coord_degrees(ta, tb):
-            term = term * jval(k, a, b)
-        v = val.to_complex() if isinstance(val, ExactComplex) else complex(val)
-        out += (mult * scale) * v * term
+    buf = np.empty_like(out)
+    for c, where in terms:
+        if not where:
+            out += c
+            continue
+        np.multiply(jvals[where[0]], c, out=buf)
+        for i in where[1:]:
+            buf *= jvals[i]
+        out += buf
     return out
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import convert, fourth_moment as fm, hermite, identities
-from .chaos import WICK_DEGREE_BUDGET
+from .chaos import SEED_LIMIT, WICK_DEGREE_BUDGET
 from .exact import EC, ExactComplex
 from .tensor import load_kernel
 from .wick import GaussianFamily, expect_complex
@@ -254,6 +254,10 @@ def _kernels_from(doc: dict, base: Path):
     kspec = doc.get("kernel")
     if not isinstance(kspec, dict):
         raise fm.ConfigError("config needs a kernel object")
+    sources = [key for key in ("block", "file", "inline") if key in kspec]
+    if len(sources) > 1:
+        raise fm.ConfigError(f"kernel names {' and '.join(sources)}; "
+                             "give one of block, file and inline")
     if "block" in kspec:
         blk = kspec["block"]
         if not isinstance(blk, dict):
@@ -266,6 +270,8 @@ def _kernels_from(doc: dict, base: Path):
         if not isinstance(ks, list) or not ks:
             raise fm.ConfigError("k_values must be a non-empty list")
         ks = [_int_value(k, "k_values", 1) for k in ks]
+        if len(set(ks)) != len(ks):
+            raise fm.ConfigError(f"k_values repeats a value: {ks}")
         return [(k, fm.gen_block_kernel(m, n, k)) for k in ks], (m, n)
     try:
         if "file" in kspec:
@@ -329,6 +335,8 @@ def run_experiment(doc: dict, base: Path) -> tuple:
         except ValueError:
             raise fm.ConfigError(f"CHAOSLAB_SEED must be an integer, got {env!r}")
     seed = _int_value(seed, "seed", 0)
+    if seed >= SEED_LIMIT:
+        raise fm.ConfigError(f"seed must be below 2**128, the Philox key size, got {seed}")
     n_samples = _int_value(doc.get("n_samples"), "n_samples", 2)
     workers = _int_value(doc.get("workers", 1), "workers", 1)
     chunk = _int_value(doc.get("chunk_size", fm.DEFAULT_CHUNK), "chunk_size", 1)

@@ -16,6 +16,13 @@ application of the creation operators
 as J_{m,n} = rho^(m+n) (a*)^m (a~*)^n 1, so J_{0,0} = 1, J_{1,0} = z and
 J_{1,1} = z zbar - rho.  Both families are eigenfunctions of the
 Ornstein-Uhlenbeck generator implemented by :func:`ou_apply`.
+
+Floating evaluation (:func:`evaluate`) uses the radial form: every term
+z^a zbar^b equals w^|a-b| s^min(a,b), with s = |z|^2 and w = z for a >= b,
+w = zbar otherwise.  Terms of one angular frequency d = a - b share w^|d|,
+so a polynomial is sum_d w^|d| q_d(s) with each q_d evaluated by Horner in
+s, in real arithmetic when its coefficients are real.  J_{m,n} has the one
+frequency m - n, which gives the Laguerre form z^(m-n) q(|z|^2) for m >= n.
 """
 
 from __future__ import annotations
@@ -42,10 +49,11 @@ class BiPoly:
     """Polynomial in (z, zbar) with ExactComplex coefficients.
 
     Keys of the term map are pairs (a, b): the degree in z and in zbar.
-    Instances are immutable; all arithmetic is exact.
+    Instances are immutable; all arithmetic is exact.  ``_plan`` holds the
+    floating radial plan of :func:`evaluate`, built on first use.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_plan")
 
     def __init__(self, terms: Mapping[ExponentPair, Scalar] | None = None):
         cleaned: Dict[ExponentPair, ExactComplex] = {}
@@ -57,6 +65,7 @@ class BiPoly:
                 if not c.is_zero():
                     cleaned[(int(a), int(b))] = c
         self._terms = cleaned
+        self._plan = None
 
     # -- constructors ------------------------------------------------------
 
@@ -199,24 +208,76 @@ class BiPoly:
         return evaluate(self, z)
 
 
-def evaluate(p: BiPoly, z):
-    """Evaluate in floating complex arithmetic; ``z`` may be a numpy array."""
-    if isinstance(z, np.ndarray):
-        out = np.zeros_like(z, dtype=np.complex128)
-        zb = np.conj(z)
-        pow_cache: Dict[ExponentPair, np.ndarray] = {}
-        for (a, b), coeff in p._terms.items():
-            key = (a, b)
-            if key not in pow_cache:
-                pow_cache[key] = (z ** a) * (zb ** b)
-            out = out + coeff.to_complex() * pow_cache[key]
-        return out
-    zc = complex(z)
-    zb = zc.conjugate()
-    total = 0j
+def _radial_plan(p: BiPoly) -> Tuple[Tuple[int, tuple], ...]:
+    """(d, (c_0, ..., c_J)) per angular frequency d = a - b, in increasing d:
+    p = sum_d w^|d| sum_j c_j s^j (see the module docstring).  Powers of s
+    that p lacks get a zero; a frequency with only real coefficients gets
+    floats, otherwise complex numbers."""
+    groups: Dict[int, Dict[int, ExactComplex]] = {}
     for (a, b), coeff in p._terms.items():
-        total += coeff.to_complex() * zc ** a * zb ** b
-    return total
+        groups.setdefault(a - b, {})[min(a, b)] = coeff
+    plan = []
+    for d in sorted(groups):
+        by_power = groups[d]
+        real = all(c.is_real() for c in by_power.values())
+        coeffs = []
+        for j in range(max(by_power) + 1):
+            c = by_power.get(j, ZERO).to_complex()
+            coeffs.append(c.real if real else c)
+        plan.append((d, tuple(coeffs)))
+    return tuple(plan)
+
+
+def _power(w, n: int):
+    """w^n for n >= 1 by repeated squaring: numpy's complex ``**`` takes a
+    general, several times slower path for most integer exponents."""
+    out = None
+    while True:
+        if n & 1:
+            out = w if out is None else out * w
+        n >>= 1
+        if not n:
+            return out
+        w = w * w
+
+
+def evaluate(p: BiPoly, z):
+    """Evaluate in floating arithmetic by the radial form of the module
+    docstring.  ``z`` may be a numpy array, giving a complex128 array of its
+    shape, or a scalar, giving a complex.
+
+    One algorithm serves both: the body uses only arithmetic operators, and
+    the in-place ones update an array the body allocated itself or rebind a
+    scalar.
+    """
+    plan = p._plan
+    if plan is None:
+        plan = p._plan = _radial_plan(p)
+    array = isinstance(z, np.ndarray)
+    if not array:
+        z = complex(z)
+    zbar = z.conjugate()
+    s = (z * zbar).real
+    out = None
+    for d, coeffs in plan:
+        # Horner in s: q = (..((c_J s + c_{J-1}) s + ..) s + c_0
+        q = coeffs[-1]
+        if len(coeffs) > 1:
+            q = q * s
+            for c in coeffs[-2:0:-1]:
+                if c:
+                    q += c
+                q *= s
+            if coeffs[0]:
+                q += coeffs[0]
+        if d:
+            q = q * _power(z if d > 0 else zbar, abs(d))
+        out = q if out is None else out + q
+    if not array:
+        return complex(out or 0)
+    if isinstance(out, np.ndarray):
+        return out.astype(np.complex128, copy=False)
+    return np.full(z.shape, out or 0, dtype=np.complex128)
 
 
 # -- real Hermite polynomials ---------------------------------------------------

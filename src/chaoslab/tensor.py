@@ -352,10 +352,12 @@ class ComplexKernel(_OneScalarType):
 
     Coefficients are indexed by a pair (sorted m-tuple, sorted n-tuple) in
     the basis e_{i1} x ... x conj(e_{j1}) x ...; the kernel is symmetric
-    separately within each block.
+    separately within each block.  Kernels are not mutated after
+    construction; ``_term_plan`` holds ``chaos.eval_complex``'s float term
+    plan, built on first use.
     """
 
-    __slots__ = ("m", "n", "dim", "data")
+    __slots__ = ("m", "n", "dim", "data", "_term_plan")
 
     def __init__(self, m: int, n: int, dim: int,
                  data: Mapping[Tuple[IndexTuple, IndexTuple], Value] | None = None):
@@ -377,6 +379,7 @@ class ComplexKernel(_OneScalarType):
                 if v:
                     store[(ta, tb)] = v
         self.data = store
+        self._term_plan = None
 
     @classmethod
     def rank_one(cls, h: Sequence[Value], m: int, n: int) -> "ComplexKernel":

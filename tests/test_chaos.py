@@ -3,16 +3,21 @@
 import itertools
 import math
 import random
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chaoslab import chaos, fourth_moment as fm, hermite
 from chaoslab.chaos import (decompose, element_poly, eval_complex, eval_real,
                             exact_moment, sample_batch)
 from chaoslab.exact import EC, ExactComplex
 from chaoslab.hermite import complex_hermite
-from chaoslab.tensor import ComplexKernel, SymTensor, inner, kernel_inner
+from chaoslab.tensor import (ComplexKernel, SymTensor, inner, kernel_inner,
+                             multiplicity_factor)
 from chaoslab.wick import GaussianFamily, expect
 
 
@@ -63,6 +68,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_batch(1, 0, seed=0)
 
+    def test_seed_must_be_a_128_bit_key(self):
+        # the seed is the Philox key: 2**128 + 1 would replay seed 1's stream
+        top = sample_batch(1, 2, seed=2 ** 128 - 1)
+        assert not (top.xi == sample_batch(1, 2, seed=1).xi).all()
+        for seed in (2 ** 128, 2 ** 128 + 1, -1):
+            with pytest.raises(ValueError, match="seed"):
+                sample_batch(1, 2, seed=seed)
+
     def test_single_sample_view(self):
         batch = sample_batch(2, 1, seed=5)
         assert len(batch) == 1 and batch.dim == 2
@@ -98,6 +111,32 @@ class TestEvalReal:
         with pytest.raises(ValueError):
             eval_real(SymTensor(1, 4, {(0,): 1}), sample_batch(1, 2, seed=0))
 
+    def test_bit_identical_to_a_per_coordinate_recurrence(self):
+        """The coordinate-major layout changes where the values sit, not
+        the arithmetic: every value equals, with ==, the same recurrence
+        run on the sample-major columns."""
+        batch = sample_batch(3, 300, seed=21)
+        w = np.hstack([batch.xi, batch.eta])
+
+        def he(x, degree):
+            prev, cur = np.ones_like(x), x.copy()
+            if degree == 0:
+                return prev
+            for j in range(1, degree):
+                prev, cur = cur, x * cur - j * prev
+            return cur
+
+        rnd = random.Random(22)
+        for order in (1, 2, 3, 5):
+            f = random_exact_tensor(order, 6, rnd)
+            want = np.zeros(len(batch))
+            for key, val in f.data.items():
+                term = np.full(len(batch), float(multiplicity_factor(key)))
+                for coord in sorted(set(key)):
+                    term = term * he(w[:, coord], key.count(coord))
+                want += val.to_complex().real * term
+            assert (eval_real(f, batch) == want).all()
+
 
 class TestEvalComplex:
     def test_degree_one(self):
@@ -128,6 +167,88 @@ class TestEvalComplex:
                 got = eval_complex(phi, batch)
                 want = complex_hermite(m, n)(z_h)
                 assert np.abs(got - want).max() <= 1e-9
+
+
+class TestEvalComplexWork:
+    """What one evaluation computes: each distinct J factor once per call,
+    and the kernel's term plan once per kernel."""
+
+    def test_each_distinct_j_factor_evaluated_once_per_call(self, monkeypatch):
+        rnd = random.Random(31)
+        phi = random_exact_kernel(2, 2, 3, rnd)
+        batch = sample_batch(3, 50, seed=32)
+        zeta = batch.xi + 1j * batch.eta
+        calls = []
+        real_evaluate = hermite.evaluate
+
+        def counting(p, z):
+            coord = [k for k in range(3) if (z == zeta[:, k]).all()]
+            calls.append((coord[0], p))
+            return real_evaluate(p, z)
+
+        want = {(k, ta.count(k), tb.count(k)) for ta, tb in phi.data for k in set(ta + tb)}
+        monkeypatch.setattr(hermite, "evaluate", counting)
+        for _ in range(2):  # the plan is cached; the J values are not
+            calls.clear()
+            eval_complex(phi, batch)
+            assert len(calls) == len(want)
+            assert set(calls) == {(k, complex_hermite(a, b)) for k, a, b in want}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_term_plan_built_once_per_kernel(self, monkeypatch, workers):
+        built = []
+        real_build = chaos._build_term_plan
+        monkeypatch.setattr(chaos, "_build_term_plan",
+                            lambda phi: built.append(phi) or real_build(phi))
+        phi = fm.gen_block_kernel(1, 2, 4)
+        other = fm.gen_block_kernel(1, 2, 2)
+        for _ in range(2):
+            fm.estimate(phi, 700, seed=3, workers=workers, chunk_size=100)
+        fm.estimate(other, 300, seed=3, workers=workers, chunk_size=100)
+        assert built == [phi, other]
+
+    def test_term_plan_built_once_under_thread_contention(self, monkeypatch):
+        built = []
+        real_build = chaos._build_term_plan
+
+        def slow_build(phi):
+            built.append(phi)
+            time.sleep(0.02)  # widen the window in which a second thread could build
+            return real_build(phi)
+
+        monkeypatch.setattr(chaos, "_build_term_plan", slow_build)
+        phi = fm.gen_block_kernel(1, 2, 4)
+        batch = sample_batch(4, 10, seed=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda _: eval_complex(phi, batch), range(16),
+                                        timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert built == [phi]
+        assert all((r == results[0]).all() for r in results)
+
+    def test_constant_term_adds_its_value(self):
+        batch = sample_batch(2, 5, seed=1)
+        phi = ComplexKernel(0, 0, 2, {((), ()): EC(3)})
+        assert (eval_complex(phi, batch) == 3).all()
+
+    def test_matches_the_term_by_term_rule(self):
+        rnd = random.Random(33)
+        batch = sample_batch(3, 400, seed=34)
+        zeta = batch.xi + 1j * batch.eta
+        for m, n in ((1, 0), (2, 1), (1, 2), (2, 2)):
+            phi = random_exact_kernel(m, n, 3, rnd)
+            want = np.zeros(len(batch), dtype=complex)
+            for (ta, tb), val in phi.data.items():
+                term = multiplicity_factor(ta) * multiplicity_factor(tb) \
+                    * 2.0 ** (-(m + n) / 2) * val.to_complex() * np.ones(len(batch))
+                for k in set(ta + tb):
+                    term = term * complex_hermite(ta.count(k), tb.count(k))(zeta[:, k])
+                want += term
+            assert np.abs(eval_complex(phi, batch) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestIsometries:

@@ -341,3 +341,50 @@ class TestExperiment:
             "case": "multivariate", "sigma2": 1.0, "degrees": [1, 3]}}))
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
         assert not (tmp_path / "o").exists()
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled before the config was checked")
+
+
+class TestExperimentConfigChecks:
+    """Configs that are rejected with exit 65 before any sampling."""
+
+    @pytest.mark.parametrize("seed", [2 ** 128, 2 ** 128 + 1], ids=["2**128", "2**128+1"])
+    def test_seed_beyond_the_philox_key_exits_65(self, tmp_path, monkeypatch, seed):
+        # 2**128 + 1 would draw exactly seed 1's stream
+        monkeypatch.setattr(cli.fm, "estimate", _no_sampling)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, "seed": seed}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        assert not (tmp_path / "o").exists()
+
+    def test_env_seed_beyond_the_philox_key_exits_65(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.fm, "estimate", _no_sampling)
+        monkeypatch.setenv("CHAOSLAB_SEED", str(2 ** 128 + 1))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: v for k, v in BASE_CONFIG.items() if k != "seed"}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("names", [("block", "file"), ("block", "inline"),
+                                       ("file", "inline"), ("block", "file", "inline")],
+                             ids=["block-file", "block-inline", "file-inline", "all-three"])
+    def test_kernel_section_naming_two_sources_exits_65(self, tmp_path, monkeypatch, names):
+        monkeypatch.setattr(cli.fm, "estimate", _no_sampling)
+        kern = ComplexKernel(1, 2, 1, {((0,), (0, 0)): EC(1)})
+        (tmp_path / "kern.txt").write_text(dump_kernel(kern))
+        sources = {"block": {"m": 1, "n": 2}, "file": "kern.txt",
+                   "inline": dump_kernel(kern)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, "exact_reference": False,
+                                   "kernel": {name: sources[name] for name in names}}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_k_values_exit_65(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.fm, "estimate", _no_sampling)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, "k_values": [1, 1]}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        assert not (tmp_path / "o").exists()

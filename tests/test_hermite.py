@@ -1,14 +1,15 @@
 """Hermite polynomial construction against independent symbolic oracles."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from chaoslab.exact import EC, ExactComplex
+from chaoslab.exact import EC, ZERO, ExactComplex
 from chaoslab.hermite import (BiPoly, HermiteIndex, complex_hermite, evaluate,
                               expand_monomial, hermite_coeffs, hermite_of_linear,
                               ou_apply, ou_apply_numeric, ou_eigenvalue,
@@ -199,3 +200,97 @@ def test_linear_composition_matches_pointwise():
                      for k, c in enumerate(hermite_coeffs(4)))
         assert p(z).real == pytest.approx(direct)
         assert p(z).imag == pytest.approx(0, abs=1e-12)
+
+
+# -- floating evaluation against exact values at dyadic points -----------------------
+
+
+def exact_value(p, x, y):
+    """p at z = x + iy from its exact real-coordinate form, rounded once."""
+    return sum((c * EC(x ** i * y ** j) for (i, j), c in p.to_xy().items()),
+               ZERO).to_complex()
+
+
+def term_scale(p, z):
+    """sum |c_ab| |z|^(a+b): the size of p's terms at z, which bounds the
+    rounding error of any term-by-term evaluation."""
+    return sum(abs(c.to_complex()) * abs(z) ** (a + b) for (a, b), c in p.terms().items())
+
+
+# dyadic coordinates with 30-bit fractions, so the floats hold them exactly
+# and the products need rounding
+dyadics = st.builds(lambda k: Fraction(k, 1 << 30), st.integers(-(3 << 30), 3 << 30))
+exact_coeffs = st.builds(ExactComplex, small_fracs, small_fracs, small_fracs, small_fracs)
+
+
+@given(terms=st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                             exact_coeffs, max_size=7),
+       xs=st.lists(dyadics, min_size=1, max_size=6),
+       ys=st.lists(dyadics, min_size=6, max_size=6),
+       real_input=st.booleans())
+@example(terms={}, xs=[Fraction(3, 2)], ys=[Fraction(1, 4)] * 6, real_input=False)
+@example(terms={(0, 0): EC(Fraction(-7, 3))}, xs=[Fraction(3, 2), Fraction(-1, 8)],
+         ys=[Fraction(1, 4)] * 6, real_input=True)
+@example(terms={(4, 0): EC(1), (0, 4): ExactComplex(0, 0, 1), (6, 2): EC(-2)},
+         xs=[Fraction(5, 4)], ys=[Fraction(-3, 8)] * 6, real_input=False)
+@settings(max_examples=60, deadline=None)
+def test_array_evaluation_matches_exact_xy_form(terms, xs, ys, real_input):
+    # covers complex coefficients, gaps in the powers of |z|^2 (e.g. (6, 2)
+    # and (4, 0) without (5, 1)), several angular frequencies a - b of both signs,
+    # a constant-only and the zero polynomial, on real and complex arrays
+    p = BiPoly(terms)
+    pts = [(x, Fraction(0) if real_input else y) for x, y in zip(xs, ys)]
+    z = np.array([float(x) for x, _ in pts]) if real_input else \
+        np.array([complex(x, y) for x, y in pts])
+    got = evaluate(p, z)
+    assert got.dtype == np.complex128 and got.shape == z.shape
+    if p.is_zero():
+        assert (got == 0).all()
+        return
+    if p.degree() == 0:
+        assert (got == p.coefficient(0, 0).to_complex()).all()
+        return
+    for k, (x, y) in enumerate(pts):
+        zk = complex(x, y)
+        assert abs(got[k] - exact_value(p, x, y)) <= 1e-12 * term_scale(p, zk)
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(9) for b in range(9 - a)])
+def test_complex_hermite_values_at_dyadic_points(a, b):
+    """J_{a,b}, a + b <= 8, within 1e-12 of |J| at random dyadic points.
+    Near a root the terms cancel and no evaluation order is relative to |J|
+    itself, so the error is measured against max(|J|, 1% of the term size)."""
+    rnd = random.Random(1000 * a + b)
+    pts = [(Fraction(rnd.randint(-3 << 30, 3 << 30), 1 << 30),
+            Fraction(rnd.randint(-3 << 30, 3 << 30), 1 << 30)) for _ in range(40)]
+    p = complex_hermite(a, b)
+    got = evaluate(p, np.array([complex(x, y) for x, y in pts]))
+    for k, (x, y) in enumerate(pts):
+        want = exact_value(p, x, y)
+        size = max(abs(want), 0.01 * term_scale(p, complex(x, y)))
+        assert abs(got[k] - want) <= 1e-12 * size, (a, b, x, y)
+
+
+def test_scalar_and_array_evaluation_agree():
+    rnd = random.Random(3)
+    pts = [complex(rnd.uniform(-3, 3), rnd.uniform(-3, 3)) for _ in range(20)]
+    for p in (complex_hermite(6, 4), complex_hermite(0, 3),
+              BiPoly({(2, 0): ExactComplex(1, 0, 2), (1, 3): EC(-1), (0, 0): EC(5)})):
+        vec = evaluate(p, np.array(pts))
+        for k, z in enumerate(pts):
+            one = evaluate(p, z)
+            assert isinstance(one, complex)
+            # numpy's complex kernels may round differently from Python's
+            assert abs(one - vec[k]) <= 1e-14 * term_scale(p, z)
+
+
+def test_radial_plan_is_built_once_per_polynomial(monkeypatch):
+    from chaoslab import hermite
+    built = []
+    real_plan = hermite._radial_plan
+    monkeypatch.setattr(hermite, "_radial_plan", lambda p: built.append(p) or real_plan(p))
+    p = BiPoly({(3, 1): EC(2), (0, 2): EC(1)})
+    z = np.array([0.5 + 1j, -1.25 + 0.5j])
+    first = p(z)
+    assert (p(z) == first).all() and p(0.5 + 1j) == pytest.approx(first[0])
+    assert built == [p]
