@@ -5,7 +5,8 @@ Exit codes are a stable contract:
     0   run completed (for experiments: regardless of verdict, which is data)
     1   unexpected execution failure
     2   an exact identity suite failed
-    64  bad arguments or a degree-budget violation
+    64  bad arguments (including an --out that is not a directory) or a
+        degree-budget violation
     65  config or expression file parse error, including a malformed kernel
         section (kernel text, kernel file contents, file name or scale)
     66  missing kernel file
@@ -26,7 +27,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import convert, fourth_moment as fm, hermite, identities
+import numpy
+import scipy
+
+from . import __version__, convert, fourth_moment as fm, hermite, identities
 from .chaos import SEED_LIMIT, WICK_DEGREE_BUDGET
 from .exact import EC, ExactComplex
 from .tensor import load_kernel
@@ -74,6 +78,8 @@ def _cmd_identities(args) -> int:
         print(f"error: --max-degree must be within 0..{identities.MAX_SYMBOLIC_DEGREE}",
               file=sys.stderr)
         return EXIT_USAGE
+    if not _out_dir_ok(args.out):
+        return EXIT_USAGE
     args.out.mkdir(parents=True, exist_ok=True)
     results = identities.run_identity_suites(args.max_degree)
     rows = [{"name": r.name, "status": "pass" if r.passed else "fail",
@@ -97,6 +103,14 @@ def _cmd_identities(args) -> int:
             for row in convert.table_csv_rows(table):
                 w.writerow(row)
             _write_text(args.out / f"table_{table.direction}_n{n}.csv", buf.getvalue())
+    # timings vary run to run, so they stay out of the report, whose bytes
+    # are reproducible
+    manifest = {"max_degree": args.max_degree,
+                "versions": {"chaoslab": __version__, "numpy": numpy.__version__,
+                             "scipy": scipy.__version__},
+                "suites": [{"name": r.name, "seconds": r.seconds} for r in results]}
+    _write_text(args.out / "identities_manifest.json",
+                json.dumps(manifest, indent=2) + "\n")
     failures = [r for r in results if not r.passed]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}"
@@ -273,6 +287,9 @@ def _kernels_from(doc: dict, base: Path):
         if len(set(ks)) != len(ks):
             raise fm.ConfigError(f"k_values repeats a value: {ks}")
         return [(k, fm.gen_block_kernel(m, n, k)) for k in ks], (m, n)
+    if sources and "k_values" in doc:
+        raise fm.ConfigError(f"k_values applies to a block kernel only; "
+                             f"a {sources[0]} kernel is run once")
     try:
         if "file" in kspec:
             if not isinstance(kspec["file"], str):
@@ -382,6 +399,8 @@ def run_experiment(doc: dict, base: Path) -> tuple:
 
 
 def _cmd_experiment(args) -> int:
+    if not _out_dir_ok(args.out):
+        return EXIT_USAGE
     try:
         doc = _load_config(args.config)
         csv_text, result = run_experiment(doc, args.config.parent)
@@ -398,6 +417,20 @@ def _cmd_experiment(args) -> int:
     print(f"experiment complete: verdict {'PASS' if result['pass'] else 'FAIL'} "
           f"({args.out / 'verdict.json'})")
     return EXIT_OK
+
+
+def _out_dir_ok(out: Path) -> bool:
+    """Whether ``--out`` names a directory or a path creatable as one: its
+    nearest existing ancestor (or itself) must be a directory.  Prints the
+    error otherwise."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if path.is_dir():
+                return True
+            print(f"error: --out {out}: {path} exists and is not a directory",
+                  file=sys.stderr)
+            return False
+    return True
 
 
 def _write_text(path: Path, text: str) -> None:

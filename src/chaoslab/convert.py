@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import EC, ExactComplex, ZERO, i_power
+from .exact import EC, ExactComplex, ONE, ZERO, i_power
 
 TrigPair = Tuple[Fraction, Fraction]
 
@@ -313,26 +313,32 @@ def hermite_to_complex_coeffs(n: int, theta) -> list:
     Here |f|^2 + |g|^2 = 1 and h = sqrt(2) e^{i t} (f - i g).  Exact
     (cos, sin) input gives exact output.
 
-        d_k = 2^-n sum_{r+s=k} (-1)^s sum_l C(n,l) C(l,r) C(n-l,s)
-                  cos^l t (i sin t)^{n-l}
+        d_k = 2^-n sum_l W(k,l) p_l,   p_l = C(n,l) cos^l t (i sin t)^{n-l},
+        W(k,l) = sum_{r+s=k} (-1)^s C(l,r) C(n-l,s)
+
+    The powers of cos t and i sin t are built incrementally, so each p_l is
+    formed once per call, and every W(k,l) is an integer.
     """
     if isinstance(theta, tuple):
         cos_t, sin_t = Fraction(theta[0]), Fraction(theta[1])
         if cos_t * cos_t + sin_t * sin_t != 1:
             raise ValueError("(cos, sin) must lie on the unit circle")
-        cos_t, i_sin_t, zero = EC(cos_t), EC(0, sin_t), ZERO
+        cos_t, i_sin_t, one, zero = EC(cos_t), EC(0, sin_t), ONE, ZERO
     else:
-        cos_t, i_sin_t, zero = math.cos(theta), 1j * math.sin(theta), 0j
+        cos_t, i_sin_t, one, zero = math.cos(theta), 1j * math.sin(theta), 1.0, 0j
+    cos_pow, i_sin_pow = [one], [one]
+    for _ in range(n):
+        cos_pow.append(cos_pow[-1] * cos_t)
+        i_sin_pow.append(i_sin_pow[-1] * i_sin_t)
+    p = [math.comb(n, l) * cos_pow[l] * i_sin_pow[n - l] for l in range(n + 1)]
     out = []
     for k in range(n + 1):
         acc = zero
-        for r in range(k + 1):
-            s = k - r
-            sign = (-1) ** s
-            for l in range(n + 1):
-                w = math.comb(n, l) * math.comb(l, r) * math.comb(n - l, s)
-                if w:
-                    acc = acc + sign * w * cos_t ** l * i_sin_t ** (n - l)
+        for l in range(n + 1):
+            w = sum((-1) ** (k - r) * math.comb(l, r) * math.comb(n - l, k - r)
+                    for r in range(min(k, l) + 1))
+            if w:
+                acc = acc + w * p[l]
         out.append(acc / 2 ** n)
     return out
 

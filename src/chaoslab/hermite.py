@@ -17,6 +17,20 @@ as J_{m,n} = rho^(m+n) (a*)^m (a~*)^n 1, so J_{0,0} = 1, J_{1,0} = z and
 J_{1,1} = z zbar - rho.  Both families are eigenfunctions of the
 Ornstein-Uhlenbeck generator implemented by :func:`ou_apply`.
 
+The real-coordinate constructions are closed binomial forms, with integer
+weights summed before any exact coefficient is multiplied in.  From
+x = (z + zbar)/2 and y = (z - zbar)/(2i),
+
+    x^i y^j = 2^-(i+j) (-i)^j sum_{r<=i, s<=j} C(i,r) C(j,s) (-1)^(j-s)
+                                  z^(r+s) zbar^(i+j-r-s),
+
+and a linear form cx x + cy y equals alpha z + beta zbar with
+alpha = (cx - i cy)/2, beta = (cx + i cy)/2, so
+
+    H_n(cx x + cy y) = sum_k c_k sum_r C(k,r) alpha^r beta^(k-r) z^r zbar^(k-r)
+
+for H_n = sum_k c_k x^k.
+
 Floating evaluation (:func:`evaluate`) uses the radial form: every term
 z^a zbar^b equals w^|a-b| s^min(a,b), with s = |z|^2 and w = z for a >= b,
 w = zbar otherwise.  Terms of one angular frequency d = a - b share w^|d|,
@@ -35,7 +49,7 @@ from typing import Dict, Mapping, Tuple, Union
 
 import numpy as np
 
-from .exact import EC, ExactComplex, HALF, I_UNIT, ZERO, i_power
+from .exact import EC, ExactComplex, HALF, I_UNIT, ONE, ZERO, i_power
 
 Scalar = Union[int, Fraction, ExactComplex]
 ExponentPair = Tuple[int, int]
@@ -83,13 +97,26 @@ class BiPoly:
 
     @classmethod
     def from_xy(cls, xy_terms: Mapping[ExponentPair, Scalar]) -> "BiPoly":
-        """Build from a real-coordinate map (i, j) -> coeff of x^i y^j."""
-        x = cls({(1, 0): HALF, (0, 1): HALF})                 # (z + zbar)/2
-        y = cls({(1, 0): -HALF * I_UNIT, (0, 1): HALF * I_UNIT})  # (z - zbar)/(2i)
-        out = cls()
+        """Build from a real-coordinate map (i, j) -> coeff of x^i y^j.
+
+        Each term expands by the closed form of the module docstring: the
+        integer weights sum_{r+s=a} C(i,r) C(j,s) (-1)^(j-s) of z^a zbar^(i+j-a)
+        are summed first, then scaled once by coeff (-i)^j / 2^(i+j).
+        """
+        out: Dict[ExponentPair, ExactComplex] = {}
         for (i, j), coeff in xy_terms.items():
-            out = out + _ec(coeff) * (x ** i) * (y ** j)
-        return out
+            weights = [0] * (i + j + 1)
+            for r in range(i + 1):
+                ci = math.comb(i, r)
+                for s in range(j + 1):
+                    w = ci * math.comb(j, s)
+                    weights[r + s] += -w if (j - s) % 2 else w
+            base = _ec(coeff) * i_power(-j)
+            for a, w in enumerate(weights):
+                if w:
+                    key = (a, i + j - a)
+                    out[key] = out.get(key, ZERO) + base * Fraction(w, 1 << (i + j))
+        return cls(out)
 
     # -- inspection --------------------------------------------------------
 
@@ -146,18 +173,6 @@ class BiPoly:
         return BiPoly({k: c * v for k, v in self._terms.items()})
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = BiPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
@@ -304,24 +319,38 @@ def hermite_coeffs(n: int) -> Tuple[int, ...]:
     return tuple(sign * c for c in p)
 
 
+@lru_cache(maxsize=None)
 def real_hermite(n: int) -> BiPoly:
     """H_n as a BiPoly in the variable x = Re z (univariate in x)."""
     return BiPoly.from_xy({(k, 0): c for k, c in enumerate(hermite_coeffs(n)) if c})
 
 
+@lru_cache(maxsize=None)
 def real_hermite_y(n: int) -> BiPoly:
     """H_n in the variable y = Im z."""
     return BiPoly.from_xy({(0, k): c for k, c in enumerate(hermite_coeffs(n)) if c})
 
 
 def hermite_of_linear(n: int, cx, cy) -> BiPoly:
-    """H_n(cx * x + cy * y) as an exact BiPoly (cx, cy rational or ExactComplex)."""
-    lin = BiPoly.from_xy({(1, 0): cx, (0, 1): cy})
-    out = BiPoly()
+    """H_n(cx * x + cy * y) as an exact BiPoly (cx, cy rational or ExactComplex).
+
+    By the closed form of the module docstring: the term z^r zbar^(k-r) has
+    coefficient c_k C(k,r) alpha^r beta^(k-r), and each key comes from one k,
+    so nothing is summed.  The powers of alpha and beta are built once.
+    """
+    cx, cy = _ec(cx), _ec(cy)
+    alpha = (cx - I_UNIT * cy) * HALF
+    beta = (cx + I_UNIT * cy) * HALF
+    alpha_pow, beta_pow = [ONE], [ONE]
+    for _ in range(n):
+        alpha_pow.append(alpha_pow[-1] * alpha)
+        beta_pow.append(beta_pow[-1] * beta)
+    out: Dict[ExponentPair, ExactComplex] = {}
     for k, c in enumerate(hermite_coeffs(n)):
         if c:
-            out = out + c * (lin ** k)
-    return out
+            for r in range(k + 1):
+                out[(r, k - r)] = alpha_pow[r] * beta_pow[k - r] * (c * math.comb(k, r))
+    return BiPoly(out)
 
 
 # -- complex Hermite polynomials -------------------------------------------------

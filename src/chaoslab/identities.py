@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
@@ -24,9 +25,13 @@ MAX_SYMBOLIC_DEGREE = 8
 
 @dataclass(frozen=True)
 class IdentityResult:
+    """One suite's outcome.  ``seconds`` is its wall time, set by
+    :func:`run_identity_suites`; it takes no part in equality."""
+
     name: str
     passed: bool
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)
 
 
 def _exact_trig_pairs() -> List[Tuple[Fraction, Fraction]]:
@@ -191,11 +196,11 @@ def suite_pair_reconstruction(max_degree: int,
     for n in range(max_degree + 1):
         grid = convert.exact_grid(n)
         am = convert.build_angle_matrix_exact(grid)
+        rotated = [hermite.hermite_of_linear(n, c, s) for c, s in grid.trig]
         for l in range(n + 1):
             rhs = hermite.BiPoly()
             for k in range(n + 1):
-                cos_t, sin_t = grid.trig[k]
-                rhs = rhs + EC(am.minv(l, k)) * hermite.hermite_of_linear(n, cos_t, sin_t)
+                rhs = rhs + EC(am.minv(l, k)) * rotated[k]
             want = hermite.real_hermite(l) * hermite.real_hermite_y(n - l)
             if rhs != want:
                 return IdentityResult("pair-reconstruction", False,
@@ -230,11 +235,12 @@ def suite_complex_reconstruction(max_degree: int) -> IdentityResult:
     for n in range(max_degree + 1):
         grid = convert.exact_grid(n)
         am = convert.build_angle_matrix_exact(grid)
+        rotated = [hermite.hermite_of_linear(n, c, s) for c, s in grid.trig]
         for k in range(n + 1):
             coeffs = convert.complex_to_hermite_coeffs(n, k, grid, am)
             rhs = hermite.BiPoly()
-            for i, (cos_t, sin_t) in enumerate(grid.trig):
-                rhs = rhs + coeffs[i] * hermite.hermite_of_linear(n, cos_t, sin_t)
+            for c, poly in zip(coeffs, rotated):
+                rhs = rhs + c * poly
             if rhs != hermite.complex_hermite(k, n - k):
                 return IdentityResult("complex-reconstruction", False,
                                       f"n={n}, k={k}")
@@ -302,6 +308,12 @@ SUITES: List[Callable[[int], IdentityResult]] = [
 
 
 def run_identity_suites(max_degree: int) -> List[IdentityResult]:
+    """Every suite's result, in ``SUITES`` order, each with its wall time."""
     if not 0 <= max_degree <= MAX_SYMBOLIC_DEGREE:
         raise ValueError(f"max_degree must be within 0..{MAX_SYMBOLIC_DEGREE}")
-    return [suite(max_degree) for suite in SUITES]
+    results = []
+    for suite in SUITES:
+        start = time.perf_counter()
+        result = suite(max_degree)
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results

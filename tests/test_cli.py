@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from chaoslab import cli, hermite
+from chaoslab import cli, hermite, identities
 from chaoslab.exact import EC
 from chaoslab.hermite import BiPoly
 from chaoslab.tensor import ComplexKernel, dump_kernel
@@ -37,6 +37,37 @@ class TestIdentities:
     def test_bad_arguments(self, tmp_path):
         assert run_cli("identities", "--out", str(tmp_path)) == 64
         assert run_cli("frobnicate") == 64
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_manifest_times_every_suite_outside_the_report(self, tmp_path, monkeypatch, fmt):
+        # a clock whose steps grow, so every suite and every run reads a new time
+        ticks = iter(range(10 ** 6))
+        monkeypatch.setattr(identities.time, "perf_counter", lambda: next(ticks) ** 2 / 64)
+        reports = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert run_cli("identities", "--max-degree", "1", "--out", str(out),
+                           "--format", fmt) == 0
+            manifest = json.loads((out / "identities_manifest.json").read_text())
+            assert manifest["max_degree"] == 1
+            assert set(manifest["versions"]) == {"chaoslab", "numpy", "scipy"}
+            want = [r.name for r in identities.run_identity_suites(0)]
+            assert [s["name"] for s in manifest["suites"]] == want
+            assert all(s["seconds"] >= 0 for s in manifest["suites"])
+            reports.append((manifest["suites"],
+                            (out / f"identities_report.{fmt}").read_bytes()))
+        # the two runs were timed differently, yet wrote the same report
+        assert reports[0][0] != reports[1][0]
+        assert reports[0][1] == reports[1][1]
+        assert b"second" not in reports[0][1]
+
+    def test_out_naming_a_file_exits_64(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me")
+        for out in (taken, taken / "sub"):
+            assert run_cli("identities", "--max-degree", "1", "--out", str(out)) == 64
+            assert "not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "keep me"
 
     def test_tampered_coefficient_fails_with_name(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -388,3 +419,30 @@ class TestExperimentConfigChecks:
         cfg.write_text(json.dumps({**BASE_CONFIG, "k_values": [1, 1]}))
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["file", "inline"])
+    def test_k_values_with_a_file_or_inline_kernel_exit_65(self, tmp_path, monkeypatch,
+                                                           capsys, source):
+        # such a kernel runs once; k_values used to be dropped without a word
+        monkeypatch.setattr(cli.fm, "estimate", _no_sampling)
+        text = "1 1 1\n0 0 1 0\n"
+        (tmp_path / "kern.txt").write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "n_samples": 200, "k_values": [1, 4, 16],
+            "kernel": {source: "kern.txt" if source == "file" else text},
+            "criterion": {"case": "gaussian-diag", "sigma2": 1.0, "a": 1.0}}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        assert "k_values" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_out_naming_a_file_exits_64(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.fm, "estimate", _no_sampling)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(BASE_CONFIG))
+        taken = tmp_path / "taken"
+        taken.write_text("keep me")
+        for out in (taken, taken / "sub"):
+            assert run_cli("experiment", str(cfg), "--out", str(out)) == 64
+            assert "not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "keep me"

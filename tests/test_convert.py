@@ -174,6 +174,29 @@ class TestHermiteToComplex:
             assert via == d[k]
 
 
+def hermite_to_complex_by_triple_loop(n, cos_t, sin_t):
+    """The defining sum of d_k, term by term, with a power per term."""
+    c, i_s = EC(cos_t), EC(0, sin_t)
+    out = []
+    for k in range(n + 1):
+        acc = ZERO
+        for r in range(k + 1):
+            for l in range(n + 1):
+                w = math.comb(n, l) * math.comb(l, r) * math.comb(n - l, k - r)
+                acc = acc + (-1) ** (k - r) * w * c ** l * i_s ** (n - l)
+        out.append(acc * Fraction(1, 2 ** n))
+    return out
+
+
+@pytest.mark.parametrize("trig", [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
+                                  (Fraction(4, 5), Fraction(-3, 5)),
+                                  (Fraction(-33, 65), Fraction(56, 65))])
+@pytest.mark.parametrize("n", range(9))
+def test_hermite_to_complex_matches_the_triple_loop(n, trig):
+    assert convert.hermite_to_complex_coeffs(n, trig) == \
+        hermite_to_complex_by_triple_loop(n, *trig)
+
+
 class TestComplexToHermite:
     def test_degree_zero(self):
         g = convert.exact_grid(0)

@@ -13,7 +13,7 @@ from chaoslab.exact import EC, ZERO, ExactComplex
 from chaoslab.hermite import (BiPoly, HermiteIndex, complex_hermite, evaluate,
                               expand_monomial, hermite_coeffs, hermite_of_linear,
                               ou_apply, ou_apply_numeric, ou_eigenvalue,
-                              real_hermite)
+                              real_hermite, real_hermite_y)
 
 
 def sympy_hermite_coeffs(n):
@@ -180,6 +180,7 @@ class TestMonomialExpansion:
 
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+exact_coeffs = st.builds(ExactComplex, small_fracs, small_fracs, small_fracs, small_fracs)
 
 
 @given(st.dictionaries(
@@ -190,6 +191,64 @@ small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 def test_xy_form_is_an_exact_bijection(terms):
     p = BiPoly(terms)
     assert BiPoly.from_xy(p.to_xy()) == p
+
+
+# -- closed-form constructions against products of linear factors ----------------
+
+# x = (z + zbar)/2 and y = (z - zbar)/(2i), multiplied out with BiPoly's own
+# product: the reference the closed forms must equal
+X_REF = BiPoly({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
+Y_REF = BiPoly({(1, 0): EC(0, Fraction(-1, 2)), (0, 1): EC(0, Fraction(1, 2))})
+
+
+def power_by_products(p, k):
+    out = BiPoly.constant(1)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def from_xy_by_products(xy_terms):
+    out = BiPoly()
+    for (i, j), c in xy_terms.items():
+        out = out + c * power_by_products(X_REF, i) * power_by_products(Y_REF, j)
+    return out
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                       exact_coeffs, max_size=6))
+@example({})
+@example({(2, 0): EC(1), (0, 2): EC(1)})     # |z|^2: the z^2 and zbar^2 keys cancel
+@example({(2, 0): EC(1), (0, 2): EC(-1)})    # Re z^2: the z zbar key cancels
+@example({(1, 0): EC(1), (0, 1): EC(0, 1)})  # z: the zbar key cancels
+@example({(8, 0): ExactComplex(0, 0, 1, 1), (0, 8): EC(-3), (3, 5): EC(0, 2)})
+@settings(max_examples=60, deadline=None)
+def test_from_xy_matches_products_of_x_and_y(xy_terms):
+    assert BiPoly.from_xy(xy_terms) == from_xy_by_products(xy_terms)
+
+
+@pytest.mark.parametrize("cx, cy", [
+    (Fraction(1), Fraction(0)), (Fraction(3, 5), Fraction(4, 5)),
+    (Fraction(-5, 13), Fraction(12, 13)), (Fraction(8, 17), Fraction(-15, 17)),
+    (ExactComplex(0, 0, Fraction(1, 2), 0), ExactComplex(0, 0, Fraction(1, 2), 0)),
+    (ExactComplex(1, 2, 0, -1), EC(Fraction(-1, 3), Fraction(1, 4))),
+], ids=["axis", "3-4-5", "5-12-13", "8-15-17", "sqrt2-diagonal", "complex"])
+@pytest.mark.parametrize("n", range(9))
+def test_hermite_of_linear_matches_powers_of_the_linear_form(n, cx, cy):
+    lin = cx * X_REF + cy * Y_REF
+    want = BiPoly()
+    for k, c in enumerate(hermite_coeffs(n)):
+        want = want + c * power_by_products(lin, k)
+    assert hermite_of_linear(n, cx, cy) == want
+
+
+def test_cached_real_hermites_survive_a_mutated_terms_copy():
+    # H_5 = x^5 - 10 x^3 + 15 x; its odd powers of y carry the sign of (-i)^j
+    for make, key in ((real_hermite, lambda k: (k, 0)), (real_hermite_y, lambda k: (0, k))):
+        want = {key(5): EC(1), key(3): EC(-10), key(1): EC(15)}
+        make(5).terms().clear()
+        assert make(5) is make(5)
+        assert make(5).to_xy() == want
 
 
 def test_linear_composition_matches_pointwise():
@@ -220,7 +279,6 @@ def term_scale(p, z):
 # dyadic coordinates with 30-bit fractions, so the floats hold them exactly
 # and the products need rounding
 dyadics = st.builds(lambda k: Fraction(k, 1 << 30), st.integers(-(3 << 30), 3 << 30))
-exact_coeffs = st.builds(ExactComplex, small_fracs, small_fracs, small_fracs, small_fracs)
 
 
 @given(terms=st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
