@@ -3,9 +3,8 @@ fourth-moment Monte Carlo harness over finite-dimensional Gaussian processes.
 """
 
 from .exact import EC, ExactComplex
-from .hermite import (BiPoly, HermiteIndex, complex_hermite, evaluate,
-                      expand_monomial, hermite_coeffs, ou_apply,
-                      ou_apply_numeric, real_hermite)
+from .hermite import (BiPoly, complex_hermite, evaluate, expand_monomial,
+                      hermite_coeffs, ou_apply, ou_apply_numeric, real_hermite)
 from .wick import (GaussPoly, GaussianFamily, expect, expect_complex,
                    isserlis_moment)
 from .convert import (AngleMatrix, ConversionTable, IllConditionedError,

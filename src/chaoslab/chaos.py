@@ -35,10 +35,10 @@ import numpy as np
 from scipy.special import ndtri
 
 from .convert import conversion_tables
-from .exact import EC, ExactComplex, ZERO, half_power
+from .exact import EC, ExactComplex, half_power
 from .hermite import BiPoly, complex_hermite, hermite_coeffs
 from .tensor import ComplexKernel, SymTensor, multiplicity_factor
-from .wick import GaussianFamily, GaussPoly, expect
+from .wick import GaussianFamily, GaussPoly, embed, expect
 
 ChaosElementT = Union[SymTensor, ComplexKernel]
 
@@ -204,11 +204,6 @@ def eval_complex(phi: ComplexKernel, batch: SampleBatch) -> np.ndarray:
 # -- real-pair decomposition ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _c2r_table(degree: int):
-    return conversion_tables(degree)[0]
-
-
 def decompose(phi: ComplexKernel) -> Tuple[SymTensor, SymTensor]:
     """Real tensors (u, v) with I_{m,n}(phi) = I_{m+n}(u) + i I_{m+n}(v) pathwise.
 
@@ -231,7 +226,7 @@ def decompose(phi: ComplexKernel) -> Tuple[SymTensor, SymTensor]:
         combos: List[Tuple[Dict[int, Tuple[int, int]], ExactComplex]] = [({}, base)]
         for k, a, b in _coord_degrees(ta, tb):
             l = a + b
-            table = _c2r_table(l)
+            table = conversion_tables(l)[0]
             new_combos = []
             for assign, cf in combos:
                 for j in range(l + 1):
@@ -271,19 +266,10 @@ def real_element_poly(f: SymTensor) -> GaussPoly:
     for key, val in f.data.items():
         term = GaussPoly.constant(dim, EC(multiplicity_factor(key)) * val)
         for coord in sorted(set(key)):
-            term = term * _hermite_gauss_poly(dim, coord, key.count(coord))
+            h = hermite_coeffs(key.count(coord))
+            term = term * embed({(k,): c for k, c in enumerate(h)}, (coord,), dim)
         out = out + term
     return out
-
-
-def _hermite_gauss_poly(dim: int, coord: int, degree: int) -> GaussPoly:
-    terms = {}
-    for k, c in enumerate(hermite_coeffs(degree)):
-        if c:
-            exps = [0] * dim
-            exps[coord] = k
-            terms[tuple(exps)] = c
-    return GaussPoly(dim, terms)
 
 
 def complex_element_poly(phi: ComplexKernel) -> GaussPoly:
@@ -298,15 +284,7 @@ def complex_element_poly(phi: ComplexKernel) -> GaussPoly:
         coeff = EC(multiplicity_factor(ta) * multiplicity_factor(tb)) * val * scale
         term = GaussPoly.constant(dim, coeff)
         for k, a, b in _coord_degrees(ta, tb):
-            p = _j_poly(a, b)
-            sub = {}
-            for (i, j), c in p.to_xy().items():
-                exps = [0] * dim
-                exps[k] = i
-                exps[D + k] = j
-                key = tuple(exps)
-                sub[key] = sub.get(key, ZERO) + c
-            term = term * GaussPoly(dim, sub)
+            term = term * embed(_j_poly(a, b).to_xy(), (k, D + k), dim)
         out = out + term
     return out
 

@@ -163,12 +163,7 @@ def _factor_poly(spec: dict, complex_dim: int) -> tuple:
 
 def _cmd_oracle(args) -> int:
     try:
-        text = args.expr_file.read_text()
-    except FileNotFoundError:
-        print(f"error: no such expression file: {args.expr_file}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        doc = json.loads(text)
+        doc = json.loads(_read_input(args.expr_file, "expression file"))
         if not isinstance(doc, dict) or "terms" not in doc:
             raise ValueError("expression file must be an object with a 'terms' list")
         dim = _int_value(doc.get("complex_dim", 1), "complex_dim", 1)
@@ -207,11 +202,19 @@ def _cmd_oracle(args) -> int:
 # -- experiment ----------------------------------------------------------------------
 
 
-def _load_config(path: Path) -> dict:
+def _read_input(path: Path, what: str) -> str:
+    """The text of a config or expression file.  A missing file, a directory
+    and a file that is not UTF-8 are malformed input (ConfigError)."""
     try:
-        text = path.read_text()
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise fm.ConfigError(f"no such config file: {path}")
+        raise fm.ConfigError(f"no such {what}: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise fm.ConfigError(f"cannot read {what} {path}: {exc}")
+
+
+def _load_config(path: Path) -> dict:
+    text = _read_input(path, "config file")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -156,10 +157,12 @@ def _real_to_complex_entry(n: int, k: int, m: int) -> ExactComplex:
     return i_power(n - k) * EC(Fraction(acc, 2 ** n))
 
 
+@lru_cache(maxsize=None)
 def conversion_tables(n: int) -> Tuple[ConversionTable, ConversionTable]:
     """Exact tables (complex_to_real, real_to_complex) at total degree n.
 
-    The two matrices are exact inverses of one another.
+    The two matrices are exact inverses of one another.  Both are immutable,
+    so one pair per degree is built and shared.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -213,7 +216,11 @@ class AngleMatrix:
         return float(self.inverse[l, k])
 
 
-def build_angle_matrix(grid: ThetaGrid, residual_tol: float = 1e-10) -> AngleMatrix:
+# largest entry of |M Minv - I| a floating angle matrix may leave
+RESIDUAL_TOL = 1e-10
+
+
+def build_angle_matrix(grid: ThetaGrid) -> AngleMatrix:
     """LU inverse of the angle matrix, with an infinity-norm residual check."""
     n = grid.n
     m = np.empty((n + 1, n + 1))
@@ -224,9 +231,9 @@ def build_angle_matrix(grid: ThetaGrid, residual_tol: float = 1e-10) -> AngleMat
     det = float(np.linalg.det(m))
     inv = np.linalg.inv(m)
     resid = np.abs(m @ inv - np.eye(n + 1)).max()
-    if resid > residual_tol:
+    if resid > RESIDUAL_TOL:
         raise IllConditionedError(
-            f"angle matrix residual {resid:.3e} exceeds {residual_tol:.1e}; "
+            f"angle matrix residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}; "
             "grid angles are too close")
     return AngleMatrix(grid, m, det, inv)
 

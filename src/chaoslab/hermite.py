@@ -1,9 +1,12 @@
 """Real and complex Hermite polynomials with exact coefficient algebra.
 
-``BiPoly`` stores a polynomial in one complex variable ``z`` and its
-conjugate ``zbar`` with coefficients in Q(i, sqrt(2)).  Writing
-``z = x + i y`` gives an equivalent real form in ``(x, y)``; the two forms
-convert exactly in both directions.
+``BiPoly`` is a polynomial in one complex variable ``z`` and its conjugate
+``zbar`` with coefficients in Q(i, sqrt(2)).  It is the two-variable case of
+``wick.GaussPoly``, the package's one sparse exact polynomial class, and
+adds only what is particular to (z, zbar): the derivatives, the conjugation
+that swaps z and zbar, and the real form.  Writing ``z = x + i y`` gives an
+equivalent real form in ``(x, y)``; the two forms convert exactly in both
+directions.
 
 The real Hermite polynomials H_n follow the probabilists' normalization
 H_n(x) = (-1)^n exp(x^2/2) d^n/dx^n exp(-x^2/2) (leading coefficient 1).
@@ -42,7 +45,6 @@ frequency m - n, which gives the Laguerre form z^(m-n) q(|z|^2) for m >= n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Mapping, Tuple, Union
@@ -50,6 +52,7 @@ from typing import Dict, Mapping, Tuple, Union
 import numpy as np
 
 from .exact import EC, ExactComplex, HALF, I_UNIT, ONE, ZERO, i_power
+from .wick import GaussPoly
 
 Scalar = Union[int, Fraction, ExactComplex]
 ExponentPair = Tuple[int, int]
@@ -59,27 +62,21 @@ def _ec(x) -> ExactComplex:
     return ExactComplex.coerce(x)
 
 
-class BiPoly:
-    """Polynomial in (z, zbar) with ExactComplex coefficients.
-
-    Keys of the term map are pairs (a, b): the degree in z and in zbar.
-    Instances are immutable; all arithmetic is exact.  ``_plan`` holds the
-    floating radial plan of :func:`evaluate`, built on first use.
+class BiPoly(GaussPoly):
+    """Polynomial in (z, zbar) with ExactComplex coefficients: the
+    two-variable ``GaussPoly`` whose key (a, b) is the degree in z and in
+    zbar.  ``_plan`` holds the floating radial plan of :func:`evaluate`,
+    built on first use.
     """
 
-    __slots__ = ("_terms", "_plan")
+    __slots__ = ("_plan",)
 
     def __init__(self, terms: Mapping[ExponentPair, Scalar] | None = None):
-        cleaned: Dict[ExponentPair, ExactComplex] = {}
-        if terms:
-            for (a, b), coeff in terms.items():
-                if a < 0 or b < 0:
-                    raise ValueError(f"negative exponent pair ({a}, {b})")
-                c = _ec(coeff)
-                if not c.is_zero():
-                    cleaned[(int(a), int(b))] = c
-        self._terms = cleaned
-        self._plan = None
+        super().__init__(2, terms)
+
+    # bound here, not only inherited, so that a profiler wrapping this class's
+    # own attributes counts BiPoly products apart from GaussPoly ones
+    __mul__ = __rmul__ = GaussPoly.__mul__
 
     # -- constructors ------------------------------------------------------
 
@@ -118,87 +115,20 @@ class BiPoly:
                     out[key] = out.get(key, ZERO) + base * Fraction(w, 1 << (i + j))
         return cls(out)
 
-    # -- inspection --------------------------------------------------------
-
-    def terms(self) -> Dict[ExponentPair, ExactComplex]:
-        return dict(self._terms)
+    # -- (z, zbar) structure ---------------------------------------------------
 
     def coefficient(self, a: int, b: int) -> ExactComplex:
         return self._terms.get((a, b), ZERO)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def degree(self) -> int:
-        return max((a + b for a, b in self._terms), default=0)
-
-    # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other):
-        o = other if isinstance(other, BiPoly) else BiPoly.constant(other)
-        out = dict(self._terms)
-        for key, coeff in o._terms.items():
-            s = out.get(key, ZERO) + coeff
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = other if isinstance(other, BiPoly) else BiPoly.constant(other)
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return BiPoly.constant(other) - self
-
-    def __neg__(self):
-        return BiPoly({k: -c for k, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, BiPoly):
-            out: Dict[ExponentPair, ExactComplex] = {}
-            for (a1, b1), c1 in self._terms.items():
-                for (a2, b2), c2 in other._terms.items():
-                    key = (a1 + a2, b1 + b2)
-                    s = out.get(key, ZERO) + c1 * c2
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-            return BiPoly(out)
-        c = _ec(other)
-        return BiPoly({k: c * v for k, v in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self):
-        if not self._terms:
-            return "BiPoly(0)"
-        bits = [f"z^{a} zb^{b}: {c!r}" for (a, b), c in sorted(self._terms.items())]
-        return "BiPoly{" + ", ".join(bits) + "}"
-
     def conj(self) -> "BiPoly":
         """Complex conjugate: conjugate coefficients, swap z and zbar powers."""
-        return BiPoly({(b, a): c.conjugate() for (a, b), c in self._terms.items()})
+        return self._make({(b, a): c.conjugate() for (a, b), c in self._terms.items()})
 
     def d_z(self) -> "BiPoly":
-        return BiPoly({(a - 1, b): a * c for (a, b), c in self._terms.items() if a})
+        return self._make({(a - 1, b): a * c for (a, b), c in self._terms.items() if a})
 
     def d_zbar(self) -> "BiPoly":
-        return BiPoly({(a, b - 1): b * c for (a, b), c in self._terms.items() if b})
-
-    # -- coordinate forms ----------------------------------------------------
+        return self._make({(a, b - 1): b * c for (a, b), c in self._terms.items() if b})
 
     def to_xy(self) -> Dict[ExponentPair, ExactComplex]:
         """Exact real-coordinate form: map (i, j) -> coeff of x^i y^j."""
@@ -216,8 +146,6 @@ class BiPoly:
                     else:
                         out[key] = val
         return out
-
-    # -- evaluation -----------------------------------------------------------
 
     def __call__(self, z):
         return evaluate(self, z)
@@ -265,7 +193,7 @@ def evaluate(p: BiPoly, z):
     the in-place ones update an array the body allocated itself or rebind a
     scalar.
     """
-    plan = p._plan
+    plan = getattr(p, "_plan", None)  # unset on a result of arithmetic
     if plan is None:
         plan = p._plan = _radial_plan(p)
     array = isinstance(z, np.ndarray)
@@ -356,20 +284,11 @@ def hermite_of_linear(n: int, cx, cy) -> BiPoly:
 # -- complex Hermite polynomials -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HermiteIndex:
-    """Index (m, n) and scale rho > 0 of a complex Hermite polynomial."""
-
-    m: int
-    n: int
-    rho: Fraction = Fraction(2)
-
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
-            raise ValueError("indices must be nonnegative")
-        object.__setattr__(self, "rho", Fraction(self.rho))
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+def _check_rho(rho) -> Fraction:
+    rho = Fraction(rho)
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    return rho
 
 
 def _create(p: BiPoly, rho: Fraction) -> BiPoly:
@@ -382,8 +301,18 @@ def _create_bar(p: BiPoly, rho: Fraction) -> BiPoly:
     return -p.d_z() + BiPoly({(0, 1): Fraction(1, 1) / rho}) * p
 
 
+def complex_hermite(m: int, n: int, rho=Fraction(2)) -> BiPoly:
+    """J_{m,n}(z, rho) built by repeated creation-operator application.
+
+    m and n must be nonnegative integers and rho positive.
+    """
+    if not all(isinstance(i, int) and i >= 0 for i in (m, n)):
+        raise ValueError(f"indices must be nonnegative integers, got ({m!r}, {n!r})")
+    return _complex_hermite(m, n, _check_rho(rho))
+
+
 @lru_cache(maxsize=None)
-def _complex_hermite_cached(m: int, n: int, rho: Fraction) -> BiPoly:
+def _complex_hermite(m: int, n: int, rho: Fraction) -> BiPoly:
     p = BiPoly.constant(1)
     for _ in range(n):
         p = _create_bar(p, rho)
@@ -392,28 +321,7 @@ def _complex_hermite_cached(m: int, n: int, rho: Fraction) -> BiPoly:
     return EC(rho ** (m + n)) * p
 
 
-def complex_hermite(idx, n: int | None = None, rho=Fraction(2)) -> BiPoly:
-    """J_{m,n}(z, rho) built by repeated creation-operator application.
-
-    Accepts either a HermiteIndex or plain (m, n[, rho]) arguments.
-    """
-    if isinstance(idx, HermiteIndex):
-        m, n, rho = idx.m, idx.n, idx.rho
-    else:
-        m = idx
-        if n is None:
-            raise TypeError("complex_hermite needs (m, n) or a HermiteIndex")
-    return _complex_hermite_cached(int(m), int(n), Fraction(rho))
-
-
 # -- Ornstein-Uhlenbeck generator ------------------------------------------------
-
-
-def _check_rho(rho) -> Fraction:
-    rho = Fraction(rho)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return rho
 
 
 def ou_apply(p: BiPoly, trig: Tuple[Fraction, Fraction], rho=Fraction(2)) -> BiPoly:

@@ -21,6 +21,10 @@ from . import convert, hermite
 from .exact import EC, ONE, ZERO
 
 MAX_SYMBOLIC_DEGREE = 8
+# sizes of the floating checks at random or generic inputs
+OU_RANDOM_ANGLES = 20
+PAIR_SAMPLE_POINTS = 100
+DETERMINANT_RANDOM_GRIDS = 50
 
 
 @dataclass(frozen=True)
@@ -104,8 +108,7 @@ def suite_conjugation_symmetry(max_degree: int) -> IdentityResult:
     return IdentityResult("conjugation-symmetry", True)
 
 
-def suite_ou_eigenrelation(max_degree: int,
-                           random_angles: int = 20) -> IdentityResult:
+def suite_ou_eigenrelation(max_degree: int) -> IdentityResult:
     """Generator eigenrelation: exact at rational-trig angles, 1e-12 at random ones."""
     trigs = [(Fraction(1), Fraction(0)), (Fraction(4, 5), Fraction(3, 5)),
              (Fraction(4, 5), Fraction(-3, 5)), (Fraction(3, 5), Fraction(4, 5))]
@@ -119,7 +122,7 @@ def suite_ou_eigenrelation(max_degree: int,
                     return IdentityResult("ou-eigenrelation", False,
                                           f"exact (m,n)=({m},{n}), trig=({cos_t},{sin_t})")
     rng = random.Random(1812)
-    for _ in range(random_angles):
+    for _ in range(OU_RANDOM_ANGLES):
         theta = rng.uniform(-math.pi / 2 + 0.05, math.pi / 2 - 0.05)
         for m in range(min(max_degree, 3) + 1):
             for n in range(min(max_degree, 3) + 1 - m):
@@ -135,7 +138,7 @@ def suite_ou_eigenrelation(max_degree: int,
     return IdentityResult("ou-eigenrelation", True)
 
 
-def suite_hermite_recurrence(max_degree: int = 12) -> IdentityResult:
+def suite_hermite_recurrence(max_degree: int) -> IdentityResult:
     """Derived check: the three-term recurrence against the derivative definition."""
     for n in range(1, max(max_degree, 12)):
         h_prev = hermite.hermite_coeffs(n - 1)
@@ -190,8 +193,7 @@ def suite_rotation_to_complex(max_degree: int) -> IdentityResult:
     return IdentityResult("rotation-to-complex", True)
 
 
-def suite_pair_reconstruction(max_degree: int,
-                              sample_points: int = 100) -> IdentityResult:
+def suite_pair_reconstruction(max_degree: int) -> IdentityResult:
     """H_l(x) H_(n-l)(y) from rank-one rotated Hermites through the inverse matrix."""
     for n in range(max_degree + 1):
         grid = convert.exact_grid(n)
@@ -207,7 +209,7 @@ def suite_pair_reconstruction(max_degree: int,
                                       f"exact: n={n}, l={l}")
     # floating check at generic angles
     rng = random.Random(2718)
-    pts = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(sample_points)]
+    pts = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(PAIR_SAMPLE_POINTS)]
     for n in range(min(max_degree, 6) + 1):
         grid = convert.ThetaGrid.default(n)
         am = convert.build_angle_matrix(grid)
@@ -247,8 +249,7 @@ def suite_complex_reconstruction(max_degree: int) -> IdentityResult:
     return IdentityResult("complex-reconstruction", True)
 
 
-def suite_angle_matrix_determinant(max_degree: int,
-                                   random_grids: int = 50) -> IdentityResult:
+def suite_angle_matrix_determinant(max_degree: int) -> IdentityResult:
     """LU determinant against the closed-form product, exact and floating."""
     for n in range(max_degree + 1):
         grid = convert.exact_grid(n)
@@ -258,7 +259,7 @@ def suite_angle_matrix_determinant(max_degree: int,
                                   f"exact mismatch at n={n}")
     rng = random.Random(31415)
     bound = min(max_degree, 8)
-    for trial in range(random_grids):
+    for trial in range(DETERMINANT_RANDOM_GRIDS):
         n = rng.randint(0, bound)
         grid = _random_grid(n, rng)
         det = convert.build_angle_matrix(grid).determinant

@@ -5,15 +5,22 @@ expectations of polynomials in finitely many jointly Gaussian coordinates,
 computed as sums over perfect matchings with exact rational covariance.
 Complex variables are always reduced to pairs of real coordinates before
 pairing; no complex shortcut is used here.
+
+``GaussPoly`` is the package's one sparse exact polynomial class;
+``hermite.BiPoly``, the polynomials in (z, zbar), is its two-variable case,
+and :func:`embed` places a small polynomial into chosen coordinates of a
+larger one.  Sharing the algebra does not make the oracle depend on what it
+checks: the expectation is still a pairing sum over the covariance
+(``_pairing_sum``), never a closed form for products of chaos elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .exact import EC, ExactComplex, ZERO
-from .hermite import BiPoly
 
 Exponents = Tuple[int, ...]
 
@@ -153,7 +160,14 @@ def _pairing_sum(counts: Exponents, cov, memo) -> Fraction:
 
 
 class GaussPoly:
-    """Polynomial in the coordinates of a GaussianFamily, exact coefficients."""
+    """Sparse polynomial in ``dim`` variables with exact coefficients.
+
+    Keys of the term map are exponent tuples of length ``dim``; values are
+    nonzero ``ExactComplex``.  Instances are immutable.  Arithmetic returns
+    the class of its polynomial operand (``hermite.BiPoly`` is the
+    two-variable case), and a scalar may stand on either side of ``+``, ``-``
+    and ``*``.
+    """
 
     __slots__ = ("dim", "_terms")
 
@@ -172,6 +186,18 @@ class GaussPoly:
                     cleaned[exps] = c
         self._terms = cleaned
 
+    def _make(self, terms: Dict[Exponents, ExactComplex]) -> "GaussPoly":
+        """A polynomial of self's class and dim holding ``terms`` as given:
+        its keys must be valid and its values nonzero ExactComplex."""
+        out = object.__new__(type(self))
+        out.dim = self.dim
+        out._terms = terms
+        return out
+
+    def _scalar(self, value) -> "GaussPoly":
+        c = ExactComplex.coerce(value)
+        return self._make({} if c.is_zero() else {(0,) * self.dim: c})
+
     @classmethod
     def constant(cls, dim: int, value) -> "GaussPoly":
         return cls(dim, {(0,) * dim: value})
@@ -186,58 +212,85 @@ class GaussPoly:
         return max((sum(k) for k in self._terms), default=0)
 
     def conj(self) -> "GaussPoly":
-        return GaussPoly(self.dim, {k: c.conjugate() for k, c in self._terms.items()})
+        """Conjugate the coefficients; the variables are real."""
+        return self._make({k: c.conjugate() for k, c in self._terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, GaussPoly):
-            if other.dim != self.dim:
-                raise ValueError("dimension mismatch")
-            out = dict(self._terms)
-            for k, c in other._terms.items():
-                s = out.get(k, ZERO) + c
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-            return GaussPoly(self.dim, out)
-        return self + GaussPoly.constant(self.dim, other)
+        if not isinstance(other, GaussPoly):
+            return self + self._scalar(other)
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            s = out.get(k, ZERO) + c
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
+        return self._make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussPoly(self.dim, {k: -c for k, c in self._terms.items()})
+        return self._make({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, GaussPoly):
-            return self + (-other)
-        return self + GaussPoly.constant(self.dim, -ExactComplex.coerce(other))
+        if not isinstance(other, GaussPoly):
+            other = self._scalar(other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, GaussPoly):
-            if other.dim != self.dim:
-                raise ValueError("dimension mismatch")
-            out: Dict[Exponents, ExactComplex] = {}
-            for k1, c1 in self._terms.items():
-                for k2, c2 in other._terms.items():
-                    key = tuple(a + b for a, b in zip(k1, k2))
-                    s = out.get(key, ZERO) + c1 * c2
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-            return GaussPoly(self.dim, out)
-        c = ExactComplex.coerce(other)
-        return GaussPoly(self.dim, {k: c * v for k, v in self._terms.items()})
+        if not isinstance(other, GaussPoly):
+            c = ExactComplex.coerce(other)
+            if c.is_zero():
+                return self._make({})
+            return self._make({k: c * v for k, v in self._terms.items()})
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        out: Dict[Exponents, ExactComplex] = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                key = tuple(map(add, k1, k2))
+                s = out.get(key, ZERO) + c1 * c2
+                if s.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+        return self._make(out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, GaussPoly):
+        if type(other) is not type(self):
             return NotImplemented
         return self.dim == other.dim and self._terms == other._terms
 
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
     def __repr__(self):
-        return f"GaussPoly(dim={self.dim}, nterms={len(self._terms)})"
+        terms = ", ".join(f"{k}: {c!r}" for k, c in sorted(self._terms.items()))
+        return f"{type(self).__name__}(dim={self.dim}, {{{terms}}})"
+
+
+def embed(terms: Mapping[Exponents, object], coords: Sequence[int], dim: int) -> GaussPoly:
+    """Substitute X_{coords[i]} for variable i of a small polynomial's term map.
+
+    The result is a polynomial over ``dim`` coordinates.  Keys that land on
+    one exponent tuple (a repeated coordinate) are summed, so the
+    substitution is a ring map: embed(p * q) = embed(p) * embed(q).
+    """
+    out: Dict[Exponents, ExactComplex] = {}
+    for key, coeff in terms.items():
+        exps = [0] * dim
+        for coord, e in zip(coords, key, strict=True):
+            exps[coord] += e
+        exps, c = tuple(exps), ExactComplex.coerce(coeff)
+        out[exps] = out[exps] + c if exps in out else c
+    return GaussPoly(dim, out)
 
 
 def expect(fam: GaussianFamily, poly: GaussPoly) -> ExactComplex:
@@ -253,31 +306,19 @@ def expect(fam: GaussianFamily, poly: GaussPoly) -> ExactComplex:
     return total
 
 
-def bipoly_to_gausspoly(p: BiPoly, var: int, fam: GaussianFamily) -> GaussPoly:
-    """Substitute zeta_var = xi + i eta into a single-variable (z, zbar) polynomial."""
+def bipoly_to_gausspoly(p: GaussPoly, var: int, fam: GaussianFamily) -> GaussPoly:
+    """Substitute zeta_var = xi + i eta into a ``hermite.BiPoly`` in (z, zbar)."""
     if fam.complex_pairs is None:
         raise ValueError("family carries no complex coordinate pairs")
-    xi, eta = fam.complex_pairs[var]
-    out: Dict[Exponents, ExactComplex] = {}
-    for (i, j), coeff in p.to_xy().items():
-        exps = [0] * fam.dim
-        exps[xi] = i
-        exps[eta] = j
-        key = tuple(exps)
-        s = out.get(key, ZERO) + coeff
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return GaussPoly(fam.dim, out)
+    return embed(p.to_xy(), fam.complex_pairs[var], fam.dim)
 
 
 def expect_complex(fam: GaussianFamily,
-                   factors: Iterable[Tuple[BiPoly, int]]) -> ExactComplex:
+                   factors: Iterable[Tuple[GaussPoly, int]]) -> ExactComplex:
     """E[prod of (z, zbar) polynomials in the family's complex coordinates].
 
-    Each factor is (polynomial, complex variable index); conjugate a factor
-    with BiPoly.conj() before passing it in.  Everything is reduced to real
+    Each factor is (``hermite.BiPoly``, complex variable index); conjugate a
+    factor with its conj() before passing it in.  Everything is reduced to real
     coordinates and delegated to :func:`expect`.
     """
     poly = GaussPoly.constant(fam.dim, 1)

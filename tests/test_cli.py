@@ -15,6 +15,17 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def _unreadable_input(tmp_path, kind):
+    """An input path that names a directory or a file that is not UTF-8."""
+    if kind == "directory":
+        path = tmp_path / "adir"
+        path.mkdir()
+    else:
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"seed": 7, "note": "caf\u00e9"}'.encode("latin-1"))
+    return path
+
+
 class TestIdentities:
     def test_passing_run(self, tmp_path, capsys):
         assert run_cli("identities", "--max-degree", "3", "--out", str(tmp_path)) == 0
@@ -130,6 +141,10 @@ class TestOracle:
 
     def test_missing_file(self, tmp_path):
         assert run_cli("oracle", str(tmp_path / "nope.json")) == 65
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_file_exits_65(self, tmp_path, kind):
+        assert run_cli("oracle", str(_unreadable_input(tmp_path, kind))) == 65
 
     def test_degree_budget_violation(self, tmp_path):
         path = tmp_path / "expr.json"
@@ -259,6 +274,11 @@ class TestExperiment:
 
     def test_missing_config(self, tmp_path):
         assert run_cli("experiment", str(tmp_path / "none.json"),
+                       "--out", str(tmp_path / "o")) == 65
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_exits_65(self, tmp_path, kind):
+        assert run_cli("experiment", str(_unreadable_input(tmp_path, kind)),
                        "--out", str(tmp_path / "o")) == 65
 
     def test_seed_required_but_env_fallback(self, tmp_path, monkeypatch):

@@ -27,6 +27,14 @@ class TestConversionTables:
         assert r2c.coefficient(1, 0) == EC(Fraction(1, 2))
         assert r2c.coefficient(1, 1) == EC(Fraction(1, 2))
 
+    def test_tables_are_built_once_per_degree(self):
+        first = convert.conversion_tables(4)
+        assert convert.conversion_tables(4) is first
+        # immutable: a shared table cannot be altered by one of its users
+        assert all(isinstance(row, tuple) for table in first for row in table.rows)
+        with pytest.raises(AttributeError):
+            first[0].rows = ()
+
     @pytest.mark.parametrize("n", range(7))
     def test_roundtrip_is_identity(self, n):
         c2r, r2c = convert.conversion_tables(n)

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from chaoslab.exact import EC, ZERO, ExactComplex
-from chaoslab.hermite import (BiPoly, HermiteIndex, complex_hermite, evaluate,
+from chaoslab.hermite import (BiPoly, complex_hermite, evaluate,
                               expand_monomial, hermite_coeffs, hermite_of_linear,
                               ou_apply, ou_apply_numeric, ou_eigenvalue,
                               real_hermite, real_hermite_y)
@@ -80,13 +80,14 @@ class TestComplexHermite:
         assert complex_hermite(1, 1) == BiPoly({(1, 1): 1, (0, 0): -2})
         assert complex_hermite(1, 1, rho=Fraction(3)) == BiPoly({(1, 1): 1, (0, 0): -3})
 
-    def test_hermite_index_validation(self):
-        idx = HermiteIndex(2, 1)
-        assert complex_hermite(idx) == complex_hermite(2, 1)
+    @pytest.mark.parametrize("args", [(-1, 0), (0, -2), (1.5, 0), (1.0, 0), ("1", 0),
+                                      (0, 0, 0), (1, 1, Fraction(-1, 2))],
+                             ids=["negative-m", "negative-n", "fraction", "float",
+                                  "string", "rho-zero", "rho-negative"])
+    def test_index_validation(self, args):
+        complex_hermite(1, 0)  # a built integer index must not admit its float twin
         with pytest.raises(ValueError):
-            HermiteIndex(-1, 0)
-        with pytest.raises(ValueError):
-            HermiteIndex(0, 0, rho=0)
+            complex_hermite(*args)
 
     @pytest.mark.parametrize("rho", [Fraction(1), Fraction(2), Fraction(1, 2)])
     def test_closed_form_cross_check(self, rho):

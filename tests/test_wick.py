@@ -4,11 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from chaoslab.exact import EC, SQRT2, ExactComplex
 from chaoslab.hermite import BiPoly, complex_hermite
-from chaoslab.wick import (GaussPoly, GaussianFamily, bipoly_to_gausspoly,
+from chaoslab.wick import (GaussPoly, GaussianFamily, bipoly_to_gausspoly, embed,
                            expect, expect_complex, isserlis_moment)
 
 
@@ -190,3 +191,107 @@ class TestComplexExpectations:
         poly = bipoly_to_gausspoly(BiPoly.z(), 1, fam)
         # zeta_1 = xi_1 + i eta_1 lives at coordinates 1 and 3 of (xi, xi, eta, eta)
         assert poly.terms() == {(0, 1, 0, 0): EC(1), (0, 0, 0, 1): EC(0, 1)}
+
+
+# -- the shared polynomial algebra against sympy --------------------------------------
+#
+# GaussPoly and its two-variable case BiPoly share one implementation, so the
+# algebra is checked here against sympy's expansion of the same expression.
+# A GaussPoly's variables are real; BiPoly's are z and zbar = conj(z).
+
+_ROOT2 = sympy.sqrt(2)
+_BASIS = {1: (1, 0, 0, 0), _ROOT2: (0, 1, 0, 0), sympy.I: (0, 0, 1, 0),
+          _ROOT2 * sympy.I: (0, 0, 0, 1)}
+
+
+def _rat(q) -> Fraction:
+    return Fraction(int(q.p), int(q.q))
+
+
+def _num_to_sympy(c: ExactComplex):
+    r = [sympy.Rational(x.numerator, x.denominator) for x in (c.a, c.b, c.c, c.d)]
+    return r[0] + r[1] * _ROOT2 + sympy.I * (r[2] + r[3] * _ROOT2)
+
+
+def _num_from_sympy(x) -> ExactComplex:
+    parts = [Fraction(0)] * 4  # a, b (sqrt2), c (i), d (i sqrt2)
+    for unit, q in sympy.expand(x).as_coefficients_dict().items():
+        parts[_BASIS[unit].index(1)] += _rat(q)
+    return ExactComplex(parts[0], parts[2], parts[1], parts[3])
+
+
+def _symbols(p):
+    if isinstance(p, BiPoly):
+        return sympy.symbols("z zb")
+    return sympy.symbols(f"x0:{p.dim}", real=True)
+
+
+def _to_sympy(p, xs):
+    return sum((_num_to_sympy(c) * sympy.Mul(*(x ** e for x, e in zip(xs, k)))
+                for k, c in p.terms().items()), sympy.Integer(0))
+
+
+def _from_sympy(expr, like, xs):
+    """The polynomial of ``like``'s class whose terms are sympy's expansion."""
+    terms = {k: _num_from_sympy(c)
+             for k, c in sympy.Poly(sympy.expand(expr), *xs).as_dict().items() if c != 0}
+    return BiPoly(terms) if isinstance(like, BiPoly) else GaussPoly(like.dim, terms)
+
+
+def _sympy_conj(expr, p, xs):
+    out = sympy.conjugate(expr)
+    if isinstance(p, BiPoly):
+        z, zb = xs
+        out = out.subs({sympy.conjugate(z): zb, sympy.conjugate(zb): z}, simultaneous=True)
+    return out
+
+
+_PART = st.sampled_from([0, 0, 1, -1, Fraction(1, 2), Fraction(-2, 3)])
+_COEFF = st.builds(ExactComplex, _PART, _PART, _PART, _PART).filter(lambda c: not c.is_zero())
+_SCALAR = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3), _COEFF)
+
+
+@st.composite
+def _poly_pair(draw):
+    """(p, q) of one class; q is p with some terms negated plus extra terms,
+    so sums and products cancel keys."""
+    dim = draw(st.sampled_from([1, 2, 3, "bi"]))
+    make = BiPoly if dim == "bi" else (lambda t: GaussPoly(dim, t))
+    keys = st.tuples(*[st.integers(0, 2)] * (2 if dim == "bi" else dim))
+    p_terms = draw(st.dictionaries(keys, _COEFF, max_size=4))
+    flips = draw(st.lists(st.booleans(), min_size=len(p_terms), max_size=len(p_terms)))
+    q_terms = draw(st.dictionaries(keys, _COEFF, max_size=2))
+    q_terms.update({k: -c if f else c for (k, c), f in zip(p_terms.items(), flips)})
+    return make(p_terms), make(q_terms)
+
+
+@given(_poly_pair(), _SCALAR)
+@settings(max_examples=60, deadline=None)
+def test_polynomial_algebra_matches_sympy(pq, scalar):
+    p, q = pq
+    xs = _symbols(p)
+    sp, sq, s = _to_sympy(p, xs), _to_sympy(q, xs), _num_to_sympy(ExactComplex.coerce(scalar))
+    cases = [(p + q, sp + sq), (p - q, sp - sq), (-p, -sp), (p * q, sp * sq),
+             (p + scalar, sp + s), (scalar + p, s + sp), (p - scalar, sp - s),
+             (scalar - p, s - sp), (p * scalar, sp * s), (scalar * p, s * sp),
+             (p.conj(), _sympy_conj(sp, p, xs))]
+    for got, want in cases:
+        assert got == _from_sympy(want, p, xs)
+
+
+@given(_poly_pair(), st.integers(1, 4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_embed_is_a_ring_map(pq, dim, data):
+    p, q = pq
+    coords = data.draw(st.lists(st.integers(0, dim - 1), min_size=len(_symbols(p)),
+                                max_size=len(_symbols(p))))  # repeats allowed
+
+    def emb(poly):
+        return embed(poly.terms(), coords, dim)
+
+    assert emb(p * q) == emb(p) * emb(q)
+    assert emb(p + q) == emb(p) + emb(q)
+    xs, big = _symbols(p), sympy.symbols(f"x0:{dim}", real=True)
+    substituted = _to_sympy(p, xs).subs(dict(zip(xs, (big[c] for c in coords))),
+                                        simultaneous=True)
+    assert emb(p) == _from_sympy(substituted, GaussPoly(dim), big)
