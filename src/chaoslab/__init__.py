@@ -10,7 +10,7 @@ from .wick import (GaussPoly, GaussianFamily, expect, expect_complex,
 from .convert import (AngleMatrix, ConversionTable, IllConditionedError,
                       ThetaGrid, build_angle_matrix, build_angle_matrix_exact,
                       complex_to_hermite_coeffs, conversion_tables,
-                      det_closed_form, det_closed_form_exact, exact_grid,
+                      det_closed_form, exact_grid,
                       hermite_to_complex_coeffs, rotation_expand)
 from .tensor import (BlockTensor, ComplexKernel, SymTensor, contract,
                      contract_sym, dump_kernel, dump_sym_tensor, inner,

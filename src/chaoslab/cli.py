@@ -8,7 +8,10 @@ Exit codes are a stable contract:
     64  bad arguments (including an --out that is not a directory) or a
         degree-budget violation
     65  config or expression file parse error, including a malformed kernel
-        section (kernel text, kernel file contents, file name or scale)
+        section (kernel text, kernel file contents, file name or scale), an
+        exact number in exponent notation, and a value past a MAX_* bound
+        below: kernel degree m + n, kernel dimension (block k), workers and
+        the oracle's complex_dim
     66  missing kernel file
 
 A default seed may be supplied via the CHAOSLAB_SEED environment variable;
@@ -42,6 +45,21 @@ EXIT_IDENTITY = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_NOKERNEL = 66
+
+# Input bounds, each checked before anything it sizes is built (exit 65).
+# J_{m,n}'s float coefficients reach 1e47 at degree m + n = 64 and leave
+# double range near 300; the tests run blocks up to degree 5.
+MAX_KERNEL_DEGREE = 64
+# each sample draws 2 k normals, so one default chunk of 8192 samples at
+# k = 1024 already takes about 400 MB; the tests and the benchmark reach 64
+MAX_KERNEL_DIM = 1024
+# each worker is a thread, started per chunk up to this count; it is
+# ThreadPoolExecutor's own default ceiling
+MAX_WORKERS = 32
+# twice the variables a term within WICK_DEGREE_BUDGET can reach; the exact
+# covariance check of a dense gram this size takes about 0.2 s, growing with
+# the cube of complex_dim
+MAX_COMPLEX_DIM = 32
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,39 +144,41 @@ def _cmd_identities(args) -> int:
 
 
 def _parse_exact(x) -> ExactComplex:
-    if isinstance(x, bool):
-        raise ValueError("booleans are not numbers")
-    if isinstance(x, int):
-        return EC(x)
-    if isinstance(x, str):
-        return EC(Fraction(x))
+    """An exact number: an integer, a string, or a [re, im] pair of them."""
     if isinstance(x, list) and len(x) == 2:
-        def part(v):
-            if isinstance(v, int):
-                return Fraction(v)
-            if isinstance(v, str):
-                return Fraction(v)
-            raise ValueError(f"not an exact number: {v!r}")
-        return ExactComplex(part(x[0]), part(x[1]))
-    raise ValueError(f"not an exact number: {x!r}")
+        return ExactComplex(_exact_part(x[0]), _exact_part(x[1]))
+    return EC(_exact_part(x))
 
 
-def _factor_poly(spec: dict, complex_dim: int) -> tuple:
+def _exact_part(v) -> Fraction:
+    """An integer, or an integer, decimal or p/q string.  Exponent notation
+    is refused: Fraction writes out every digit of 1e10000000."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    if isinstance(v, str) and "e" not in v.lower():
+        return Fraction(v)
+    raise ValueError(f"not an exact number (integer, decimal or p/q): {v!r}")
+
+
+def _factor_spec(spec: dict, complex_dim: int) -> tuple:
+    """((kind, a, b, conj), var) of a factor, checked but not yet built."""
     if not isinstance(spec, dict):
         raise ValueError("factor must be an object")
     var = _int_value(spec.get("var", 0), "factor var", 0)
     if var >= complex_dim:
         raise ValueError(f"factor var {var} is out of range for complex_dim {complex_dim}")
     conj = _bool_value(spec.get("conj", False), "factor conj")
-    if "j" in spec:
-        m, n = (_int_value(x, "factor j", 0) for x in spec["j"])
-        poly = hermite.complex_hermite(m, n)
-    elif "zpow" in spec:
-        a, b = (_int_value(x, "factor zpow", 0) for x in spec["zpow"])
-        poly = hermite.BiPoly({(a, b): 1})
-    else:
+    kind = next((key for key in ("j", "zpow") if key in spec), None)
+    if kind is None:
         raise ValueError("factor needs a 'j' or 'zpow' field")
-    return (poly.conj() if conj else poly), var
+    a, b = (_int_value(x, f"factor {kind}", 0) for x in spec[kind])
+    return (kind, a, b, conj), var
+
+
+def _factor_poly(kind: str, a: int, b: int, conj: bool):
+    """J_{a,b} for kind 'j', z^a zbar^b for 'zpow'; conjugated if asked."""
+    poly = hermite.complex_hermite(a, b) if kind == "j" else hermite.BiPoly({(a, b): 1})
+    return poly.conj() if conj else poly
 
 
 def _cmd_oracle(args) -> int:
@@ -167,6 +187,8 @@ def _cmd_oracle(args) -> int:
         if not isinstance(doc, dict) or "terms" not in doc:
             raise ValueError("expression file must be an object with a 'terms' list")
         dim = _int_value(doc.get("complex_dim", 1), "complex_dim", 1)
+        if dim > MAX_COMPLEX_DIM:
+            raise ValueError(f"complex_dim must be at most {MAX_COMPLEX_DIM}, got {dim}")
         if "gram" in doc:
             gram = [[_parse_exact(x) for x in row] for row in doc["gram"]]
             if len(gram) != dim or any(len(r) != dim for r in gram):
@@ -180,21 +202,23 @@ def _cmd_oracle(args) -> int:
         parsed = []
         for term in terms:
             coeff = _parse_exact(term.get("coeff", 1))
-            factors = [_factor_poly(f, dim) for f in term["factors"]]
+            factors = [_factor_spec(f, dim) for f in term["factors"]]
             parsed.append((coeff, factors))
     except (ValueError, KeyError, TypeError, json.JSONDecodeError,
             ZeroDivisionError) as exc:
         print(f"error: cannot parse expression file: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    # the declared degrees, so that no polynomial is built past the budget
     for _, factors in parsed:
-        degree = sum(p.degree() for p, _ in factors)
+        degree = sum(a + b for (_, a, b, _), _ in factors)
         if degree > WICK_DEGREE_BUDGET:
             print(f"error: term of Gaussian degree {degree} exceeds the budget "
                   f"{WICK_DEGREE_BUDGET}", file=sys.stderr)
             return EXIT_USAGE
     total = EC(0)
     for coeff, factors in parsed:
-        total = total + coeff * expect_complex(fam, factors)
+        polys = [(_factor_poly(*spec), var) for spec, var in factors]
+        total = total + coeff * expect_complex(fam, polys)
     print(total.rational_str())
     return EXIT_OK
 
@@ -217,7 +241,7 @@ def _load_config(path: Path) -> dict:
     text = _read_input(path, "config file")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # an integer of over 4300 digits included
         raise fm.ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise fm.ConfigError("config must be a JSON object")
@@ -289,6 +313,8 @@ def _kernels_from(doc: dict, base: Path):
         ks = [_int_value(k, "k_values", 1) for k in ks]
         if len(set(ks)) != len(ks):
             raise fm.ConfigError(f"k_values repeats a value: {ks}")
+        for k in ks:
+            _check_kernel_size(m + n, k)
         return [(k, fm.gen_block_kernel(m, n, k)) for k in ks], (m, n)
     if sources and "k_values" in doc:
         raise fm.ConfigError(f"k_values applies to a block kernel only; "
@@ -314,7 +340,17 @@ def _kernels_from(doc: dict, base: Path):
             kern = _parse_exact(kspec["scale"]) * kern
     except (ValueError, ZeroDivisionError) as exc:  # a file that is not UTF-8 included
         raise fm.ConfigError(f"malformed kernel section: {exc}")
+    _check_kernel_size(kern.m + kern.n, kern.dim)
     return [(1, kern)], (kern.m, kern.n)
+
+
+def _check_kernel_size(degree: int, dim: int) -> None:
+    if degree > MAX_KERNEL_DEGREE:
+        raise fm.ConfigError(f"kernel degree m + n must be at most {MAX_KERNEL_DEGREE}, "
+                             f"got {degree}")
+    if dim > MAX_KERNEL_DIM:
+        raise fm.ConfigError(f"kernel dimension (block k) must be at most "
+                             f"{MAX_KERNEL_DIM}, got {dim}")
 
 
 def _ks_from(ks_cfg, k_values: list, n_samples: int) -> tuple:
@@ -359,6 +395,8 @@ def run_experiment(doc: dict, base: Path) -> tuple:
         raise fm.ConfigError(f"seed must be below 2**128, the Philox key size, got {seed}")
     n_samples = _int_value(doc.get("n_samples"), "n_samples", 2)
     workers = _int_value(doc.get("workers", 1), "workers", 1)
+    if workers > MAX_WORKERS:
+        raise fm.ConfigError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     chunk = _int_value(doc.get("chunk_size", fm.DEFAULT_CHUNK), "chunk_size", 1)
     spec = _criterion_from(doc)
     kernels, (m, n) = _kernels_from(doc, base)

@@ -197,7 +197,8 @@ def rotation_expand(n: int, theta) -> list:
 
 @dataclass(frozen=True)
 class AngleMatrix:
-    """Floating angle matrix with certified inverse.
+    """Angle matrix with its inverse: Fractions for an exact-trig grid,
+    numpy float arrays otherwise.
 
     Entry [k][l] = C(n,l) sin^(n-l)(t_k) cos^l(t_k); row index follows the
     grid, column l follows powers of cos.  The inverse is indexed the other
@@ -206,14 +207,14 @@ class AngleMatrix:
     """
 
     grid: ThetaGrid
-    matrix: np.ndarray
-    determinant: float
-    inverse: np.ndarray
+    matrix: object
+    determinant: object
+    inverse: object
 
-    def minv(self, l: int, k: int) -> float:
+    def minv(self, l: int, k: int):
         """Entry (l, k) of the inverse: weight of angle k in reconstructing
         H_l(x) H_{n-l}(y)."""
-        return float(self.inverse[l, k])
+        return self.inverse[l][k]
 
 
 # largest entry of |M Minv - I| a floating angle matrix may leave
@@ -238,29 +239,20 @@ def build_angle_matrix(grid: ThetaGrid) -> AngleMatrix:
     return AngleMatrix(grid, m, det, inv)
 
 
-def det_closed_form(grid: ThetaGrid) -> float:
-    """prod_k C(n,k) * prod_{i<j} sin(t_i - t_j), floating point."""
-    n = grid.n
-    out = 1.0
-    for k in range(n + 1):
-        out *= math.comb(n, k)
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            out *= math.sin(grid.angles[i] - grid.angles[j])
+def det_closed_form(grid: ThetaGrid):
+    """prod_k C(n,k) * prod_{i<j} sin(t_i - t_j), with sin(t_i - t_j) =
+    s_i c_j - c_i s_j: an exact Fraction from the grid's rational trig when
+    it has them, a float from its angles otherwise."""
+    if grid.trig is not None:
+        pairs, out = grid.trig, Fraction(1)
+    else:
+        pairs, out = [(math.cos(t), math.sin(t)) for t in grid.angles], 1.0
+    for k in range(grid.n + 1):
+        out *= math.comb(grid.n, k)
+    for i, (ci, si) in enumerate(pairs):
+        for cj, sj in pairs[i + 1:]:
+            out *= si * cj - ci * sj
     return out
-
-
-@dataclass(frozen=True)
-class ExactAngleMatrix:
-    """Rational angle matrix for exact-trig grids, inverted exactly."""
-
-    grid: ThetaGrid
-    matrix: Tuple[Tuple[Fraction, ...], ...]
-    determinant: Fraction
-    inverse: Tuple[Tuple[Fraction, ...], ...]
-
-    def minv(self, l: int, k: int) -> Fraction:
-        return self.inverse[l][k]
 
 
 def _fraction_inverse(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], Fraction]:
@@ -284,31 +276,16 @@ def _fraction_inverse(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]],
     return [row[n:] for row in a], det
 
 
-def build_angle_matrix_exact(grid: ThetaGrid) -> ExactAngleMatrix:
+def build_angle_matrix_exact(grid: ThetaGrid) -> AngleMatrix:
+    """Fraction elimination of the angle matrix of an exact-trig grid."""
     if grid.trig is None:
         raise ValueError("exact angle matrix needs a grid with rational trig")
     n = grid.n
     rows = [[Fraction(math.comb(n, l)) * s ** (n - l) * c ** l for l in range(n + 1)]
             for c, s in grid.trig]
     inv, det = _fraction_inverse([list(r) for r in rows])
-    return ExactAngleMatrix(grid, tuple(tuple(r) for r in rows), det,
-                            tuple(tuple(r) for r in inv))
-
-
-def det_closed_form_exact(grid: ThetaGrid) -> Fraction:
-    """Exact determinant product using sin(t_i - t_j) = s_i c_j - c_i s_j."""
-    if grid.trig is None:
-        raise ValueError("needs a grid with rational trig")
-    n = grid.n
-    out = Fraction(1)
-    for k in range(n + 1):
-        out *= math.comb(n, k)
-    for i in range(n + 1):
-        ci, si = grid.trig[i]
-        for j in range(i + 1, n + 1):
-            cj, sj = grid.trig[j]
-            out *= si * cj - ci * sj
-    return out
+    return AngleMatrix(grid, tuple(tuple(r) for r in rows), det,
+                       tuple(tuple(r) for r in inv))
 
 
 # -- derived coefficient families --------------------------------------------------

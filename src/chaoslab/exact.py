@@ -96,10 +96,9 @@ class ExactComplex:
             return 1
         if a < 0 and b < 0:
             return -1
-        # opposite signs: compare a^2 with 2 b^2
+        # opposite signs: a^2 != 2 b^2 for nonzero rationals, so the term
+        # of larger square decides
         lead = a if a * a > 2 * b * b else b
-        if a * a == 2 * b * b:
-            return 0  # impossible for rationals unless a == b == 0, kept for safety
         return 1 if lead > 0 else -1
 
     # -- arithmetic -------------------------------------------------------------

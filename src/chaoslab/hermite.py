@@ -4,9 +4,8 @@
 ``zbar`` with coefficients in Q(i, sqrt(2)).  It is the two-variable case of
 ``wick.GaussPoly``, the package's one sparse exact polynomial class, and
 adds only what is particular to (z, zbar): the derivatives, the conjugation
-that swaps z and zbar, and the real form.  Writing ``z = x + i y`` gives an
-equivalent real form in ``(x, y)``; the two forms convert exactly in both
-directions.
+that swaps z and zbar, and the real form: writing ``z = x + i y`` gives an
+equivalent polynomial in ``(x, y)`` (:meth:`BiPoly.to_xy`).
 
 The real Hermite polynomials H_n follow the probabilists' normalization
 H_n(x) = (-1)^n exp(x^2/2) d^n/dx^n exp(-x^2/2) (leading coefficient 1).
@@ -20,19 +19,13 @@ as J_{m,n} = rho^(m+n) (a*)^m (a~*)^n 1, so J_{0,0} = 1, J_{1,0} = z and
 J_{1,1} = z zbar - rho.  Both families are eigenfunctions of the
 Ornstein-Uhlenbeck generator implemented by :func:`ou_apply`.
 
-The real-coordinate constructions are closed binomial forms, with integer
-weights summed before any exact coefficient is multiplied in.  From
-x = (z + zbar)/2 and y = (z - zbar)/(2i),
-
-    x^i y^j = 2^-(i+j) (-i)^j sum_{r<=i, s<=j} C(i,r) C(j,s) (-1)^(j-s)
-                                  z^(r+s) zbar^(i+j-r-s),
-
-and a linear form cx x + cy y equals alpha z + beta zbar with
-alpha = (cx - i cy)/2, beta = (cx + i cy)/2, so
+The real-coordinate constructions are one closed binomial form.  From
+x = (z + zbar)/2 and y = (z - zbar)/(2i), a linear form cx x + cy y equals
+alpha z + beta zbar with alpha = (cx - i cy)/2, beta = (cx + i cy)/2, so
 
     H_n(cx x + cy y) = sum_k c_k sum_r C(k,r) alpha^r beta^(k-r) z^r zbar^(k-r)
 
-for H_n = sum_k c_k x^k.
+for H_n = sum_k c_k x^k; H_n(x) and H_n(y) are the cases (1, 0) and (0, 1).
 
 Floating evaluation (:func:`evaluate`) uses the radial form: every term
 z^a zbar^b equals w^|a-b| s^min(a,b), with s = |z|^2 and w = z for a >= b,
@@ -91,29 +84,6 @@ class BiPoly(GaussPoly):
     @classmethod
     def zbar(cls) -> "BiPoly":
         return cls({(0, 1): 1})
-
-    @classmethod
-    def from_xy(cls, xy_terms: Mapping[ExponentPair, Scalar]) -> "BiPoly":
-        """Build from a real-coordinate map (i, j) -> coeff of x^i y^j.
-
-        Each term expands by the closed form of the module docstring: the
-        integer weights sum_{r+s=a} C(i,r) C(j,s) (-1)^(j-s) of z^a zbar^(i+j-a)
-        are summed first, then scaled once by coeff (-i)^j / 2^(i+j).
-        """
-        out: Dict[ExponentPair, ExactComplex] = {}
-        for (i, j), coeff in xy_terms.items():
-            weights = [0] * (i + j + 1)
-            for r in range(i + 1):
-                ci = math.comb(i, r)
-                for s in range(j + 1):
-                    w = ci * math.comb(j, s)
-                    weights[r + s] += -w if (j - s) % 2 else w
-            base = _ec(coeff) * i_power(-j)
-            for a, w in enumerate(weights):
-                if w:
-                    key = (a, i + j - a)
-                    out[key] = out.get(key, ZERO) + base * Fraction(w, 1 << (i + j))
-        return cls(out)
 
     # -- (z, zbar) structure ---------------------------------------------------
 
@@ -250,13 +220,13 @@ def hermite_coeffs(n: int) -> Tuple[int, ...]:
 @lru_cache(maxsize=None)
 def real_hermite(n: int) -> BiPoly:
     """H_n as a BiPoly in the variable x = Re z (univariate in x)."""
-    return BiPoly.from_xy({(k, 0): c for k, c in enumerate(hermite_coeffs(n)) if c})
+    return hermite_of_linear(n, 1, 0)
 
 
 @lru_cache(maxsize=None)
 def real_hermite_y(n: int) -> BiPoly:
     """H_n in the variable y = Im z."""
-    return BiPoly.from_xy({(0, k): c for k, c in enumerate(hermite_coeffs(n)) if c})
+    return hermite_of_linear(n, 0, 1)
 
 
 def hermite_of_linear(n: int, cx, cy) -> BiPoly:

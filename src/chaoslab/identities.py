@@ -254,7 +254,7 @@ def suite_angle_matrix_determinant(max_degree: int) -> IdentityResult:
     for n in range(max_degree + 1):
         grid = convert.exact_grid(n)
         am = convert.build_angle_matrix_exact(grid)
-        if am.determinant != convert.det_closed_form_exact(grid):
+        if am.determinant != convert.det_closed_form(grid):
             return IdentityResult("angle-matrix-determinant", False,
                                   f"exact mismatch at n={n}")
     rng = random.Random(31415)

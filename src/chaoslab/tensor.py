@@ -112,40 +112,11 @@ class SymTensor(_OneScalarType):
                     store[t] = v
         self.data = store
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def basis_product(cls, dim: int, indices: Sequence[int]) -> "SymTensor":
-        """symm(e_{i1} x ... x e_{ip}) for the given (not necessarily sorted) indices."""
-        return symmetrize({tuple(indices): 1}, len(indices), dim)
-
-    @classmethod
-    def vector_power(cls, vec: Sequence[Value], order: int) -> "SymTensor":
-        """h^(x p): dense entry prod_k h[i_k] (already symmetric)."""
-        dim = len(vec)
-        to_value = _converter(vec, ExactComplex.coerce, _float)
-        vals = [to_value(v) for v in vec]
-        data = {}
-        for t in combinations_with_replacement(range(dim), order):
-            prod = to_value(1)
-            for i in t:
-                prod = prod * vals[i]
-            data[t] = prod
-        return cls(order, dim, data)
-
     # -- access ---------------------------------------------------------------
 
     def entry(self, t: IndexTuple):
         """Dense entry at an arbitrary (unsorted) index tuple."""
         return self.data.get(tuple(sorted(t)), 0)
-
-    def dense_items(self):
-        """Yield (arrangement, value) over every distinct arrangement of each key."""
-        from itertools import permutations
-
-        for key, val in self.data.items():
-            for arr in set(permutations(key)):
-                yield arr, val
 
     def __eq__(self, other):
         if not isinstance(other, SymTensor):
@@ -399,15 +370,6 @@ class ComplexKernel(_OneScalarType):
                     pb = pb * conj[j]
                 data[(ta, tb)] = pb
         return cls(m, n, dim, data)
-
-    def conjugate_kernel(self) -> "ComplexKernel":
-        """Kernel psi with conj of this kernel's integral = integral of psi.
-
-        Swap the two blocks and conjugate coefficients; the result has
-        bidegree (n, m).
-        """
-        return ComplexKernel(self.n, self.m, self.dim,
-                             {(tb, ta): v.conjugate() for (ta, tb), v in self.data.items()})
 
     def norm_sq(self):
         """Squared norm in the full (m+n)-fold tensor power, multinomial weights."""

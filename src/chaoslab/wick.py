@@ -44,8 +44,9 @@ def _psd_exact(rows: Sequence[Sequence[Fraction]]) -> bool:
         idx.remove(piv)
         for i in idx:
             f = a[i][piv] / p
-            for j in idx:
-                a[i][j] -= f * a[piv][j]
+            if f:  # a zero multiplier leaves the row as it is
+                for j in idx:
+                    a[i][j] -= f * a[piv][j]
     return True
 
 
@@ -118,9 +119,6 @@ class GaussianFamily:
         """k i.i.d. symmetric complex Gaussians with variance 2."""
         gram = [[EC(2 if i == j else 0) for j in range(k)] for i in range(k)]
         return cls.from_complex_gram(gram)
-
-    def cov(self, i: int, j: int) -> Fraction:
-        return self.covariance[i][j]
 
 
 def isserlis_moment(fam: GaussianFamily, exponents: Sequence[int]) -> Fraction:

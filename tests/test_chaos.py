@@ -96,8 +96,7 @@ class TestEvalReal:
     def test_power_tensor_addition_rule(self):
         # h = (e0 + e1)/sqrt(2): I_2(h (x) h) = H_2((xi0 + xi1)/sqrt(2))
         batch = sample_batch(1, 64, seed=8)
-        h = [1 / math.sqrt(2), 1 / math.sqrt(2)]
-        f = SymTensor.vector_power(h, 2)
+        f = SymTensor(2, 2, {(0, 0): 0.5, (0, 1): 0.5, (1, 1): 0.5})  # h (x) h
         arg = (batch.xi[:, 0] + batch.eta[:, 0]) / math.sqrt(2)
         assert np.allclose(eval_real(f, batch), arg ** 2 - 1, atol=1e-12)
 
@@ -349,7 +348,8 @@ class TestExactMoment:
         # conj of the (m, n) integral is the (n, m) integral of the swapped kernel
         rnd = random.Random(77)
         phi = random_exact_kernel(1, 2, 2, rnd)
-        psi = phi.conjugate_kernel()
+        psi = ComplexKernel(2, 1, 2, {(tb, ta): v.conjugate()
+                                      for (ta, tb), v in phi.data.items()})
         probe = random_exact_kernel(2, 1, 2, rnd)
         assert exact_moment([(phi, True), (probe, True)]) == \
             exact_moment([psi, (probe, True)])

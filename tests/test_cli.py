@@ -1,9 +1,12 @@
 """CLI contract: subcommands, exit codes, reproducible outputs."""
 
+import copy
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chaoslab import cli, hermite, identities
 from chaoslab.exact import EC
@@ -16,10 +19,14 @@ def run_cli(*argv):
 
 
 def _unreadable_input(tmp_path, kind):
-    """An input path that names a directory or a file that is not UTF-8."""
+    """An input path that names a directory, a file that is not UTF-8 or
+    one holding an integer too long for json to read."""
     if kind == "directory":
         path = tmp_path / "adir"
         path.mkdir()
+    elif kind == "long-integer":
+        path = tmp_path / "long.json"
+        path.write_text('{"seed": ' + "1" * 5000 + "}")
     else:
         path = tmp_path / "latin1.json"
         path.write_bytes('{"seed": 7, "note": "caf\u00e9"}'.encode("latin-1"))
@@ -142,7 +149,7 @@ class TestOracle:
     def test_missing_file(self, tmp_path):
         assert run_cli("oracle", str(tmp_path / "nope.json")) == 65
 
-    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "long-integer"])
     def test_unreadable_file_exits_65(self, tmp_path, kind):
         assert run_cli("oracle", str(_unreadable_input(tmp_path, kind))) == 65
 
@@ -150,6 +157,17 @@ class TestOracle:
         path = tmp_path / "expr.json"
         path.write_text(json.dumps(
             {"terms": [{"factors": [{"zpow": [9, 9], "var": 0}]}]}))
+        assert run_cli("oracle", str(path)) == 64
+
+    def test_degree_budget_checked_before_any_polynomial_is_built(self, tmp_path,
+                                                                  monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a polynomial past the degree budget")
+
+        monkeypatch.setattr(cli.hermite, "complex_hermite", no_build)
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(
+            {"terms": [{"factors": [{"j": [1, 1]}, {"j": [5000, 5000]}]}]}))
         assert run_cli("oracle", str(path)) == 64
 
     @pytest.mark.parametrize("doc", [
@@ -162,9 +180,15 @@ class TestOracle:
         {"terms": [5]},
         {"terms": "ab"},
         {"terms": [{"factors": [{"zpow": [1, 1], "var": 3}]}]},
+        {"terms": [{"coeff": "1e100", "factors": [{"zpow": [1, 1]}]}]},
+        {"terms": [{"coeff": ["1", "2E-3"], "factors": [{"zpow": [1, 1]}]}]},
+        {"gram": [["2e0"]], "terms": [{"factors": [{"zpow": [1, 1]}]}]},
+        {"complex_dim": cli.MAX_COMPLEX_DIM + 1,
+         "terms": [{"factors": [{"zpow": [1, 1]}]}]},
     ], ids=["conj-string", "j-fraction", "j-string", "zpow-float", "var-boolean",
             "complex_dim-fraction", "term-not-object", "terms-string",
-            "var-out-of-range"])
+            "var-out-of-range", "coeff-exponent", "coeff-pair-exponent",
+            "gram-exponent", "complex_dim-over-cap"])
     def test_malformed_fields_exit_65(self, tmp_path, doc):
         path = tmp_path / "expr.json"
         path.write_text(json.dumps(doc))
@@ -276,7 +300,7 @@ class TestExperiment:
         assert run_cli("experiment", str(tmp_path / "none.json"),
                        "--out", str(tmp_path / "o")) == 65
 
-    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "long-integer"])
     def test_unreadable_config_exits_65(self, tmp_path, kind):
         assert run_cli("experiment", str(_unreadable_input(tmp_path, kind)),
                        "--out", str(tmp_path / "o")) == 65
@@ -337,9 +361,10 @@ class TestExperiment:
         ({"inline": "1 1 1\n0 0 1 0", "scale": 0.5}, None),
         ({"inline": "1 1 1\n0 0 nan 0"}, None),
         ({"file": "kern.txt"}, b"1 1 1\n0 0 1 1e999\n"),
+        ({"inline": "1 1 1\n0 0 1 0", "scale": "1e100"}, None),
     ], ids=["inline-garbage", "inline-index-out-of-range", "inline-number",
             "file-garbage", "file-not-utf8", "file-number", "scale-string",
-            "scale-float", "inline-nan", "file-overflow"])
+            "scale-float", "inline-nan", "file-overflow", "scale-exponent"])
     def test_malformed_kernel_section_exit_65(self, tmp_path, kernel, file_text):
         if file_text is not None:
             (tmp_path / kernel["file"]).write_bytes(file_text)
@@ -433,6 +458,26 @@ class TestExperimentConfigChecks:
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("doc", [
+        {**BASE_CONFIG, "kernel": {"block": {"m": 2 ** 128, "n": 0}}},
+        {**BASE_CONFIG, "kernel": {"block": {"m": cli.MAX_KERNEL_DEGREE, "n": 1}}},
+        {**BASE_CONFIG, "k_values": [10 ** 40]},
+        {**BASE_CONFIG, "k_values": [4, cli.MAX_KERNEL_DIM + 1]},
+        {"seed": 1, "n_samples": 200, "kernel": {"inline": f"1 1 {cli.MAX_KERNEL_DIM + 1}"},
+         "criterion": {"case": "gaussian-offdiag", "sigma2": 1.0}},
+        {**BASE_CONFIG, "workers": cli.MAX_WORKERS + 1},
+        {**BASE_CONFIG, "workers": 10 ** 40},
+    ], ids=["degree-2**128", "degree-over-cap", "k-10**40", "k-over-cap",
+            "inline-dim-over-cap", "workers-over-cap", "workers-10**40"])
+    def test_values_past_a_bound_exit_65_before_any_kernel(self, tmp_path, monkeypatch,
+                                                           doc):
+        monkeypatch.setattr(cli.fm, "gen_block_kernel", _no_sampling)
+        monkeypatch.setattr(cli.fm, "estimate", _no_sampling)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        assert not (tmp_path / "o").exists()
+
     def test_repeated_k_values_exit_65(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.fm, "estimate", _no_sampling)
         cfg = tmp_path / "cfg.json"
@@ -466,3 +511,71 @@ class TestExperimentConfigChecks:
             assert run_cli("experiment", str(cfg), "--out", str(out)) == 64
             assert "not a directory" in capsys.readouterr().err
         assert taken.read_text() == "keep me"
+
+
+# -- fuzzing both inputs ------------------------------------------------------
+
+
+class _Sampled(BaseException):
+    """Raised by the sampling stubs.  ``main`` does not catch it, so an input
+    that reaches sampling parsed cleanly."""
+
+
+def _sampled(*args, **kwargs):
+    raise _Sampled
+
+
+# the acceptance-10 experiment, and an oracle expression with a gram matrix
+FUZZ_CONFIG = {
+    "seed": 7, "n_samples": 200_000, "workers": 2,
+    "kernel": {"block": {"m": 1, "n": 2}}, "k_values": [4, 16, 64],
+    "criterion": {"case": "gaussian-offdiag", "sigma2": 2.0, "m": 1, "n": 2},
+    "exact_reference": True, "ks": {"k": 64, "component": "re"},
+}
+FUZZ_EXPRESSION = {
+    "complex_dim": 2, "gram": [["2", "1/2"], ["1/2", "2"]],
+    "terms": [{"coeff": ["1/2", "0"],
+               "factors": [{"j": [1, 2], "var": 0}, {"j": [1, 2], "var": 1, "conj": True}]}],
+}
+WRONG_VALUES = st.sampled_from([
+    None, True, 0, -1, 1.5, 2 ** 128, 10 ** 40, -10 ** 40, math.nan, math.inf, -math.inf,
+    "", "abc", "1e100", "1/0", [], [1], [1, 2, 3], {}])
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three fields deleted or swapped for a wrong value."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+            elif isinstance(node, dict) and draw(st.booleans()):
+                del node[key]
+                break
+            else:
+                node[key] = copy.deepcopy(draw(WRONG_VALUES))  # later rounds mutate it
+                break
+    return doc
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_inputs_never_exit_1(tmp_path, monkeypatch, data):
+    for name in ("estimate", "block_reference_trajectory", "collect_component_samples"):
+        monkeypatch.setattr(cli.fm, name, _sampled)
+    command, base = data.draw(st.sampled_from([("experiment", FUZZ_CONFIG),
+                                                ("oracle", FUZZ_EXPRESSION)]))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data.draw(mutated(base))))
+    args = [command, str(path)] + (["--out", str(tmp_path / "o")]
+                                   if command == "experiment" else [])
+    try:
+        rc = run_cli(*args)
+    except _Sampled:
+        return
+    assert rc in (0, 64, 65, 66)

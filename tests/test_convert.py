@@ -127,7 +127,7 @@ class TestAngleMatrix:
     def test_exact_determinant_law(self, n):
         g = convert.exact_grid(n)
         am = convert.build_angle_matrix_exact(g)
-        assert am.determinant == convert.det_closed_form_exact(g)
+        assert am.determinant == convert.det_closed_form(g)
         # exact inverse really inverts
         size = n + 1
         for i in range(size):

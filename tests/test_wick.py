@@ -90,6 +90,19 @@ class TestFamilyValidation:
         fam = GaussianFamily([[1.0, 0.5], [0.5, 1.0]])
         assert fam.dim == 2
 
+    def test_psd_check_skips_rows_with_a_zero_multiplier(self, monkeypatch):
+        # a diagonal covariance needs no row update; updating every row made
+        # the check cubic in the dimension even for complex_standard
+        subtractions = []
+        sub = Fraction.__sub__
+        monkeypatch.setattr(Fraction, "__sub__",
+                            lambda a, b: subtractions.append(1) or sub(a, b))
+        GaussianFamily.complex_standard(8)
+        assert not subtractions
+        with pytest.raises(ValueError):
+            GaussianFamily([[1, 2], [2, 1]])
+        assert subtractions
+
 
 class TestExpect:
     def test_constant(self):
