@@ -9,9 +9,9 @@ Exit codes are a stable contract:
         degree-budget violation
     65  config or expression file parse error, including a malformed kernel
         section (kernel text, kernel file contents, file name or scale), an
-        exact number in exponent notation, and a value past a MAX_* bound
-        below: kernel degree m + n, kernel dimension (block k), workers and
-        the oracle's complex_dim
+        exact number in exponent notation, a kernel of degree m + n < 2, and
+        a value past a MAX_* bound below: kernel degree m + n, kernel
+        dimension (block k), workers and the oracle's complex_dim
     66  missing kernel file
 
 A default seed may be supplied via the CHAOSLAB_SEED environment variable;
@@ -305,8 +305,6 @@ def _kernels_from(doc: dict, base: Path):
             raise fm.ConfigError("kernel.block must be an object with m and n")
         m = _int_value(blk.get("m"), "kernel.block.m", 0)
         n = _int_value(blk.get("n"), "kernel.block.n", 0)
-        if m + n < 2:
-            raise fm.ConfigError(f"kernel.block needs m + n >= 2, got ({m}, {n})")
         ks = doc.get("k_values", [1])
         if not isinstance(ks, list) or not ks:
             raise fm.ConfigError("k_values must be a non-empty list")
@@ -345,6 +343,9 @@ def _kernels_from(doc: dict, base: Path):
 
 
 def _check_kernel_size(degree: int, dim: int) -> None:
+    # a chaos of order q >= 2 is what the fourth-moment criteria are about
+    if degree < 2:
+        raise fm.ConfigError(f"kernel degree m + n must be at least 2, got {degree}")
     if degree > MAX_KERNEL_DEGREE:
         raise fm.ConfigError(f"kernel degree m + n must be at most {MAX_KERNEL_DEGREE}, "
                              f"got {degree}")

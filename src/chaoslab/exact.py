@@ -5,12 +5,20 @@ the form (a + b*sqrt(2)) + (c + d*sqrt(2))*i with rational a, b, c, d.
 Keeping the whole field in one value type lets polynomial identities,
 basis conversions and tensor decompositions be tested with ``==`` instead
 of floating tolerances.  Floating point enters only at evaluation time.
+
+A value is stored as five Python ints (p, q, r, s, n) standing for
+(p + q*sqrt(2) + (r + s*sqrt(2))*i) / n: the four components share one
+denominator.  The form is canonical, n > 0 and gcd(p, q, r, s, n) = 1, so
+equal values have equal fields and ``==`` and ``hash`` compare five ints.
+Every operation builds its result with ``_make``, which restores the
+invariant with one ``math.gcd`` call; no ``Fraction`` is formed on the
+arithmetic path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import sqrt
+from math import gcd, lcm, sqrt
 from typing import Union
 
 _SQRT2 = sqrt(2.0)
@@ -18,30 +26,29 @@ _SQRT2 = sqrt(2.0)
 RationalLike = Union[int, Fraction]
 
 
-# Every absent component is this one object, so zeros cost no allocation.
-_FZERO = Fraction(0)
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x) -> RationalLike:
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x) if x else _FZERO
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not a rational value: {x!r}")
 
 
 class ExactComplex:
-    """An element (a + b*sqrt(2)) + (c + d*sqrt(2))*i of Q(i, sqrt(2))."""
+    """An element (a + b*sqrt(2)) + (c + d*sqrt(2))*i of Q(i, sqrt(2)),
+    held as (p + q*sqrt(2) + (r + s*sqrt(2))*i) / n with n > 0 and
+    gcd(p, q, r, s, n) = 1.  Values are never mutated after construction."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("p", "q", "r", "s", "n")
 
     def __init__(self, re=0, im=0, re_sqrt2=0, im_sqrt2=0):
-        self.a = _frac(re)
-        self.c = _frac(im)
-        self.b = _frac(re_sqrt2)
-        self.d = _frac(im_sqrt2)
+        a, b, c, d = _rational(re), _rational(re_sqrt2), _rational(im), _rational(im_sqrt2)
+        da, db, dc, dd = a.denominator, b.denominator, c.denominator, d.denominator
+        # over the lcm of reduced denominators the five ints are coprime
+        n = lcm(da, db, dc, dd)
+        self.p, self.q, self.r, self.s, self.n = (
+            a.numerator * (n // da), b.numerator * (n // db),
+            c.numerator * (n // dc), d.numerator * (n // dd), n)
 
     # -- construction helpers -------------------------------------------------
 
@@ -53,16 +60,32 @@ class ExactComplex:
             return cls(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to ExactComplex")
 
-    # -- predicates and views --------------------------------------------------
+    # -- components, predicates and views -------------------------------------
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.n)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.n)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.r, self.n)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self.s, self.n)
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return not (self.p or self.q or self.r or self.s)
 
     def is_real(self) -> bool:
-        return not (self.c or self.d)
+        return not (self.r or self.s)
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        return not (self.q or self.r or self.s)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -70,24 +93,25 @@ class ExactComplex:
         return self.a
 
     def real(self) -> "ExactComplex":
-        return _new(self.a, self.b, _FZERO, _FZERO)
+        return _make(self.p, self.q, 0, 0, self.n)
 
     def imag(self) -> "ExactComplex":
-        return _new(self.c, self.d, _FZERO, _FZERO)
+        return _make(self.r, self.s, 0, 0, self.n)
 
     def conjugate(self) -> "ExactComplex":
-        c, d = self.c, self.d
-        return _new(self.a, self.b, -c if c else c, -d if d else d)
+        return _make(self.p, self.q, -self.r, -self.s, self.n)
 
     def to_complex(self) -> complex:
-        return complex(float(self.a) + float(self.b) * _SQRT2,
-                       float(self.c) + float(self.d) * _SQRT2)
+        # int true division is correctly rounded, as float(Fraction) is
+        n = self.n
+        return complex(self.p / n + (self.q / n) * _SQRT2,
+                       self.r / n + (self.s / n) * _SQRT2)
 
     def real_sign(self) -> int:
         """Sign of a real element a + b*sqrt(2); raises if not real."""
         if not self.is_real():
             raise ValueError(f"{self!r} is not real")
-        a, b = self.a, self.b
+        a, b = self.p, self.q  # n > 0, so the numerator decides
         if b == 0:
             return (a > 0) - (a < 0)
         if a == 0:
@@ -96,50 +120,43 @@ class ExactComplex:
             return 1
         if a < 0 and b < 0:
             return -1
-        # opposite signs: a^2 != 2 b^2 for nonzero rationals, so the term
+        # opposite signs: a^2 != 2 b^2 for nonzero integers, so the term
         # of larger square decides
         lead = a if a * a > 2 * b * b else b
         return 1 if lead > 0 else -1
 
     # -- arithmetic -------------------------------------------------------------
 
-    # Values are never mutated after construction, so a result may share
-    # an operand (or its components) whenever the other operand is zero.
-
     def __add__(self, other):
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
+        p1, q1, r1, s1, n1 = self.p, self.q, self.r, self.s, self.n
         if isinstance(other, ExactComplex):
-            if not (a1 or b1 or c1 or d1):
-                return other
-            a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-            if not (a2 or b2 or c2 or d2):
-                return self
-            return _new((a1 + a2 if a2 else a1) if a1 else a2,
-                        (b1 + b2 if b2 else b1) if b1 else b2,
-                        (c1 + c2 if c2 else c1) if c1 else c2,
-                        (d1 + d2 if d2 else d1) if d1 else d2)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return self
-            return _new(a1 + other if a1 else _frac(other), b1, c1, d1)
+            p2, q2, r2, s2, n2 = other.p, other.q, other.r, other.s, other.n
+            if n1 == n2:
+                return _make(p1 + p2, q1 + q2, r1 + r2, s1 + s2, n1)
+            return _make(p1 * n2 + p2 * n1, q1 * n2 + q2 * n1,
+                         r1 * n2 + r2 * n1, s1 * n2 + s2 * n1, n1 * n2)
+        if isinstance(other, int):
+            return _make(p1 + other * n1, q1, r1, s1, n1)
+        if isinstance(other, Fraction):
+            u, v = other.numerator, other.denominator
+            return _make(p1 * v + u * n1, q1 * v, r1 * v, s1 * v, n1 * v)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
+        p1, q1, r1, s1, n1 = self.p, self.q, self.r, self.s, self.n
         if isinstance(other, ExactComplex):
-            a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-            if not (a2 or b2 or c2 or d2):
-                return self
-            return _new((a1 - a2 if a2 else a1) if a1 else -a2 if a2 else a1,
-                        (b1 - b2 if b2 else b1) if b1 else -b2 if b2 else b1,
-                        (c1 - c2 if c2 else c1) if c1 else -c2 if c2 else c1,
-                        (d1 - d2 if d2 else d1) if d1 else -d2 if d2 else d1)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return self
-            return _new(a1 - other if a1 else _frac(-other), b1, c1, d1)
+            p2, q2, r2, s2, n2 = other.p, other.q, other.r, other.s, other.n
+            if n1 == n2:
+                return _make(p1 - p2, q1 - q2, r1 - r2, s1 - s2, n1)
+            return _make(p1 * n2 - p2 * n1, q1 * n2 - q2 * n1,
+                         r1 * n2 - r2 * n1, s1 * n2 - s2 * n1, n1 * n2)
+        if isinstance(other, int):
+            return _make(p1 - other * n1, q1, r1, s1, n1)
+        if isinstance(other, Fraction):
+            u, v = other.numerator, other.denominator
+            return _make(p1 * v - u * n1, q1 * v, r1 * v, s1 * v, n1 * v)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -148,88 +165,46 @@ class ExactComplex:
         return -self + other
 
     def __neg__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return _new(-a if a else a, -b if b else b, -c if c else c, -d if d else d)
+        return _make(-self.p, -self.q, -self.r, -self.s, self.n)
 
     def __mul__(self, other):
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
+        p1, q1, r1, s1, n1 = self.p, self.q, self.r, self.s, self.n
         if isinstance(other, ExactComplex):
-            a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        elif isinstance(other, (int, Fraction)):
-            if not other:
-                return ZERO
-            return _new(a1 * other if a1 else a1, b1 * other if b1 else b1,
-                        c1 * other if c1 else c1, d1 * other if d1 else d1)
+            p2, q2, r2, s2, n2 = other.p, other.q, other.r, other.s, other.n
+        elif isinstance(other, int):
+            return _make(p1 * other, q1 * other, r1 * other, s1 * other, n1)
+        elif isinstance(other, Fraction):
+            u = other.numerator
+            return _make(p1 * u, q1 * u, r1 * u, s1 * u, n1 * other.denominator)
         else:
             return NotImplemented
-        # (r1 + i m1)(r2 + i m2) with r, m in Q(sqrt2) as (rat, sqrt2) pairs:
-        #   re0 = a1 a2 + 2 b1 b2 - c1 c2 - 2 d1 d2
-        #   re1 = a1 b2 + b1 a2 - c1 d2 - d1 c2
-        #   im0 = a1 c2 + c1 a2 + 2 (b1 d2 + d1 b2)
-        #   im1 = a1 d2 + b1 c2 + c1 b2 + d1 a2
-        # Only products of two nonzero components are formed; a sum starts
-        # from its first term, never from a zero.
-        na, nb, nc, nd = bool(a2), bool(b2), bool(c2), bool(d2)
-        re0 = re1 = im0 = im1 = _FZERO
-        if a1:
-            if na:
-                re0 = a1 * a2
-            if nb:
-                re1 = a1 * b2
-            if nc:
-                im0 = a1 * c2
-            if nd:
-                im1 = a1 * d2
-        if b1:
-            if na:
-                t = b1 * a2
-                re1 = re1 + t if re1 else t
-            if nb:
-                t = 2 * (b1 * b2)
-                re0 = re0 + t if re0 else t
-            if nc:
-                t = b1 * c2
-                im1 = im1 + t if im1 else t
-            if nd:
-                t = 2 * (b1 * d2)
-                im0 = im0 + t if im0 else t
-        if c1:
-            if na:
-                t = c1 * a2
-                im0 = im0 + t if im0 else t
-            if nb:
-                t = c1 * b2
-                im1 = im1 + t if im1 else t
-            if nc:
-                t = c1 * c2
-                re0 = re0 - t if re0 else -t
-            if nd:
-                t = c1 * d2
-                re1 = re1 - t if re1 else -t
-        if d1:
-            if na:
-                t = d1 * a2
-                im1 = im1 + t if im1 else t
-            if nb:
-                t = 2 * (d1 * b2)
-                im0 = im0 + t if im0 else t
-            if nc:
-                t = d1 * c2
-                re1 = re1 - t if re1 else -t
-            if nd:
-                t = 2 * (d1 * d2)
-                re0 = re0 - t if re0 else -t
-        return _new(re0, re1, im0, im1)
+        if not (q2 or r2 or s2):  # other is rational
+            return _make(p1 * p2, q1 * p2, r1 * p2, s1 * p2, n1 * n2)
+        if not (q1 or r1 or s1):  # self is rational
+            return _make(p1 * p2, p1 * q2, p1 * r2, p1 * s2, n1 * n2)
+        # (x1 + i y1)(x2 + i y2) with x, y in Z[sqrt2] as (int, sqrt2) pairs:
+        #   p = p1 p2 + 2 q1 q2 - r1 r2 - 2 s1 s2
+        #   q = p1 q2 + q1 p2 - r1 s2 - s1 r2
+        #   r = p1 r2 + r1 p2 + 2 (q1 s2 + s1 q2)
+        #   s = p1 s2 + q1 r2 + r1 q2 + s1 p2
+        return _make(p1 * p2 - r1 * r2 + 2 * (q1 * q2 - s1 * s2),
+                     p1 * q2 + q1 * p2 - r1 * s2 - s1 * r2,
+                     p1 * r2 + r1 * p2 + 2 * (q1 * s2 + s1 * q2),
+                     p1 * s2 + q1 * r2 + r1 * q2 + s1 * p2,
+                     n1 * n2)
 
     __rmul__ = __mul__
 
     def _real_inverse(self):
-        """Inverse of the real element a + b*sqrt(2) as a (rat, sqrt2) pair."""
-        a, b = self.a, self.b
-        den = a * a - 2 * b * b
+        """Inverse of the real element (p + q*sqrt(2))/n: n (p - q*sqrt(2))
+        / (p^2 - 2 q^2), with the sign moved into the numerator."""
+        p, q, n = self.p, self.q, self.n
+        den = p * p - 2 * q * q
         if den == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(2))")
-        return ExactComplex(a / den, 0, -b / den, 0)
+        if den < 0:
+            den, n = -den, -n
+        return _make(n * p, -n * q, 0, 0, den)
 
     def inverse(self) -> "ExactComplex":
         if self.is_zero():
@@ -260,44 +235,49 @@ class ExactComplex:
             o = ExactComplex.coerce(other)
         except TypeError:
             return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
+        return (self.p == o.p and self.q == o.q and self.r == o.r
+                and self.s == o.s and self.n == o.n)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        return hash((self.p, self.q, self.r, self.s, self.n))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __repr__(self):
         parts = []
-        if self.a:
+        if self.p:
             parts.append(str(self.a))
-        if self.b:
+        if self.q:
             parts.append(f"{self.b}*r2")
-        if self.c:
+        if self.r:
             parts.append(f"{self.c}*i")
-        if self.d:
+        if self.s:
             parts.append(f"{self.d}*r2*i")
         return "EC(" + (" + ".join(parts) if parts else "0") + ")"
 
     def rational_str(self) -> str:
         """Render a rational-complex value as ``re`` or ``re + im*i``."""
-        if self.b or self.d:
+        if self.q or self.s:
             raise ValueError("value has sqrt(2) parts; not rational-complex")
-        if self.c == 0:
+        if self.r == 0:
             return str(self.a)
-        sign = "+" if self.c > 0 else "-"
+        sign = "+" if self.r > 0 else "-"
         return f"{self.a} {sign} {abs(self.c)}*i"
 
 
 _object_new = object.__new__
 
 
-def _new(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> ExactComplex:
-    """Build a + b*sqrt(2) + (c + d*sqrt(2))*i from Fraction components,
-    skipping the coercions of ``ExactComplex.__init__``."""
+def _make(p: int, q: int, r: int, s: int, n: int) -> ExactComplex:
+    """Build (p + q*sqrt(2) + (r + s*sqrt(2))*i)/n for n > 0, divided by
+    the common gcd so the result is canonical."""
     z = _object_new(ExactComplex)
-    z.a, z.b, z.c, z.d = a, b, c, d
+    g = gcd(p, q, r, s, n)
+    if g == 1:
+        z.p, z.q, z.r, z.s, z.n = p, q, r, s, n
+    else:
+        z.p, z.q, z.r, z.s, z.n = p // g, q // g, r // g, s // g, n // g
     return z
 
 

@@ -276,14 +276,18 @@ def contract(u: SymTensor, v: SymTensor, r: int) -> BlockTensor:
     return BlockTensor((q - r, q - r), u.dim, data)
 
 
-def contract_sym(u: SymTensor, v: SymTensor, r: int) -> SymTensor:
-    """Symmetrization of the r-th contraction over all 2(q - r) slots."""
-    block = contract(u, v, r)
+def _symmetrize_block(block: BlockTensor) -> SymTensor:
+    """Symmetrization of a block tensor over all of its slots."""
     # the dense entries of the block over all arrangements of a key (t1, t2)
     # sum to the block entry times the per-block arrangement counts
     raw = {t1 + t2: multiplicity_factor(t1) * multiplicity_factor(t2) * val
            for (t1, t2), val in block.data.items()}
-    return symmetrize(raw, sum(block.orders), u.dim)
+    return symmetrize(raw, sum(block.orders), block.dim)
+
+
+def contract_sym(u: SymTensor, v: SymTensor, r: int) -> SymTensor:
+    """Symmetrization of the r-th contraction over all 2(q - r) slots."""
+    return _symmetrize_block(contract(u, v, r))
 
 
 def product_moment(u: SymTensor, v: SymTensor):
@@ -305,8 +309,9 @@ def product_moment(u: SymTensor, v: SymTensor):
     ev2 = qf * inner(v, v)
     total = 2 * euv * euv + eu2 * ev2
     for r in range(1, q):
-        raw = contract(u, v, r).norm_sq()
-        sym = contract_sym(u, v, r).norm_sq()
+        block = contract(u, v, r)
+        raw = block.norm_sq()
+        sym = _symmetrize_block(block).norm_sq()
         c = math.comb(q, r)
         rf = math.factorial(r)
         w1 = c * c * qf * qf

@@ -501,6 +501,21 @@ class TestExperimentConfigChecks:
         assert "k_values" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kernel", [
+        {"inline": "0 0 1\n1 0\n"}, {"inline": "1 0 1\n0 1 0\n"},
+        {"block": {"m": 1, "n": 0}}, {"block": {"m": 0, "n": 0}},
+    ], ids=["inline-degree-0", "inline-degree-1", "block-degree-1", "block-degree-0"])
+    def test_kernel_below_degree_2_exits_65(self, tmp_path, monkeypatch, capsys, kernel):
+        # no chaos of order q >= 2; such a kernel used to run to a verdict
+        monkeypatch.setattr(cli.fm, "estimate", _no_sampling)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "n_samples": 200, "kernel": kernel,
+            "criterion": {"case": "gaussian-diag", "sigma2": 1.0, "a": 1.0}}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        assert "at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_out_naming_a_file_exits_64(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli.fm, "estimate", _no_sampling)
         cfg = tmp_path / "cfg.json"

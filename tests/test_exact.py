@@ -1,10 +1,12 @@
 """ExactComplex arithmetic against the dense Q(i, sqrt(2)) formulas.
 
-The class forms only the products and sums of nonzero components; these
-tests compare it with the plain formulas over all four components, written
-out here on Fraction 4-tuples (a, b, c, d) for (a + b*sqrt2) + (c + d*sqrt2)*i.
+The class keeps five ints over one denominator; these tests compare it with
+the plain formulas over all four components, written out here on Fraction
+4-tuples (a, b, c, d) for (a + b*sqrt2) + (c + d*sqrt2)*i, and check that
+the stored form is canonical.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -115,3 +117,70 @@ def test_fixed_identities():
         assert z * ONE == z and z - z == ZERO
     assert_matches(x + 0, parts(x))
     assert_matches(ExactComplex(0) * ExactComplex(0), (0, 0, 0, 0))
+
+
+# -- the canonical five-int form ---------------------------------------------
+
+
+def fields(x):
+    return (x.p, x.q, x.r, x.s, x.n)
+
+
+def assert_canonical(x):
+    assert all(type(v) is int for v in fields(x)), fields(x)
+    assert x.n > 0 and math.gcd(*fields(x)) == 1, fields(x)
+
+
+def assert_same(x, y):
+    assert_canonical(x)
+    assert_canonical(y)
+    assert fields(x) == fields(y) and hash(x) == hash(y)
+
+
+def test_zero_and_reduced_construction():
+    zero = (0, 0, 0, 0, 1)
+    assert fields(ZERO) == zero and fields(ExactComplex(Fraction(0, 5))) == zero
+    assert_same(ExactComplex(Fraction(2, 4)), ExactComplex(Fraction(1, 2)))
+    assert_same(ExactComplex(Fraction(6, 4), Fraction(-3, 9), Fraction(10, 8), 2),
+                ExactComplex(Fraction(3, 2), Fraction(-1, 3), Fraction(5, 4), 2))
+    assert fields(ExactComplex(Fraction(1, 6), 0, Fraction(1, 4), 0)) == (2, 3, 0, 0, 12)
+
+
+@given(values, values, scalars)
+@settings(max_examples=200, deadline=None)
+def test_equal_values_by_different_routes_have_equal_fields(x, y, s):
+    for v in (x + y, x - y, x * y, x * s, s * x, x + s, -x, x.conjugate(), x.real(),
+              x.imag()):
+        assert_canonical(v)
+    assert fields(x - x) == (0, 0, 0, 0, 1) and fields(x * 0) == (0, 0, 0, 0, 1)
+    assert_same((x + y) - y, x)
+    assert_same(x * y, y * x)
+    assert_same(x * s, ExactComplex(s) * x)
+    assert_same((x + s) - s, x)
+    if y:
+        assert_same((x * y) * y.inverse(), x)
+        assert_same((x * y) / y, x)
+    if x:
+        assert_same(x.inverse().inverse(), x)
+        assert_same(x * x.inverse(), ExactComplex(1))
+
+
+@given(values)
+@settings(max_examples=200, deadline=None)
+def test_to_complex_is_bit_identical_to_fraction_floats(x):
+    r2 = math.sqrt(2.0)
+    want = complex(float(x.a) + float(x.b) * r2, float(x.c) + float(x.d) * r2)
+    got = x.to_complex()
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+@given(values)
+@settings(max_examples=200, deadline=None)
+def test_repr_renders_the_fraction_components(x):
+    a, b, c, d = parts(x)
+    assert all(type(v) is Fraction for v in (a, b, c, d))
+    terms = [t for v, t in ((a, f"{a}"), (b, f"{b}*r2"), (c, f"{c}*i"), (d, f"{d}*r2*i")) if v]
+    assert repr(x) == "EC(" + (" + ".join(terms) if terms else "0") + ")"
+    if not (b or d):
+        want = str(a) if c == 0 else f"{a} {'+' if c > 0 else '-'} {abs(c)}*i"
+        assert x.rational_str() == want

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chaoslab import tensor as tensor_module
 from chaoslab.chaos import exact_moment
 from chaoslab.exact import EC, ExactComplex
 from chaoslab.tensor import (ComplexKernel, SymTensor, contract,
@@ -225,6 +226,22 @@ class TestProductMoment:
                 u = random_exact_tensor(order, 2, rnd)
                 v = random_exact_tensor(order, 2, rnd)
                 assert product_moment(u, v) == exact_moment([u, u, v, v])
+
+    def test_forms_each_contraction_once(self, monkeypatch):
+        calls = []
+
+        def counting_contract(u, v, r):
+            calls.append(r)
+            return contract(u, v, r)
+
+        monkeypatch.setattr(tensor_module, "contract", counting_contract)
+        rnd = random.Random(7)
+        for order in (1, 2, 3, 4):
+            u = random_exact_tensor(order, 2, rnd)
+            v = random_exact_tensor(order, 2, rnd)
+            calls.clear()
+            product_moment(u, v)
+            assert calls == list(range(1, order))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
