@@ -7,11 +7,12 @@ Exit codes are a stable contract:
     2   an exact identity suite failed
     64  bad arguments (including an --out that is not a directory) or a
         degree-budget violation
-    65  config or expression file parse error, including a malformed kernel
-        section (kernel text, kernel file contents, file name or scale), an
-        exact number in exponent notation, a kernel of degree m + n < 2, and
-        a value past a MAX_* bound below: kernel degree m + n, kernel
-        dimension (block k), workers and the oracle's complex_dim
+    65  config or expression file parse error, including an unknown key in
+        any section, a malformed kernel section (kernel text, kernel file
+        contents, file name or scale), an exact number in exponent notation,
+        a kernel of degree m + n < 2, and a value past a MAX_* bound below:
+        kernel degree m + n, kernel dimension (block k), workers and the
+        oracle's complex_dim
     66  missing kernel file
 
 A default seed may be supplied via the CHAOSLAB_SEED environment variable;
@@ -140,7 +141,54 @@ def _cmd_identities(args) -> int:
     return EXIT_OK
 
 
-# -- oracle -------------------------------------------------------------------------
+# -- input values --------------------------------------------------------------------
+
+
+def _read_json(path: Path, what: str):
+    """The JSON value in a config or expression file.  A missing file, a
+    directory, a file that is not UTF-8 and one that json cannot read (an
+    integer of over 4300 digits and nesting too deep included) are malformed
+    input (ConfigError)."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise fm.ConfigError(f"cannot read {what} {path}: {exc}")
+
+
+def _section(obj, name: str, keys: str) -> dict:
+    """``obj`` as a JSON object holding none but the space-separated ``keys``,
+    so that a misspelt key is not silently ignored (ConfigError otherwise)."""
+    if not isinstance(obj, dict):
+        raise fm.ConfigError(f"{name} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(keys.split()))
+    if unknown:
+        raise fm.ConfigError(f"{name} has unknown keys {unknown}; it takes {keys}")
+    return obj
+
+
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
+          str: "a string", list: "a list"}
+
+
+def _value(value, kind: type, name: str, lo=None, hi=None):
+    """``value`` as a field of type ``kind`` (int, float, bool, str or list)
+    within lo..hi, which bound a list's length; a ConfigError otherwise.  A
+    bool is not an integer, and a float must be finite."""
+    if value is None:
+        raise fm.ConfigError(f"{name} is missing")
+    if kind is float:  # comparing, unlike float(), cannot overflow on an int
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and -sys.float_info.max <= value <= sys.float_info.max)
+    else:
+        ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    if not ok:
+        raise fm.ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    size, what = (len(value), f"the length of {name}") if kind is list else (value, name)
+    if lo is not None and size < lo:
+        raise fm.ConfigError(f"{what} must be at least {lo}, got {size}")
+    if hi is not None and size > hi:
+        raise fm.ConfigError(f"{what} must be at most {hi}, got {size}")
+    return float(value) if kind is float else value
 
 
 def _parse_exact(x) -> ExactComplex:
@@ -153,26 +201,31 @@ def _parse_exact(x) -> ExactComplex:
 def _exact_part(v) -> Fraction:
     """An integer, or an integer, decimal or p/q string.  Exponent notation
     is refused: Fraction writes out every digit of 1e10000000."""
-    if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
-    if isinstance(v, str) and "e" not in v.lower():
-        return Fraction(v)
-    raise ValueError(f"not an exact number (integer, decimal or p/q): {v!r}")
+    try:
+        if isinstance(v, int) and not isinstance(v, bool):
+            return Fraction(v)
+        if isinstance(v, str) and "e" not in v.lower():
+            return Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise fm.ConfigError(f"not an exact number (integer, decimal or p/q): {v!r}")
 
 
-def _factor_spec(spec: dict, complex_dim: int) -> tuple:
+# -- oracle -------------------------------------------------------------------------
+
+
+def _factor_spec(spec, complex_dim: int) -> tuple:
     """((kind, a, b, conj), var) of a factor, checked but not yet built."""
-    if not isinstance(spec, dict):
-        raise ValueError("factor must be an object")
-    var = _int_value(spec.get("var", 0), "factor var", 0)
-    if var >= complex_dim:
-        raise ValueError(f"factor var {var} is out of range for complex_dim {complex_dim}")
-    conj = _bool_value(spec.get("conj", False), "factor conj")
-    kind = next((key for key in ("j", "zpow") if key in spec), None)
-    if kind is None:
-        raise ValueError("factor needs a 'j' or 'zpow' field")
-    a, b = (_int_value(x, f"factor {kind}", 0) for x in spec[kind])
-    return (kind, a, b, conj), var
+    spec = _section(spec, "factor", "j zpow var conj")
+    kinds = [key for key in ("j", "zpow") if key in spec]
+    if len(kinds) != 1:
+        raise fm.ConfigError(f"factor needs one of 'j' and 'zpow', got {kinds}")
+    kind = kinds[0]
+    a, b = (_value(x, int, f"factor {kind}", 0)
+            for x in _value(spec[kind], list, f"factor {kind}", 2, 2))
+    conj = _value(spec.get("conj", False), bool, "factor conj")
+    return (kind, a, b, conj), _value(spec.get("var", 0), int, "factor var", 0,
+                                      complex_dim - 1)
 
 
 def _factor_poly(kind: str, a: int, b: int, conj: bool):
@@ -182,32 +235,24 @@ def _factor_poly(kind: str, a: int, b: int, conj: bool):
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        doc = json.loads(_read_input(args.expr_file, "expression file"))
-        if not isinstance(doc, dict) or "terms" not in doc:
-            raise ValueError("expression file must be an object with a 'terms' list")
-        dim = _int_value(doc.get("complex_dim", 1), "complex_dim", 1)
-        if dim > MAX_COMPLEX_DIM:
-            raise ValueError(f"complex_dim must be at most {MAX_COMPLEX_DIM}, got {dim}")
-        if "gram" in doc:
-            gram = [[_parse_exact(x) for x in row] for row in doc["gram"]]
-            if len(gram) != dim or any(len(r) != dim for r in gram):
-                raise ValueError("gram matrix shape must match complex_dim")
+    doc = _section(_read_json(args.expr_file, "expression file"), "expression file",
+                   "complex_dim gram terms")
+    dim = _value(doc.get("complex_dim", 1), int, "complex_dim", 1, MAX_COMPLEX_DIM)
+    if "gram" in doc:
+        gram = [[_parse_exact(x) for x in _value(row, list, "gram row", dim, dim)]
+                for row in _value(doc["gram"], list, "gram", dim, dim)]
+        try:
             fam = GaussianFamily.from_complex_gram(gram)
-        else:
-            fam = GaussianFamily.complex_standard(dim)
-        terms = doc["terms"]
-        if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
-            raise ValueError("terms must be a list of objects")
-        parsed = []
-        for term in terms:
-            coeff = _parse_exact(term.get("coeff", 1))
-            factors = [_factor_spec(f, dim) for f in term["factors"]]
-            parsed.append((coeff, factors))
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError,
-            ZeroDivisionError) as exc:
-        print(f"error: cannot parse expression file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        except ValueError as exc:  # not Hermitian or not positive semidefinite
+            raise fm.ConfigError(f"gram: {exc}")
+    else:
+        fam = GaussianFamily.complex_standard(dim)
+    parsed = []
+    for term in _value(doc.get("terms"), list, "terms"):
+        term = _section(term, "term", "coeff factors")
+        factors = [_factor_spec(f, dim) for f in _value(term.get("factors"), list,
+                                                        "term factors")]
+        parsed.append((_parse_exact(term.get("coeff", 1)), factors))
     # the declared degrees, so that no polynomial is built past the budget
     for _, factors in parsed:
         degree = sum(a + b for (_, a, b, _), _ in factors)
@@ -226,152 +271,77 @@ def _cmd_oracle(args) -> int:
 # -- experiment ----------------------------------------------------------------------
 
 
-def _read_input(path: Path, what: str) -> str:
-    """The text of a config or expression file.  A missing file, a directory
-    and a file that is not UTF-8 are malformed input (ConfigError)."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise fm.ConfigError(f"no such {what}: {path}")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise fm.ConfigError(f"cannot read {what} {path}: {exc}")
+_CRITERION_FIELDS = {"sigma2": float, "a": float, "b": float, "m": int, "n": int,
+                     "total_degree": int, "chi2_variance_is_alpha": bool}
 
 
-def _load_config(path: Path) -> dict:
-    text = _read_input(path, "config file")
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # an integer of over 4300 digits included
-        raise fm.ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise fm.ConfigError("config must be a JSON object")
-    return doc
+def _criterion_from(crit) -> fm.CriterionSpec:
+    crit = _section(crit, "criterion", "case " + " ".join(_CRITERION_FIELDS))
+    # sigma2 is required: a missing one reads as None, which _value refuses
+    fields = {key: _value(crit.get(key), kind, f"criterion.{key}",
+                          0 if kind is int else None)
+              for key, kind in _CRITERION_FIELDS.items()
+              if key in crit or key == "sigma2"}
+    return fm.CriterionSpec(case=crit.get("case"), **fields)
 
 
-def _int_value(value, name: str, minimum: int) -> int:
-    """An integer field, rejected as a ConfigError when missing, not an
-    integer, or below ``minimum``."""
-    if value is None:
-        raise fm.ConfigError(f"{name} is missing")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise fm.ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise fm.ConfigError(f"{name} must be at least {minimum}, got {value}")
-    return value
-
-
-def _bool_value(value, name: str) -> bool:
-    """A JSON true or false, rejected as a ConfigError otherwise."""
-    if not isinstance(value, bool):
-        raise fm.ConfigError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
-def _num_value(value, name: str) -> float:
-    """A finite config number, rejected as a ConfigError otherwise."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise fm.ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _criterion_from(doc: dict) -> fm.CriterionSpec:
-    crit = doc.get("criterion")
-    if not isinstance(crit, dict) or "case" not in crit or "sigma2" not in crit:
-        raise fm.ConfigError("config needs a criterion object with case and sigma2")
-    kwargs = dict(case=crit["case"], sigma2=_num_value(crit["sigma2"], "criterion.sigma2"),
-                  a=_num_value(crit.get("a", 0.0), "criterion.a"),
-                  b=_num_value(crit.get("b", 0.0), "criterion.b"))
-    for key in ("m", "n", "total_degree"):
-        if key in crit:
-            kwargs[key] = _int_value(crit[key], f"criterion.{key}", 0)
-    if "chi2_variance_is_alpha" in crit:
-        kwargs["chi2_variance_is_alpha"] = _bool_value(
-            crit["chi2_variance_is_alpha"], "criterion.chi2_variance_is_alpha")
-    return fm.CriterionSpec(**kwargs)
-
-
-def _kernels_from(doc: dict, base: Path):
-    kspec = doc.get("kernel")
-    if not isinstance(kspec, dict):
-        raise fm.ConfigError("config needs a kernel object")
+def _kernel_from(doc: dict, base: Path) -> tuple:
+    """(m, n, k values, kernel) of the kernel section.  The kernel is None for
+    a block, built once per k after the whole config is checked.  A missing
+    kernel file raises FileNotFoundError; one that cannot be read (a name too
+    long included) or is not UTF-8 is malformed (ConfigError)."""
+    kspec = _section(doc.get("kernel"), "kernel", "block file inline scale")
     sources = [key for key in ("block", "file", "inline") if key in kspec]
-    if len(sources) > 1:
-        raise fm.ConfigError(f"kernel names {' and '.join(sources)}; "
+    if len(sources) != 1:
+        raise fm.ConfigError(f"kernel names {sources}; "
                              "give one of block, file and inline")
     if "block" in kspec:
-        blk = kspec["block"]
-        if not isinstance(blk, dict):
-            raise fm.ConfigError("kernel.block must be an object with m and n")
-        m = _int_value(blk.get("m"), "kernel.block.m", 0)
-        n = _int_value(blk.get("n"), "kernel.block.n", 0)
-        ks = doc.get("k_values", [1])
-        if not isinstance(ks, list) or not ks:
-            raise fm.ConfigError("k_values must be a non-empty list")
-        ks = [_int_value(k, "k_values", 1) for k in ks]
+        _section(kspec, "a block kernel", "block")
+        blk = _section(kspec["block"], "kernel.block", "m n")
+        m, n = (_value(blk.get(key), int, f"kernel.block.{key}", 0) for key in ("m", "n"))
+        ks = [_value(k, int, "k_values", 1, MAX_KERNEL_DIM)
+              for k in _value(doc.get("k_values", [1]), list, "k_values", 1)]
         if len(set(ks)) != len(ks):
             raise fm.ConfigError(f"k_values repeats a value: {ks}")
-        for k in ks:
-            _check_kernel_size(m + n, k)
-        return [(k, fm.gen_block_kernel(m, n, k)) for k in ks], (m, n)
-    if sources and "k_values" in doc:
+        kern = None
+    elif "k_values" in doc:
         raise fm.ConfigError(f"k_values applies to a block kernel only; "
                              f"a {sources[0]} kernel is run once")
-    try:
-        if "file" in kspec:
-            if not isinstance(kspec["file"], str):
-                raise ValueError(f"kernel.file must be a string, got {kspec['file']!r}")
-            path = Path(kspec["file"])
-            if not path.is_absolute():
-                path = base / path
-            if not path.is_file():
-                raise FileNotFoundError(str(path))
-            text = path.read_text()
-        elif "inline" in kspec:
-            text = kspec["inline"]
-            if not isinstance(text, str):
-                raise ValueError(f"kernel.inline must be a string, got {text!r}")
-        else:
-            raise ValueError("kernel must have a block, file or inline field")
-        kern = load_kernel(text)
-        if "scale" in kspec:
-            kern = _parse_exact(kspec["scale"]) * kern
-    except (ValueError, ZeroDivisionError) as exc:  # a file that is not UTF-8 included
-        raise fm.ConfigError(f"malformed kernel section: {exc}")
-    _check_kernel_size(kern.m + kern.n, kern.dim)
-    return [(1, kern)], (kern.m, kern.n)
-
-
-def _check_kernel_size(degree: int, dim: int) -> None:
+    else:
+        try:
+            if "file" in kspec:
+                path = base / _value(kspec["file"], str, "kernel.file")  # absolute wins
+                if not path.is_file():
+                    raise FileNotFoundError(str(path))
+                text = path.read_text(encoding="utf-8")
+            else:
+                text = _value(kspec["inline"], str, "kernel.inline")
+            kern = load_kernel(text)
+            if "scale" in kspec:
+                kern = _parse_exact(kspec["scale"]) * kern
+        except FileNotFoundError:
+            raise
+        except (OSError, ValueError, ZeroDivisionError) as exc:
+            raise fm.ConfigError(f"malformed kernel section: {exc}")
+        m, n, ks = kern.m, kern.n, [1]
+        _value(kern.dim, int, "kernel dimension", hi=MAX_KERNEL_DIM)
     # a chaos of order q >= 2 is what the fourth-moment criteria are about
-    if degree < 2:
-        raise fm.ConfigError(f"kernel degree m + n must be at least 2, got {degree}")
-    if degree > MAX_KERNEL_DEGREE:
-        raise fm.ConfigError(f"kernel degree m + n must be at most {MAX_KERNEL_DEGREE}, "
-                             f"got {degree}")
-    if dim > MAX_KERNEL_DIM:
-        raise fm.ConfigError(f"kernel dimension (block k) must be at most "
-                             f"{MAX_KERNEL_DIM}, got {dim}")
+    _value(m + n, int, "kernel degree m + n", 2, MAX_KERNEL_DEGREE)
+    return m, n, ks, kern
 
 
-def _ks_from(ks_cfg, k_values: list, n_samples: int) -> tuple:
+def _ks_from(ks_cfg, k_values: list) -> tuple:
     """(k, component, mean, var) of the KS section, checked before any sampling."""
-    if not isinstance(ks_cfg, dict):
-        raise fm.ConfigError("ks must be an object")
-    if n_samples < fm.KS_MIN_SAMPLES:
-        raise fm.ConfigError(f"the ks section needs n_samples >= {fm.KS_MIN_SAMPLES}, "
-                             f"got {n_samples}")
-    k_at = _int_value(ks_cfg.get("k", k_values[-1]), "ks.k", 1)
+    ks_cfg = _section(ks_cfg, "ks", "k component mean var")
+    k_at = _value(ks_cfg.get("k", k_values[-1]), int, "ks.k")
     if k_at not in k_values:
         raise fm.ConfigError(f"ks.k={k_at} is not among the run's k values")
     component = ks_cfg.get("component", "re")
     if component not in ("re", "im"):
         raise fm.ConfigError(f"ks.component must be 're' or 'im', got {component!r}")
-    mean = _num_value(ks_cfg.get("mean", 0.0), "ks.mean")
-    var = _num_value(ks_cfg.get("var", 1.0), "ks.var")
-    if var <= 0:
-        raise fm.ConfigError(f"ks.var must be positive, got {var}")
-    return k_at, component, mean, var
+    return (k_at, component, _value(ks_cfg.get("mean", 0.0), float, "ks.mean"),
+            # the least positive float: the variance must be positive
+            _value(ks_cfg.get("var", 1.0), float, "ks.var", math.ulp(0.0)))
 
 
 def _format_quantity(name: str, value: complex) -> str:
@@ -382,6 +352,8 @@ def _format_quantity(name: str, value: complex) -> str:
 
 def run_experiment(doc: dict, base: Path) -> tuple:
     """Execute an experiment config; returns (csv text, verdict dict)."""
+    doc = _section(doc, "config", "seed n_samples workers chunk_size criterion kernel "
+                                  "k_values ks exact_reference")
     seed = doc.get("seed")
     if seed is None:
         env = os.environ.get("CHAOSLAB_SEED")
@@ -391,31 +363,30 @@ def run_experiment(doc: dict, base: Path) -> tuple:
             seed = int(env)
         except ValueError:
             raise fm.ConfigError(f"CHAOSLAB_SEED must be an integer, got {env!r}")
-    seed = _int_value(seed, "seed", 0)
-    if seed >= SEED_LIMIT:
-        raise fm.ConfigError(f"seed must be below 2**128, the Philox key size, got {seed}")
-    n_samples = _int_value(doc.get("n_samples"), "n_samples", 2)
-    workers = _int_value(doc.get("workers", 1), "workers", 1)
-    if workers > MAX_WORKERS:
-        raise fm.ConfigError(f"workers must be at most {MAX_WORKERS}, got {workers}")
-    chunk = _int_value(doc.get("chunk_size", fm.DEFAULT_CHUNK), "chunk_size", 1)
-    spec = _criterion_from(doc)
-    kernels, (m, n) = _kernels_from(doc, base)
+    # the Philox key has 128 bits: seed 2**128 + 1 would draw seed 1's stream
+    seed = _value(seed, int, "seed", 0, SEED_LIMIT - 1)
+    ks_cfg = doc.get("ks")
+    n_samples = _value(doc.get("n_samples"), int, "n_samples",
+                       2 if ks_cfg is None else fm.KS_MIN_SAMPLES)
+    workers = _value(doc.get("workers", 1), int, "workers", 1, MAX_WORKERS)
+    chunk = _value(doc.get("chunk_size", fm.DEFAULT_CHUNK), int, "chunk_size", 1)
+    spec = _criterion_from(doc.get("criterion"))
+    m, n, k_values, kern = _kernel_from(doc, base)
     for key, kernel_value in (("m", m), ("n", n), ("total_degree", m + n)):
         value = getattr(spec, key)
         if value is not None and value != kernel_value:
             raise fm.ConfigError(f"criterion {key}={value} does not match the "
                                  f"kernel of bidegree ({m}, {n})")
-    ks = None if doc.get("ks") is None else _ks_from(
-        doc["ks"], [k for k, _ in kernels], n_samples)
-    references = None
-    if _bool_value(doc.get("exact_reference", False), "exact_reference"):
-        if "block" not in doc.get("kernel", {}):
-            raise fm.ConfigError("exact_reference requires a block kernel")
-        references = fm.block_reference_trajectory(m, n, [k for k, _ in kernels])
-    reports = [(k, fm.estimate(kern, n_samples, seed, workers=workers,
+    ks = None if ks_cfg is None else _ks_from(ks_cfg, k_values)
+    exact = _value(doc.get("exact_reference", False), bool, "exact_reference")
+    if exact and kern is not None:
+        raise fm.ConfigError("exact_reference requires a block kernel")
+    kernels = ([(1, kern)] if kern is not None
+               else [(k, fm.gen_block_kernel(m, n, k)) for k in k_values])
+    references = fm.block_reference_trajectory(m, n, k_values) if exact else None
+    reports = [(k, fm.estimate(kernel, n_samples, seed, workers=workers,
                                chunk_size=chunk))
-               for k, kern in kernels]
+               for k, kernel in kernels]
     the_verdict = fm.verdict(reports, spec, references)
     result = the_verdict.as_dict()
     result["seed"] = seed
@@ -444,11 +415,8 @@ def _cmd_experiment(args) -> int:
     if not _out_dir_ok(args.out):
         return EXIT_USAGE
     try:
-        doc = _load_config(args.config)
-        csv_text, result = run_experiment(doc, args.config.parent)
-    except fm.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        csv_text, result = run_experiment(_read_json(args.config, "config file"),
+                                          args.config.parent)
     except FileNotFoundError as exc:
         print(f"error: missing kernel file: {exc}", file=sys.stderr)
         return EXIT_NOKERNEL
@@ -494,6 +462,9 @@ def main(argv=None) -> int:
         if args.command == "experiment":
             return _cmd_experiment(args)
         return EXIT_USAGE
+    except fm.ConfigError as exc:  # malformed config or expression file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except BrokenPipeError:
         return EXIT_FAILURE
     except Exception as exc:  # execution failure, not a verdict

@@ -260,7 +260,7 @@ def contract(u: SymTensor, v: SymTensor, r: int) -> BlockTensor:
         return out
 
     left = split_map(u)
-    right = split_map(v)
+    right = left if u is v else split_map(v)
     data: Dict[Tuple[IndexTuple, IndexTuple], Value] = {}
     for shared, lefts in left.items():
         rights = right.get(shared)

@@ -300,7 +300,7 @@ def expect(fam: GaussianFamily, poly: GaussPoly) -> ExactComplex:
     for exps, coeff in poly._terms.items():
         if sum(exps) % 2:
             continue
-        total = total + coeff * EC(_pairing_sum(exps, fam.covariance, memo))
+        total = total + coeff * _pairing_sum(exps, fam.covariance, memo)
     return total
 
 

@@ -19,14 +19,17 @@ def run_cli(*argv):
 
 
 def _unreadable_input(tmp_path, kind):
-    """An input path that names a directory, a file that is not UTF-8 or
-    one holding an integer too long for json to read."""
+    """An input path that names a directory, a file that is not UTF-8, one
+    holding an integer too long for json to read or one nested too deep."""
     if kind == "directory":
         path = tmp_path / "adir"
         path.mkdir()
     elif kind == "long-integer":
         path = tmp_path / "long.json"
         path.write_text('{"seed": ' + "1" * 5000 + "}")
+    elif kind == "deep-nesting":
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
     else:
         path = tmp_path / "latin1.json"
         path.write_bytes('{"seed": 7, "note": "caf\u00e9"}'.encode("latin-1"))
@@ -149,7 +152,8 @@ class TestOracle:
     def test_missing_file(self, tmp_path):
         assert run_cli("oracle", str(tmp_path / "nope.json")) == 65
 
-    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "long-integer"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "long-integer",
+                                      "deep-nesting"])
     def test_unreadable_file_exits_65(self, tmp_path, kind):
         assert run_cli("oracle", str(_unreadable_input(tmp_path, kind))) == 65
 
@@ -185,10 +189,15 @@ class TestOracle:
         {"gram": [["2e0"]], "terms": [{"factors": [{"zpow": [1, 1]}]}]},
         {"complex_dim": cli.MAX_COMPLEX_DIM + 1,
          "terms": [{"factors": [{"zpow": [1, 1]}]}]},
+        {"complex_dim": 1, "grm": [["2"]], "terms": [{"factors": [{"zpow": [1, 1]}]}]},
+        {"terms": [{"cofe": 5, "factors": [{"zpow": [1, 1]}]}]},
+        {"terms": [{"factors": [{"zpow": [1, 1], "cnj": True}]}]},
+        {"terms": [{"factors": [{"j": [1, 1], "zpow": [1, 1]}]}]},
     ], ids=["conj-string", "j-fraction", "j-string", "zpow-float", "var-boolean",
             "complex_dim-fraction", "term-not-object", "terms-string",
             "var-out-of-range", "coeff-exponent", "coeff-pair-exponent",
-            "gram-exponent", "complex_dim-over-cap"])
+            "gram-exponent", "complex_dim-over-cap", "unknown-expression-key",
+            "unknown-term-key", "unknown-factor-key", "factor-j-and-zpow"])
     def test_malformed_fields_exit_65(self, tmp_path, doc):
         path = tmp_path / "expr.json"
         path.write_text(json.dumps(doc))
@@ -300,7 +309,8 @@ class TestExperiment:
         assert run_cli("experiment", str(tmp_path / "none.json"),
                        "--out", str(tmp_path / "o")) == 65
 
-    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "long-integer"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "long-integer",
+                                      "deep-nesting"])
     def test_unreadable_config_exits_65(self, tmp_path, kind):
         assert run_cli("experiment", str(_unreadable_input(tmp_path, kind)),
                        "--out", str(tmp_path / "o")) == 65
@@ -340,10 +350,20 @@ class TestExperiment:
             "case": "gaussian-offdiag", "sigma2": 1.0}},
         {"exact_reference": "no"},
         {"criterion": {**BASE_CONFIG["criterion"], "chi2_variance_is_alpha": "no"}},
+        {"criterion": {**BASE_CONFIG["criterion"], "sigma2": 10 ** 400}},
+        {"exact_refrence": True},
+        {"criterion": {**BASE_CONFIG["criterion"], "sigma": 2.0}},
+        {"kernel": {"block": {"m": 1, "n": 2}, "dim": 4}},
+        {"kernel": {"block": {"m": 1, "n": 2}, "scale": "2"}},
+        {"kernel": {"block": {"m": 1, "n": 2, "k": 4}}},
+        {"ks": {"k": 4, "comp": "im"}},
     ], ids=["chunk_size-0", "n_samples-abc", "block-missing-n", "workers-0",
             "workers-negative", "k_values-fraction", "criterion-m-abc",
             "sigma2-abc", "seed-abc", "ks-k-abc", "block-degree-1",
-            "exact_reference-string", "chi2_variance_is_alpha-string"])
+            "exact_reference-string", "chi2_variance_is_alpha-string",
+            "sigma2-10**400", "unknown-top-level-key", "unknown-criterion-key",
+            "unknown-kernel-key", "scale-beside-block", "unknown-block-key",
+            "unknown-ks-key"])
     def test_bad_integer_fields_exit_65(self, tmp_path, change):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**BASE_CONFIG, **change}))
@@ -362,9 +382,11 @@ class TestExperiment:
         ({"inline": "1 1 1\n0 0 nan 0"}, None),
         ({"file": "kern.txt"}, b"1 1 1\n0 0 1 1e999\n"),
         ({"inline": "1 1 1\n0 0 1 0", "scale": "1e100"}, None),
+        ({"file": "k" * 5000}, None),
     ], ids=["inline-garbage", "inline-index-out-of-range", "inline-number",
             "file-garbage", "file-not-utf8", "file-number", "scale-string",
-            "scale-float", "inline-nan", "file-overflow", "scale-exponent"])
+            "scale-float", "inline-nan", "file-overflow", "scale-exponent",
+            "file-name-too-long"])
     def test_malformed_kernel_section_exit_65(self, tmp_path, kernel, file_text):
         if file_text is not None:
             (tmp_path / kernel["file"]).write_bytes(file_text)
@@ -552,6 +574,20 @@ FUZZ_EXPRESSION = {
     "terms": [{"coeff": ["1/2", "0"],
                "factors": [{"j": [1, 2], "var": 0}, {"j": [1, 2], "var": 1, "conj": True}]}],
 }
+# an inline kernel with a scale, and a chi-square case with every criterion field
+FUZZ_INLINE_CONFIG = {
+    "seed": 5, "n_samples": 500, "chunk_size": 128,
+    "kernel": {"inline": "1 1 2\n0 0 1 0\n1 1 0 1\n", "scale": "1/2"},
+    "criterion": {"case": "gaussian-diag", "sigma2": 1.0, "a": 0.5, "b": 0.0,
+                  "m": 1, "n": 1},
+}
+FUZZ_CHI2_CONFIG = {
+    "seed": 3, "n_samples": 2000, "workers": 1,
+    "kernel": {"block": {"m": 1, "n": 1}}, "k_values": [2, 8],
+    "criterion": {"case": "chi2-diag", "sigma2": 2.0, "a": 0.5, "m": 1, "n": 1,
+                  "total_degree": 2, "chi2_variance_is_alpha": False},
+    "ks": {"k": 8, "component": "im", "mean": 0, "var": 2},
+}
 WRONG_VALUES = st.sampled_from([
     None, True, 0, -1, 1.5, 2 ** 128, 10 ** 40, -10 ** 40, math.nan, math.inf, -math.inf,
     "", "abc", "1e100", "1/0", [], [1], [1, 2, 3], {}])
@@ -584,6 +620,8 @@ def test_mutated_inputs_never_exit_1(tmp_path, monkeypatch, data):
     for name in ("estimate", "block_reference_trajectory", "collect_component_samples"):
         monkeypatch.setattr(cli.fm, name, _sampled)
     command, base = data.draw(st.sampled_from([("experiment", FUZZ_CONFIG),
+                                                ("experiment", FUZZ_INLINE_CONFIG),
+                                                ("experiment", FUZZ_CHI2_CONFIG),
                                                 ("oracle", FUZZ_EXPRESSION)]))
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data.draw(mutated(base))))
