@@ -10,9 +10,10 @@ Exit codes are a stable contract:
     65  config or expression file parse error, including an unknown key in
         any section, a malformed kernel section (kernel text, kernel file
         contents, file name or scale), an exact number in exponent notation,
-        a kernel of degree m + n < 2, and a value past a MAX_* bound below:
-        kernel degree m + n, kernel dimension (block k), workers and the
-        oracle's complex_dim
+        a kernel of degree m + n < 2, a kernel value or moments that
+        overflow float (a kernel scaled by 10**100, say), and a value past a
+        MAX_* bound below: kernel degree m + n, kernel dimension (block k),
+        workers, n_samples beside a ks section and the oracle's complex_dim
     66  missing kernel file
 
 A default seed may be supplied via the CHAOSLAB_SEED environment variable;
@@ -22,6 +23,7 @@ a seed present in a config always wins.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -57,6 +59,8 @@ MAX_KERNEL_DIM = 1024
 # each worker is a thread, started per chunk up to this count; it is
 # ThreadPoolExecutor's own default ceiling
 MAX_WORKERS = 32
+# the KS side channel keeps each F (16 bytes) and sorts one part: about 5 GB
+MAX_KS_SAMPLES = 10 ** 8
 # twice the variables a term within WICK_DEGREE_BUDGET can reach; the exact
 # covariance check of a dense gram this size takes about 0.2 s, growing with
 # the cube of complex_dim
@@ -319,9 +323,13 @@ def _kernel_from(doc: dict, base: Path) -> tuple:
             kern = load_kernel(text)
             if "scale" in kspec:
                 kern = _parse_exact(kspec["scale"]) * kern
+            # the sampler reads the values as floats, which 10**400 overflows
+            if not all(cmath.isfinite(v.to_complex() if isinstance(v, ExactComplex) else v)
+                       for v in kern.data.values()):
+                raise ValueError("a kernel value overflows float")
         except FileNotFoundError:
             raise
-        except (OSError, ValueError, ZeroDivisionError) as exc:
+        except (OSError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise fm.ConfigError(f"malformed kernel section: {exc}")
         m, n, ks = kern.m, kern.n, [1]
         _value(kern.dim, int, "kernel dimension", hi=MAX_KERNEL_DIM)
@@ -366,8 +374,8 @@ def run_experiment(doc: dict, base: Path) -> tuple:
     # the Philox key has 128 bits: seed 2**128 + 1 would draw seed 1's stream
     seed = _value(seed, int, "seed", 0, SEED_LIMIT - 1)
     ks_cfg = doc.get("ks")
-    n_samples = _value(doc.get("n_samples"), int, "n_samples",
-                       2 if ks_cfg is None else fm.KS_MIN_SAMPLES)
+    lo, hi = (2, None) if ks_cfg is None else (fm.KS_MIN_SAMPLES, MAX_KS_SAMPLES)
+    n_samples = _value(doc.get("n_samples"), int, "n_samples", lo, hi)
     workers = _value(doc.get("workers", 1), int, "workers", 1, MAX_WORKERS)
     chunk = _value(doc.get("chunk_size", fm.DEFAULT_CHUNK), int, "chunk_size", 1)
     spec = _criterion_from(doc.get("criterion"))
@@ -384,8 +392,9 @@ def run_experiment(doc: dict, base: Path) -> tuple:
     kernels = ([(1, kern)] if kern is not None
                else [(k, fm.gen_block_kernel(m, n, k)) for k in k_values])
     references = fm.block_reference_trajectory(m, n, k_values) if exact else None
-    reports = [(k, fm.estimate(kernel, n_samples, seed, workers=workers,
-                               chunk_size=chunk))
+    values = None if ks is None else numpy.empty(n_samples, complex)
+    reports = [(k, fm.estimate(kernel, n_samples, seed, workers=workers, chunk_size=chunk,
+                               out=values if ks and k == ks[0] else None))
                for k, kernel in kernels]
     the_verdict = fm.verdict(reports, spec, references)
     result = the_verdict.as_dict()
@@ -394,10 +403,8 @@ def run_experiment(doc: dict, base: Path) -> tuple:
 
     if ks is not None:
         k_at, component, mean, var = ks
-        samples = fm.collect_component_samples(dict(kernels)[k_at], n_samples, seed,
-                                               component=component, chunk_size=chunk,
-                                               workers=workers)
-        d, p = fm.ks_distance(samples, fm.normal_cdf(mean, var))
+        d, p = fm.ks_distance(fm.collect_component_samples(values, component),
+                              fm.normal_cdf(mean, var))
         result["ks"] = {"k": k_at, "component": component, "distance": d, "p_bound": p}
 
     buf = io.StringIO()

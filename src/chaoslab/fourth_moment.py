@@ -8,7 +8,8 @@ harness certifies moment trajectories; it never claims convergence in
 distribution itself.  A KS side channel measures the empirical distance to
 the limit law; the limit theorems promise nothing at one finite k, so there
 its p-value measures the distance that remains and is not expected to clear
-any threshold.
+any threshold.  Its samples are the values F that :func:`estimate` keeps
+from its own pass at that k, so no sample is drawn twice.
 
 The five quantities of a chaos variable F are
 
@@ -34,6 +35,7 @@ configured-law moments and the stated limits.
 
 from __future__ import annotations
 
+import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -330,8 +332,7 @@ def moment_quantities(f, fbar, a2):
     return a2, f2, a2 * a2, f2 * f2, f2 * f + 3 * a2 * fbar
 
 
-def _moment_arrays(target, batch):
-    f = eval_target(target, batch)
+def _moment_arrays(f):
     abs2, sq, abs4, fourth, t3 = moment_quantities(f, np.conj(f), np.abs(f) ** 2)
     a8 = abs4 * abs4
     # squared moduli: |sq|^2 = abs2^2 = abs4 and |fourth|^2 = abs4^2
@@ -339,23 +340,34 @@ def _moment_arrays(target, batch):
 
 
 def estimate(target: EstimateTarget, n_samples: int, seed: int, *,
-             workers: int = 1, chunk_size: int = DEFAULT_CHUNK) -> MomentReport:
+             workers: int = 1, chunk_size: int = DEFAULT_CHUNK,
+             out: Optional[np.ndarray] = None) -> MomentReport:
     """Monte Carlo moment report for a chaos target: plug-in means with
     (sample sd / sqrt N) standard errors.  Chunk sums are added in
     chunk-index order and sampling is counter-based, so the report is the
-    same for a given (seed, chunk_size) whatever the worker count."""
+    same for a given (seed, chunk_size) whatever the worker count.
+
+    ``out`` (complex, n_samples) keeps this pass's values F, the KS side
+    channel's samples.  Moments that overflow float are a ConfigError."""
     dim = _target_sample_dim(target)
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    if out is not None and (out.shape != (n_samples,) or out.dtype != np.complex128):
+        raise ValueError(f"out must be a complex array of shape ({n_samples},)")
 
     def chunk_sums(start, size):
-        arrays = _moment_arrays(target, sample_batch(dim, size, seed, start=start))
-        return [(complex(np.sum(value)), complex(np.sum(square))) for value, square in arrays]
+        f = eval_target(target, sample_batch(dim, size, seed, start=start))
+        if out is not None:
+            out[start:start + size] = f
+        return [(complex(np.sum(value)), complex(np.sum(square)))
+                for value, square in _moment_arrays(f)]
 
     parts = _map_chunks(chunk_sums, n_samples, chunk_size, workers)
     totals = [(0j, 0j)] * len(parts[0])
     for part in parts:
         totals = [(v + pv, s + ps) for (v, s), (pv, ps) in zip(totals, part)]
+    if not all(cmath.isfinite(x) for pair in totals for x in pair):
+        raise ConfigError("the moments overflow float: the kernel values are too large")
     (abs2, abs2_se), (sq, sq_se), (abs4, abs4_se), (fourth, fourth_se), (t3, t3_se) = (
         _mean_se(value_sum, sq_sum.real, float(n_samples)) for value_sum, sq_sum in totals)
     return MomentReport(n_samples=n_samples, seed=seed, exact=False,
@@ -676,22 +688,9 @@ def ks_distance(samples: np.ndarray, cdf) -> Tuple[float, float]:
     return d, p
 
 
-def collect_component_samples(target: EstimateTarget, n_samples: int, seed: int,
-                              component: str = "re",
-                              chunk_size: int = DEFAULT_CHUNK,
-                              workers: int = 1) -> np.ndarray:
-    """Samples of Re F or Im F for distributional spot checks.
-
-    Each chunk fills its own slice of the output, so the array is the same
-    whatever the worker count."""
+def collect_component_samples(values: np.ndarray, component: str = "re") -> np.ndarray:
+    """Re F or Im F of the values an :func:`estimate` kept in its ``out``,
+    for distributional spot checks."""
     if component not in ("re", "im"):
         raise ValueError("component must be 're' or 'im'")
-    D = _target_sample_dim(target)
-    out = np.empty(n_samples)
-
-    def fill(start, size):
-        f = eval_target(target, sample_batch(D, size, seed, start=start))
-        out[start:start + size] = f.real if component == "re" else f.imag
-
-    _map_chunks(fill, n_samples, chunk_size, workers)
-    return out
+    return values.real if component == "re" else values.imag

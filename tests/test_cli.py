@@ -300,6 +300,23 @@ class TestExperiment:
         doc = json.loads((out / "verdict.json").read_text())
         assert "ks" in doc and doc["ks"]["k"] == 4
 
+    def test_ks_section_draws_each_sample_once(self, tmp_path, monkeypatch):
+        drawn = []
+        sample_batch = cli.fm.sample_batch
+
+        def counting(*args, **kwargs):
+            batch = sample_batch(*args, **kwargs)
+            drawn.append(batch.xi.size + batch.eta.size)
+            return batch
+
+        monkeypatch.setattr(cli.fm, "sample_batch", counting)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, "n_samples": 1000, "chunk_size": 300,
+                                   "workers": 2, "ks": {"k": 2, "component": "im"}}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 0
+        # 2 k normals per sample at each k of the run, none again for the KS
+        assert sum(drawn) == sum(2 * k * 1000 for k in BASE_CONFIG["k_values"])
+
     def test_config_parse_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{bad json")
@@ -383,10 +400,15 @@ class TestExperiment:
         ({"file": "kern.txt"}, b"1 1 1\n0 0 1 1e999\n"),
         ({"inline": "1 1 1\n0 0 1 0", "scale": "1e100"}, None),
         ({"file": "k" * 5000}, None),
+        ({"inline": "1 1 1\n0 0 1 0\n", "scale": "1" + "0" * 400}, None),
+        ({"inline": "1 1 1\n0 0 1 0\n", "scale": 10 ** 100}, None),
+        ({"inline": "1 1 1\n0 0 1 0\n", "scale": 10 ** 200}, None),
+        ({"inline": "1 1 1\n0 0 1e300 0\n"}, None),
     ], ids=["inline-garbage", "inline-index-out-of-range", "inline-number",
             "file-garbage", "file-not-utf8", "file-number", "scale-string",
             "scale-float", "inline-nan", "file-overflow", "scale-exponent",
-            "file-name-too-long"])
+            "file-name-too-long", "scale-overflows-float", "scale-10**100",
+            "scale-10**200", "inline-1e300"])
     def test_malformed_kernel_section_exit_65(self, tmp_path, kernel, file_text):
         if file_text is not None:
             (tmp_path / kernel["file"]).write_bytes(file_text)
@@ -489,8 +511,11 @@ class TestExperimentConfigChecks:
          "criterion": {"case": "gaussian-offdiag", "sigma2": 1.0}},
         {**BASE_CONFIG, "workers": cli.MAX_WORKERS + 1},
         {**BASE_CONFIG, "workers": 10 ** 40},
+        {**BASE_CONFIG, "n_samples": cli.MAX_KS_SAMPLES + 1, "ks": {}},
+        {**BASE_CONFIG, "n_samples": 2 ** 128, "ks": {}},
     ], ids=["degree-2**128", "degree-over-cap", "k-10**40", "k-over-cap",
-            "inline-dim-over-cap", "workers-over-cap", "workers-10**40"])
+            "inline-dim-over-cap", "workers-over-cap", "workers-10**40",
+            "ks-n_samples-over-cap", "ks-n_samples-2**128"])
     def test_values_past_a_bound_exit_65_before_any_kernel(self, tmp_path, monkeypatch,
                                                            doc):
         monkeypatch.setattr(cli.fm, "gen_block_kernel", _no_sampling)

@@ -120,6 +120,29 @@ class TestEstimate:
         exact = fm.exact_report(mixed)
         assert abs(rep.abs2 - exact.abs2) <= 5 * rep.abs2_se
 
+    def test_out_keeps_the_values_of_the_pass(self):
+        target = [(EC(Fraction(1, 2)), fm.gen_block_kernel(1, 1, 2)),
+                  (I_UNIT, fm.gen_block_kernel(2, 0, 2))]
+        out = np.empty(2500, complex)
+        rep = fm.estimate(target, 2500, seed=17, workers=2, chunk_size=1000, out=out)
+        assert (out == fm.eval_target(target, sample_batch(2, 2500, seed=17))).all()
+        assert repr(rep) == repr(fm.estimate(target, 2500, seed=17, chunk_size=1000))
+
+    def test_out_bytes_whatever_the_chunking(self):
+        phi = fm.gen_block_kernel(1, 2, 4)
+        kept = []
+        for workers, chunk_size in ((1, 8192), (3, 1000), (5, 777)):
+            out = np.empty(9000, complex)
+            fm.estimate(phi, 9000, seed=23, workers=workers, chunk_size=chunk_size, out=out)
+            kept.append(out.tobytes())
+        assert kept[0] == kept[1] == kept[2]
+
+    @pytest.mark.parametrize("out", [np.empty(99, complex), np.empty((100, 1), complex),
+                                     np.empty(100)], ids=["short", "2-d", "float"])
+    def test_out_of_the_wrong_shape_is_refused(self, out):
+        with pytest.raises(ValueError):
+            fm.estimate(fm.gen_block_kernel(1, 2, 1), 100, seed=1, out=out)
+
     def test_report_validation(self):
         with pytest.raises(ValueError):
             fm.MomentReport(n_samples=1, seed=0, exact=False, abs2=1, sq=0,
@@ -456,9 +479,13 @@ class TestKolmogorovSmirnov:
 
     def test_component_collection(self):
         phi = fm.gen_block_kernel(1, 2, 2)
-        re = fm.collect_component_samples(phi, 500, seed=41, component="re")
-        im = fm.collect_component_samples(phi, 500, seed=41, component="im")
+        values = np.empty(500, complex)
+        fm.estimate(phi, 500, seed=41, out=values)
+        re = fm.collect_component_samples(values, component="re")
+        im = fm.collect_component_samples(values, component="im")
         batch = sample_batch(2, 500, seed=41)
         from chaoslab.chaos import eval_complex
         f = eval_complex(phi, batch)
-        assert np.allclose(re, f.real) and np.allclose(im, f.imag)
+        assert (re == f.real).all() and (im == f.imag).all()
+        with pytest.raises(ValueError):
+            fm.collect_component_samples(values, component="abs")
