@@ -294,13 +294,7 @@ def EC(re=0, im=0) -> ExactComplex:
 
 
 def half_power(n: int) -> ExactComplex:
-    """Exact 2**(-n/2); for odd n this is sqrt(2)/2**((n+1)/2)."""
-    if n < 0:
-        # 2**(k/2) for k = -n > 0
-        k = -n
-        if k % 2 == 0:
-            return ExactComplex(Fraction(2 ** (k // 2)))
-        return ExactComplex(0, 0, Fraction(2 ** ((k - 1) // 2)), 0)
+    """Exact 2**(-n/2) for n >= 0; for odd n this is sqrt(2)/2**((n+1)/2)."""
     if n % 2 == 0:
         return ExactComplex(Fraction(1, 2 ** (n // 2)))
     return ExactComplex(0, 0, Fraction(1, 2 ** ((n + 1) // 2)), 0)

@@ -163,15 +163,13 @@ def case_targets(spec: CriterionSpec) -> Dict[str, complex]:
     ab = complex(spec.a, spec.b)
     if spec.case == "gaussian-offdiag":
         return {"abs2": s2, "sq": 0j, "abs4": 2 * s2 * s2}
-    if spec.case in ("gaussian-diag", "multichaos"):
-        if spec.is_degenerate():
-            return {"abs2": s2, "sq": ab * s2, "abs4": 3 * s2 * s2,
-                    "fourth": 3 * ab * ab * s2 * s2}
-        return {"abs2": s2, "sq": ab * s2,
-                "abs4": (abs(ab) ** 2 + 2) * s2 * s2}
-    if spec.case == "gaussian-degenerate":
+    diag = spec.case in ("gaussian-diag", "multichaos")
+    if spec.case == "gaussian-degenerate" or (diag and spec.is_degenerate()):
         return {"abs2": s2, "sq": ab * s2, "abs4": 3 * s2 * s2,
                 "fourth": 3 * ab * ab * s2 * s2}
+    if diag:
+        return {"abs2": s2, "sq": ab * s2,
+                "abs4": (abs(ab) ** 2 + 2) * s2 * s2}
     if spec.case == "chi2-offdiag":
         return {"abs2": s2, "t3": 8 * (1 - 1j) * s2,
                 "abs4": 2 * s2 * s2 + 24 * s2}
@@ -251,18 +249,12 @@ EstimateTarget = Union[ComplexKernel,
                        Sequence[Tuple[object, ComplexKernel]]]
 
 
-def _is_pair(target: EstimateTarget) -> bool:
-    """Whether the target is a real pair (u, v), meaning I(u) + i I(v)."""
-    return isinstance(target, tuple) and len(target) == 2 \
-        and isinstance(target[0], SymTensor)
-
-
 def _terms_of(target: EstimateTarget) -> List[Tuple[ExactComplex, object]]:
     """Normalize a target to scalar-weighted chaos elements."""
     if isinstance(target, ComplexKernel):
         return [(ONE, target)]
-    if _is_pair(target):
-        u, v = target
+    if isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], SymTensor):
+        u, v = target  # a real pair (u, v), meaning I(u) + i I(v)
         return [(ONE, u), (I_UNIT, v)]
     terms = []
     for coeff, kern in target:  # type: ignore[union-attr]
@@ -302,15 +294,18 @@ def eval_target(target: EstimateTarget, batch: SampleBatch) -> np.ndarray:
 DEFAULT_CHUNK = 8192
 
 
-def _map_chunks(fn, n_samples: int, chunk_size: int, workers: int = 1) -> list:
-    """``fn(start, size)`` over the chunks of the sample range, results in
-    chunk-index order whatever the worker count."""
-    jobs = [(start, min(chunk_size, n_samples - start))
-            for start in range(0, n_samples, chunk_size)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda job: fn(*job), jobs))
-    return [fn(start, size) for start, size in jobs]
+def _map_chunks(fn, n_samples: int, chunk_size: int, workers: int = 1):
+    """Yield ``fn(start, size)`` over the chunks of the sample range in
+    chunk-index order whatever the worker count, with at most 2 * workers
+    chunks in flight, so memory does not grow with the number of chunks."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = []
+        for start in range(0, n_samples, chunk_size):
+            pending.append(pool.submit(fn, start, min(chunk_size, n_samples - start)))
+            if len(pending) == 2 * workers:
+                yield pending.pop(0).result()
+        while pending:
+            yield pending.pop(0).result()
 
 
 def _mean_se(total, sq_total: float, n: float) -> Tuple[complex, float]:
@@ -343,9 +338,10 @@ def estimate(target: EstimateTarget, n_samples: int, seed: int, *,
              workers: int = 1, chunk_size: int = DEFAULT_CHUNK,
              out: Optional[np.ndarray] = None) -> MomentReport:
     """Monte Carlo moment report for a chaos target: plug-in means with
-    (sample sd / sqrt N) standard errors.  Chunk sums are added in
-    chunk-index order and sampling is counter-based, so the report is the
-    same for a given (seed, chunk_size) whatever the worker count.
+    (sample sd / sqrt N) standard errors.  Chunks stream through a pool
+    with a bounded number in flight, their sums are added in chunk-index
+    order and sampling is counter-based, so the report is the same for a
+    given (seed, chunk_size) whatever the worker count.
 
     ``out`` (complex, n_samples) keeps this pass's values F, the KS side
     channel's samples.  Moments that overflow float are a ConfigError."""
@@ -356,15 +352,17 @@ def estimate(target: EstimateTarget, n_samples: int, seed: int, *,
         raise ValueError(f"out must be a complex array of shape ({n_samples},)")
 
     def chunk_sums(start, size):
-        f = eval_target(target, sample_batch(dim, size, seed, start=start))
-        if out is not None:
-            out[start:start + size] = f
-        return [(complex(np.sum(value)), complex(np.sum(square)))
-                for value, square in _moment_arrays(f)]
+        # overflow is refused once, after the fold; numpy's error state is
+        # per thread, so it is set here, in the worker
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = eval_target(target, sample_batch(dim, size, seed, start=start))
+            if out is not None:
+                out[start:start + size] = f
+            return [(complex(np.sum(value)), complex(np.sum(square)))
+                    for value, square in _moment_arrays(f)]
 
-    parts = _map_chunks(chunk_sums, n_samples, chunk_size, workers)
-    totals = [(0j, 0j)] * len(parts[0])
-    for part in parts:
+    totals = [(0j, 0j)] * len(QUANTITIES)
+    for part in _map_chunks(chunk_sums, n_samples, chunk_size, workers):
         totals = [(v + pv, s + ps) for (v, s), (pv, ps) in zip(totals, part)]
     if not all(cmath.isfinite(x) for pair in totals for x in pair):
         raise ConfigError("the moments overflow float: the kernel values are too large")
@@ -381,7 +379,7 @@ def _real_pair(target: EstimateTarget) -> Tuple[SymTensor, SymTensor]:
 
     Each term c * I(elem) adds Re(c) u_e - Im(c) v_e to u and
     Im(c) u_e + Re(c) v_e to v, where (u_e, v_e) is the element's own real
-    pair; a ``(u, v)`` target is already one.
+    pair.
     """
     terms = _terms_of(target)
     orders = {top_degree(elem) for _, elem in terms}
@@ -390,8 +388,6 @@ def _real_pair(target: EstimateTarget) -> Tuple[SymTensor, SymTensor]:
                          "report needs one chaos")
     if not all(isinstance(c, ExactComplex) and elem.is_exact() for c, elem in terms):
         raise ValueError("the exact report needs exact coefficients and kernel values")
-    if _is_pair(target):
-        return target  # type: ignore[return-value]
     u = v = None
     for coeff, elem in terms:
         if isinstance(elem, ComplexKernel):

@@ -294,6 +294,21 @@ def _complex_hermite(m: int, n: int, rho: Fraction) -> BiPoly:
 # -- Ornstein-Uhlenbeck generator ------------------------------------------------
 
 
+def _ou_terms(terms, two_rho_cos, eit):
+    """The generator on a term map, written once with ``+`` and ``*`` for exact
+    or floating scalars: z^a zbar^b goes to
+    2 rho cos * ab z^(a-1) zbar^(b-1) - (a e^{i theta} + b e^{-i theta}) z^a zbar^b."""
+    eit_bar = eit.conjugate()
+    out = {}
+    for (a, b), c in terms.items():
+        parts = [((a, b), -(a * eit + b * eit_bar) * c)]
+        if a and b:
+            parts.append(((a - 1, b - 1), two_rho_cos * (a * b) * c))
+        for key, val in parts:
+            out[key] = out[key] + val if key in out else val
+    return out
+
+
 def ou_apply(p: BiPoly, trig: Tuple[Fraction, Fraction], rho=Fraction(2)) -> BiPoly:
     """Apply the OU generator exactly, given exact rational (cos, sin).
 
@@ -306,13 +321,7 @@ def ou_apply(p: BiPoly, trig: Tuple[Fraction, Fraction], rho=Fraction(2)) -> BiP
     if cos_t <= 0:
         raise ValueError("angle outside (-pi/2, pi/2): cos must be positive")
     rho = _check_rho(rho)
-    eit = ExactComplex(cos_t, sin_t)
-    eit_bar = eit.conjugate()
-    diff = p.d_z().d_zbar()
-    term1 = EC(2 * rho * cos_t) * diff
-    term2 = eit * (BiPoly.z() * p.d_z())
-    term3 = eit_bar * (BiPoly.zbar() * p.d_zbar())
-    return term1 - term2 - term3
+    return BiPoly(_ou_terms(p._terms, EC(2 * rho * cos_t), ExactComplex(cos_t, sin_t)))
 
 
 def ou_apply_numeric(p: BiPoly, theta: float, rho=2.0) -> Dict[ExponentPair, complex]:
@@ -322,21 +331,8 @@ def ou_apply_numeric(p: BiPoly, theta: float, rho=2.0) -> Dict[ExponentPair, com
     rho = float(rho)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    eit = complex(math.cos(theta), math.sin(theta))
-    out: Dict[ExponentPair, complex] = {}
-
-    def add(key, val):
-        if val != 0:
-            out[key] = out.get(key, 0j) + val
-
-    for (a, b), coeff in p.terms().items():
-        c = coeff.to_complex()
-        if a >= 1 and b >= 1:
-            add((a - 1, b - 1), 2 * rho * math.cos(theta) * a * b * c)
-        if a >= 1:
-            add((a, b), -eit * a * c)
-        if b >= 1:
-            add((a, b), -eit.conjugate() * b * c)
+    out = _ou_terms({k: c.to_complex() for k, c in p._terms.items()},
+                    2 * rho * math.cos(theta), complex(math.cos(theta), math.sin(theta)))
     return {k: v for k, v in out.items() if v != 0}
 
 

@@ -10,6 +10,9 @@ ExactComplex, otherwise float (SymTensor) or complex (ComplexKernel).  Each
 algorithm is written once with ``+``, ``*``, ``conjugate()`` and truthiness
 and int or Fraction weights, so exact inputs give exact results that
 compare with ``==``; an exact operand meets a floating one as floats.
+
+The text format (:func:`dump_kernel`, :func:`load_kernel`) covers complex
+kernels only: a header ``m n dim`` and one line per stored entry.
 """
 
 from __future__ import annotations
@@ -427,28 +430,6 @@ def _parse_value(s: str):
     if not math.isfinite(x):
         raise ValueError(f"value {s!r} is not finite")
     return x
-
-
-def dump_sym_tensor(t: SymTensor) -> str:
-    lines = [f"{t.order} {t.dim}"]
-    for key in sorted(t.data):
-        lines.append(" ".join(str(i) for i in key) + " " + _value_str(t.data[key]))
-    return "\n".join(lines) + "\n"
-
-
-def load_sym_tensor(text: str) -> SymTensor:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty tensor text")
-    order, dim = (int(x) for x in lines[0].split())
-    data = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != order + 1:
-            raise ValueError(f"bad tensor line: {ln!r}")
-        key = tuple(int(x) for x in parts[:order])
-        data[key] = _parse_value(parts[order])
-    return SymTensor(order, dim, data)
 
 
 def dump_kernel(k: ComplexKernel) -> str:

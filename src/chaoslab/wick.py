@@ -3,6 +3,7 @@
 This is the brute-force oracle the rest of the package is checked against:
 expectations of polynomials in finitely many jointly Gaussian coordinates,
 computed as sums over perfect matchings with exact rational covariance.
+A family takes rational covariance entries only; a float is refused.
 Complex variables are always reduced to pairs of real coordinates before
 pairing; no complex shortcut is used here.
 
@@ -23,10 +24,6 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 from .exact import EC, ExactComplex, ZERO
 
 Exponents = Tuple[int, ...]
-
-
-def _is_rational_matrix(rows) -> bool:
-    return all(isinstance(x, (int, Fraction)) for row in rows for x in row)
 
 
 def _psd_exact(rows: Sequence[Sequence[Fraction]]) -> bool:
@@ -51,7 +48,9 @@ def _psd_exact(rows: Sequence[Sequence[Fraction]]) -> bool:
 
 
 class GaussianFamily:
-    """A centered Gaussian vector given by its (rational) covariance matrix."""
+    """A centered Gaussian vector given by its covariance matrix, whose
+    entries must be int or Fraction: the oracle is exact, so a float or
+    complex entry is refused."""
 
     def __init__(self, covariance, complex_pairs=None):
         rows = [tuple(row) for row in covariance]
@@ -62,16 +61,11 @@ class GaussianFamily:
             for j in range(d):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("covariance must be symmetric")
-        if _is_rational_matrix(rows):
-            rows = [tuple(Fraction(x) for x in row) for row in rows]
-            if not _psd_exact(rows):
-                raise ValueError("covariance is not positive semidefinite")
-        else:
-            import numpy as np
-
-            w = np.linalg.eigvalsh(np.array(rows, dtype=float))
-            if w.min() < -1e-10:
-                raise ValueError("covariance is not positive semidefinite")
+        if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
+            raise ValueError("covariance entries must be rational (int or Fraction)")
+        rows = [tuple(Fraction(x) for x in row) for row in rows]
+        if not _psd_exact(rows):
+            raise ValueError("covariance is not positive semidefinite")
         self.dim = d
         self.covariance = rows
         # optional map complex variable k -> (xi coordinate, eta coordinate)

@@ -3,7 +3,11 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -418,6 +422,26 @@ class TestExperiment:
             "criterion": {"case": "gaussian-offdiag", "sigma2": 1.0}}))
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kernel", [
+        {"inline": "1 1 1\n0 0 1e300 0\n"},
+        {"inline": "1 1 1\n0 0 1 0\n", "scale": 10 ** 100},
+    ], ids=["inline-1e300", "scale-10**100"])
+    def test_overflow_prints_only_the_error_line(self, tmp_path, kernel, workers):
+        # a separate process, so that numpy's warnings reach stderr as they
+        # would for a user, from the pool's threads as well
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "n_samples": 200, "kernel": kernel, "workers": workers,
+            "criterion": {"case": "gaussian-offdiag", "sigma2": 1.0}}))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "chaoslab.cli", "experiment", str(cfg),
+             "--out", str(tmp_path / "o")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 65
+        assert proc.stderr.splitlines() == [
+            "error: the moments overflow float: the kernel values are too large"]
 
     @pytest.mark.parametrize("criterion", [
         {"case": "multichaos", "sigma2": 2.0, "total_degree": 2},

@@ -137,6 +137,22 @@ class TestEstimate:
             kept.append(out.tobytes())
         assert kept[0] == kept[1] == kept[2]
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_chunks_stream_with_a_bounded_number_in_flight(self, workers):
+        # the parent built every (start, size) job, then ran all 10**6 chunks
+        # before the first result was read
+        calls = []
+
+        def fn(start, size):
+            calls.append(start)
+            return start, size
+
+        chunks = fm._map_chunks(fn, 10 ** 6, 1, workers)
+        assert next(chunks) == (0, 1)
+        assert len(calls) <= 2 * workers + 1
+        chunks.close()
+        assert list(fm._map_chunks(fn, 10, 3, workers)) == [(0, 3), (3, 3), (6, 3), (9, 1)]
+
     @pytest.mark.parametrize("out", [np.empty(99, complex), np.empty((100, 1), complex),
                                      np.empty(100)], ids=["short", "2-d", "float"])
     def test_out_of_the_wrong_shape_is_refused(self, out):

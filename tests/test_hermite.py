@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chaoslab.exact import EC, ZERO, ExactComplex
 from chaoslab.hermite import (BiPoly, complex_hermite, evaluate,
@@ -148,6 +148,27 @@ class TestOrnsteinUhlenbeck:
             want = {k: lam * c.to_complex() for k, c in p.terms().items()}
             for key in set(got) | set(want):
                 assert abs(got.get(key, 0) - want.get(key, 0)) <= 1e-12
+
+    @given(terms=st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.builds(ExactComplex, st.fractions(-2, 2, max_denominator=7),
+                  st.fractions(-2, 2, max_denominator=7)),
+        min_size=1, max_size=6),
+        trig=st.sampled_from([(Fraction(1), Fraction(0)), (Fraction(4, 5), Fraction(3, 5)),
+                              (Fraction(3, 5), Fraction(-4, 5)),
+                              (Fraction(12, 13), Fraction(5, 13))]))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_and_numeric_generators_agree(self, terms, trig):
+        p = BiPoly(terms)
+        exact = ou_apply(p, trig)
+        # not an eigenfunction: A p is no multiple of p
+        k0, c0 = next(iter(p.terms().items()), ((0, 0), ZERO))
+        keys = set(p.terms()) | set(exact.terms())
+        assume(any(exact.coefficient(*k) * c0 != exact.coefficient(*k0) * p.coefficient(*k)
+                   for k in keys))
+        got = ou_apply_numeric(p, math.atan2(trig[1], trig[0]))
+        for key in keys | set(got):
+            assert abs(got.get(key, 0) - exact.coefficient(*key).to_complex()) <= 1e-12
 
     def test_rejects_bad_angles(self):
         p = complex_hermite(1, 1)

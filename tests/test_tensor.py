@@ -13,9 +13,8 @@ from chaoslab import tensor as tensor_module
 from chaoslab.chaos import exact_moment
 from chaoslab.exact import EC, ExactComplex
 from chaoslab.tensor import (ComplexKernel, SymTensor, contract,
-                             contract_sym, dump_kernel, dump_sym_tensor, inner,
-                             kernel_inner, load_kernel, load_sym_tensor,
-                             multiplicity_factor, product_moment, symmetrize)
+                             contract_sym, dump_kernel, inner, kernel_inner,
+                             load_kernel, multiplicity_factor, product_moment, symmetrize)
 
 
 # -- dense brute-force oracles (test-only path) --------------------------------
@@ -333,16 +332,11 @@ class TestFloatingPath:
 
 
 class TestSerialization:
-    def test_tensor_roundtrip_exact(self):
-        rnd = random.Random(4)
-        t = random_exact_tensor(3, 3, rnd)
-        back = load_sym_tensor(dump_sym_tensor(t))
-        assert back == t
-
-    def test_tensor_roundtrip_float(self):
-        t = SymTensor(2, 2, {(0, 1): 0.125, (1, 1): -3.5})
-        back = load_sym_tensor(dump_sym_tensor(t))
-        assert back.data == t.data
+    def test_kernel_roundtrip_float(self):
+        k = ComplexKernel(1, 1, 2, {((0,), (1,)): 0.125 - 2.5j, ((1,), (1,)): -3.5})
+        back = load_kernel(dump_kernel(k))
+        assert back.data == k.data
+        assert all(type(x) is complex for x in back.data.values())
 
     def test_kernel_roundtrip(self):
         k = ComplexKernel(1, 2, 2, {
@@ -360,14 +354,10 @@ class TestSerialization:
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
-            load_sym_tensor("2 2\n0 1\n")
-        with pytest.raises(ValueError):
             load_kernel("")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_rejects_non_finite_values(self, value):
-        with pytest.raises(ValueError, match="not finite"):
-            load_sym_tensor(f"2 2\n0 1 {value}\n")
         with pytest.raises(ValueError, match="not finite"):
             load_kernel(f"1 1 1\n0 0 {value} 0\n")
         with pytest.raises(ValueError, match="not finite"):

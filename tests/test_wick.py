@@ -86,9 +86,13 @@ class TestFamilyValidation:
         with pytest.raises(ValueError):
             GaussianFamily([[1, 0], [1, 1]])
 
-    def test_float_fallback(self):
-        fam = GaussianFamily([[1.0, 0.5], [0.5, 1.0]])
-        assert fam.dim == 2
+    @pytest.mark.parametrize("cov", [[[1.0, 0.5], [0.5, 1.0]], [[1, 0.5], [0.5, 1]],
+                                     [[1, 0j], [0j, 1]]], ids=["float", "one-float", "complex"])
+    def test_rejects_non_rational_entries(self, cov):
+        # the oracle is exact: a float family used to be accepted and then
+        # failed with TypeError inside expect
+        with pytest.raises(ValueError, match="rational"):
+            GaussianFamily(cov)
 
     def test_psd_check_skips_rows_with_a_zero_multiplier(self, monkeypatch):
         # a diagonal covariance needs no row update; updating every row made
