@@ -14,13 +14,12 @@ from .convert import (AngleMatrix, ConversionTable, IllConditionedError,
                       hermite_to_complex_coeffs, rotation_expand)
 from .tensor import (BlockTensor, ComplexKernel, SymTensor, contract,
                      contract_sym, dump_kernel, inner, kernel_inner,
-                     load_kernel, product_moment, symmetrize)
+                     load_kernel, pair_moments, product_moment, symmetrize)
 from .chaos import (SampleBatch, decompose, eval_complex, eval_real,
                     exact_moment, sample_batch)
 from .fourth_moment import (CriterionSpec, MomentReport, Verdict,
-                            block_reference_trajectory, centered_chi2_cdf,
-                            chi2_target_moments, component_gaps, estimate,
-                            exact_report, gen_block_kernel, ks_distance,
-                            normal_cdf, verdict)
+                            block_reference_trajectory, chi2_target_moments,
+                            component_gaps, estimate, exact_report,
+                            gen_block_kernel, ks_distance, normal_cdf, verdict)
 
 __version__ = "0.1.0"

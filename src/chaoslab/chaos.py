@@ -334,7 +334,6 @@ def exact_moment(factors: Iterable) -> ExactComplex:
     if len(dims) != 1:
         raise ValueError(f"factors live over different coordinate counts: {dims}")
     # balanced multiplication keeps intermediate term counts small
-    polys.sort(key=lambda p: len(p.terms()))
     while len(polys) > 1:
         polys.sort(key=lambda p: len(p.terms()))
         a = polys.pop(0)

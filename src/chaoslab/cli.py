@@ -11,9 +11,10 @@ Exit codes are a stable contract:
         any section, a malformed kernel section (kernel text, kernel file
         contents, file name or scale), an exact number in exponent notation,
         a kernel of degree m + n < 2, a kernel value or moments that
-        overflow float (a kernel scaled by 10**100, say), and a value past a
-        MAX_* bound below: kernel degree m + n, kernel dimension (block k),
-        workers, n_samples beside a ks section and the oracle's complex_dim
+        overflow float (a kernel scaled by 10**100, say), a ks section
+        beside a chi-square case, and a value past a MAX_* bound below:
+        kernel degree m + n, kernel dimension (block k), workers, n_samples
+        beside a ks section and the oracle's complex_dim
     66  missing kernel file
 
 A default seed may be supplied via the CHAOSLAB_SEED environment variable;
@@ -385,6 +386,8 @@ def run_experiment(doc: dict, base: Path) -> tuple:
         if value is not None and value != kernel_value:
             raise fm.ConfigError(f"criterion {key}={value} does not match the "
                                  f"kernel of bidegree ({m}, {n})")
+    if ks_cfg is not None and spec.case.startswith("chi2"):
+        raise fm.ConfigError(f"ks tests a normal law; {spec.case} has a chi-square limit")
     ks = None if ks_cfg is None else _ks_from(ks_cfg, k_values)
     exact = _value(doc.get("exact_reference", False), bool, "exact_reference")
     if exact and kern is not None:

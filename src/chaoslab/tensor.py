@@ -1,8 +1,9 @@
-"""Symmetric tensors, contractions and the product-moment identity.
+"""Symmetric tensors, contractions and the product-moment table.
 
 Tensors are stored canonically: one coefficient per sorted index tuple,
 equal to the dense entry at every permutation of that tuple.  Inner
-products therefore carry multinomial weights.
+products therefore carry multinomial weights.  With contractions they give
+:func:`pair_moments`, the moment table that ``exact_report`` reads.
 
 Each tensor holds one scalar type, chosen once when it is built: if every
 input value is exact (int, Fraction or ExactComplex) the values become
@@ -12,17 +13,20 @@ and int or Fraction weights, so exact inputs give exact results that
 compare with ``==``; an exact operand meets a floating one as floats.
 
 The text format (:func:`dump_kernel`, :func:`load_kernel`) covers complex
-kernels only: a header ``m n dim`` and one line per stored entry.
+kernels only: a header ``m n dim`` and one line per stored entry, its
+indices then its real and imaginary parts, each a float or, exact, one
+token ``a``, ``b*r2`` or ``a+b*r2`` (a, b rational, r2 = sqrt 2).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .exact import ExactComplex, ZERO
+from .exact import ExactComplex, I_UNIT, ZERO
 
 IndexTuple = Tuple[int, ...]
 Value = Union[int, Fraction, float, complex, ExactComplex]
@@ -212,11 +216,19 @@ class BlockTensor(_OneScalarType):
                     store[(t1, t2)] = val
         self.data = store
 
-    def norm_sq(self):
-        total = _zero(self)
+    def inner(self, other: "BlockTensor"):
+        """Full-tuple inner product: sum over all index tuples of self * other."""
+        if (self.orders, self.dim) != (other.orders, other.dim):
+            raise ValueError("shape mismatch")
+        total = _zero(self, other)
         for (t1, t2), v in self.data.items():
-            total = total + multiplicity_factor(t1) * multiplicity_factor(t2) * v * v
+            w = other.data.get((t1, t2))
+            if w is not None:
+                total = total + multiplicity_factor(t1) * multiplicity_factor(t2) * v * w
         return total
+
+    def norm_sq(self):
+        return self.inner(self)
 
     def scalar(self):
         """Value of an order-(0,0) block tensor."""
@@ -293,34 +305,54 @@ def contract_sym(u: SymTensor, v: SymTensor, r: int) -> SymTensor:
     return _symmetrize_block(contract(u, v, r))
 
 
-def product_moment(u: SymTensor, v: SymTensor):
-    """E[U^2 V^2] for U, V the order-q integrals of u, v.
+def pair_moments(u: SymTensor, v: SymTensor) -> Dict[Tuple[int, int], Value]:
+    """E[U^a V^b] for 2 <= a + b <= 4, U and V the order-q integrals of u, v.
 
-    Closed form: 2 (E[UV])^2 + E[U^2] E[V^2]
-    + sum_{r=1}^{q-1} C(q,r)^2 [ (q!)^2 |u (x)_r v|^2
-                                 + (r!)^2 C(q,r)^2 (2q-2r)! |u (x~)_r v|^2 ]
-    with E[UV] = q! <u, v>.
+    The product formula (Nourdin-Peccati 2012, ch. 5) over one contraction
+    of each block uu, uv, vv = x (x)_r y per r.  With a = E U^2, b = E V^2,
+    c = E UV (E[I_q(x) I_q(y)] = q! <x, y>), a fourth moment over blocks
+    (B_i, B_j), with symmetrizations (S_i, S_j), is a pairing constant plus
+    sum_{r=1}^{q-1} C(q,r)^2 [(q!)^2 <B_i, B_j> + C(q,r)^2 (r!)^2 (2q-2r)! <S_i, S_j>]:
+
+        U^4 (uu, uu) 3a^2    U^3 V (uu, uv) 3ac    U^2 V^2 (uv, uv) ab + 2c^2
+        U V^3 (uv, vv) 3bc   V^4 (vv, vv) 3b^2
+
+    A third moment is (q!/(q/2)!)^3 <x (x~)_{q/2} y, z>, zero for odd q.
     """
     if (u.order, u.dim) != (v.order, v.dim):
         raise ValueError("shape mismatch")
     q = u.order
     if q < 1:
         raise ValueError("order must be >= 1")
+    u, v = _one_type(u, v)
     qf = math.factorial(q)
-    euv = qf * inner(u, v)
-    eu2 = qf * inner(u, u)
-    ev2 = qf * inner(v, v)
-    total = 2 * euv * euv + eu2 * ev2
+    a, b, c = qf * inner(u, u), qf * inner(v, v), qf * inner(u, v)
+    moments = {(2, 0): a, (1, 1): c, (0, 2): b,
+               **dict.fromkeys(((3, 0), (2, 1), (1, 2), (0, 3)), _zero(u, v)),
+               (4, 0): 3 * a * a, (3, 1): 3 * a * c, (2, 2): a * b + 2 * c * c,
+               (1, 3): 3 * b * c, (0, 4): 3 * b * b}
     for r in range(1, q):
-        block = contract(u, v, r)
-        raw = block.norm_sq()
-        sym = _symmetrize_block(block).norm_sq()
-        c = math.comb(q, r)
-        rf = math.factorial(r)
-        w1 = c * c * qf * qf
-        w2 = c ** 4 * rf * rf * math.factorial(2 * q - 2 * r)
-        total = total + w1 * raw + w2 * sym
-    return total
+        blocks = [contract(x, y, r) for x, y in ((u, u), (u, v), (v, v))]
+        syms = [_symmetrize_block(block) for block in blocks]
+        cr = math.comb(q, r)
+        w_raw = cr * cr * qf * qf
+        w_sym = cr ** 4 * math.factorial(r) ** 2 * math.factorial(2 * q - 2 * r)
+        # each fourth moment's pair of blocks among uu, uv, vv (docstring table)
+        for key, i, j in (((4, 0), 0, 0), ((3, 1), 0, 1), ((2, 2), 1, 1), ((1, 3), 1, 2),
+                          ((0, 4), 2, 2)):
+            moments[key] = (moments[key] + w_raw * blocks[i].inner(blocks[j])
+                            + w_sym * inner(syms[i], syms[j]))
+        if 2 * r == q:
+            c3 = (qf // math.factorial(r)) ** 3
+            uu, uv, vv = syms
+            moments.update({(3, 0): c3 * inner(uu, u), (2, 1): c3 * inner(uu, v),
+                            (1, 2): c3 * inner(uv, v), (0, 3): c3 * inner(vv, v)})
+    return moments
+
+
+def product_moment(u: SymTensor, v: SymTensor):
+    """E[U^2 V^2] for U, V the order-q integrals of u, v (:func:`pair_moments`)."""
+    return pair_moments(u, v)[(2, 2)]
 
 
 # -- complex kernels ---------------------------------------------------------------
@@ -415,12 +447,21 @@ def kernel_inner(f: ComplexKernel, g: ComplexKernel):
 
 
 def _value_str(v) -> str:
-    if isinstance(v, ExactComplex):
-        return str(v.as_fraction()) if v.is_rational() else repr(_float(v))
-    return repr(v)
+    if not isinstance(v, ExactComplex):
+        return repr(v)
+    a, b = v.a, v.b  # v is a real part, a + b*sqrt(2)
+    if not b:
+        return str(a)
+    return (f"{a}{'+' if b > 0 else ''}" if a else "") + f"{b}*r2"
+
+
+_SQRT2_TOKEN = re.compile(r"(?:([+-]?\d+(?:/\d+)?)(?=[+-]))?([+-]?\d+(?:/\d+)?)\*r2")
 
 
 def _parse_value(s: str):
+    token = _SQRT2_TOKEN.fullmatch(s)  # a+b*r2 or b*r2
+    if token:
+        return ExactComplex(Fraction(token[1] or 0), 0, Fraction(token[2]), 0)
     if "/" in s:
         return Fraction(s)
     try:
@@ -455,9 +496,9 @@ def load_kernel(text: str) -> ComplexKernel:
             raise ValueError(f"bad kernel line: {ln!r}")
         ta = tuple(int(x) for x in parts[:m])
         tb = tuple(int(x) for x in parts[m:m + n])
-        re, im = _parse_value(parts[-2]), _parse_value(parts[-1])
-        if isinstance(re, float) or isinstance(im, float):
-            data[(ta, tb)] = complex(re, im)
+        real, imag = _parse_value(parts[-2]), _parse_value(parts[-1])
+        if isinstance(real, float) or isinstance(imag, float):
+            data[(ta, tb)] = complex(_float(real), _float(imag))
         else:
-            data[(ta, tb)] = ExactComplex(Fraction(re), Fraction(im))
+            data[(ta, tb)] = ExactComplex.coerce(real) + I_UNIT * imag
     return ComplexKernel(m, n, dim, data)

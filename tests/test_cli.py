@@ -587,6 +587,24 @@ class TestExperimentConfigChecks:
         assert "at least 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("case, kernel", [
+        ("chi2-diag", {"inline": "1 1 1\n0 0 1 0\n"}),
+        ("chi2-offdiag", {"block": {"m": 1, "n": 1}}),
+    ], ids=["chi2-diag-inline", "chi2-offdiag-block"])
+    def test_ks_section_beside_a_chi2_case_exits_65(self, tmp_path, monkeypatch, capsys,
+                                                     case, kernel):
+        # the ks law is N(mean, var), not the case's chi-square limit
+        monkeypatch.setattr(cli.fm, "estimate", _no_sampling)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "n_samples": 200, "kernel": kernel,
+            "criterion": {"case": case, "sigma2": 2.0, "m": 1, "n": 1},
+            "ks": {"component": "re"}}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "chi-square" in err
+        assert not (tmp_path / "o").exists()
+
     def test_out_naming_a_file_exits_64(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli.fm, "estimate", _no_sampling)
         cfg = tmp_path / "cfg.json"

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -407,6 +408,13 @@ class TestContractionTrajectory:
         assert out["nonincreasing"] and out["pass"]
         assert vals[0] > vals[-1] > 0
 
+    def test_an_exact_increase_is_caught(self):
+        # the norms grow by a factor (1 + 1e-10)^4, far inside a 1e-9 slack
+        kern = fm.gen_block_kernel(2, 2, 4)
+        seq = [(1, kern), (2, EC(Fraction(10 ** 10 + 1, 10 ** 10)) * kern)]
+        out = fm.contraction_trajectory(seq)
+        assert not out["nonincreasing"] and not out["pass"]
+        assert fm.contraction_trajectory(seq[:1] * 2)["nonincreasing"]
 
 def mixed_degree_two_target(k):
     """Fixed total degree 2, mixed bidegrees (2,0) and (1,1)."""
@@ -445,8 +453,10 @@ class TestMultichaos:
                 u = du if u is None else u + du
                 v = dv if v is None else v + dv
             norms = fm.contraction_norms_sq(u) + fm.contraction_norms_sq(v)
-            vals.append(max(norms))
-        assert vals[0] > vals[1] > vals[2] > 0
+            vals.append(max(norms, key=cmp_to_key(lambda x, y: (x - y).real_sign())))
+        # exact comparisons: each step is a strict decrease, and the last is positive
+        assert all((b - a).real_sign() < 0 for a, b in zip(vals, vals[1:]))
+        assert vals[2].real_sign() > 0
 
 
 class TestComponentGaps:
@@ -476,22 +486,6 @@ class TestKolmogorovSmirnov:
     def test_degenerate_targets_rejected(self):
         with pytest.raises(ValueError):
             fm.normal_cdf(0.0, 0.0)
-        with pytest.raises(ValueError):
-            fm.centered_chi2_cdf(0.0)
-
-    def test_chi2_cdf_shape(self):
-        cdf = fm.centered_chi2_cdf(4.0)  # variance 4 => 2 dof, support (-2, inf)
-        assert float(cdf(-2.0)) == 0.0
-        assert float(cdf(0.0)) == pytest.approx(1 - math.exp(-1))
-        got = fm.centered_chi2_cdf(4.0, variance_is_alpha=False)
-        assert float(got(0.0)) == pytest.approx(1 - math.exp(-2) * 3, rel=1e-6)
-
-    def test_chi2_samples_match_their_cdf(self):
-        rng = np.random.default_rng(31)
-        nu = 2.0
-        samples = rng.chisquare(nu, size=200_000) - nu
-        d, p = fm.ks_distance(samples, fm.centered_chi2_cdf(2 * nu))
-        assert p > 0.01
 
     def test_component_collection(self):
         phi = fm.gen_block_kernel(1, 2, 2)

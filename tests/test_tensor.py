@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaoslab import tensor as tensor_module
-from chaoslab.chaos import exact_moment
+from chaoslab import fourth_moment as fm, tensor as tensor_module
+from chaoslab.chaos import decompose, exact_moment
 from chaoslab.exact import EC, ExactComplex
 from chaoslab.tensor import (ComplexKernel, SymTensor, contract,
                              contract_sym, dump_kernel, inner, kernel_inner,
-                             load_kernel, multiplicity_factor, product_moment, symmetrize)
+                             load_kernel, multiplicity_factor, pair_moments,
+                             product_moment, symmetrize)
 
 
 # -- dense brute-force oracles (test-only path) --------------------------------
@@ -227,6 +228,8 @@ class TestProductMoment:
                 assert product_moment(u, v) == exact_moment([u, u, v, v])
 
     def test_forms_each_contraction_once(self, monkeypatch):
+        # pair_moments, and exact_report through it, contract each block
+        # uu, uv, vv once per r = 1 .. q-1: 3(q-1) contractions in all
         calls = []
 
         def counting_contract(u, v, r):
@@ -238,13 +241,51 @@ class TestProductMoment:
         for order in (1, 2, 3, 4):
             u = random_exact_tensor(order, 2, rnd)
             v = random_exact_tensor(order, 2, rnd)
-            calls.clear()
-            product_moment(u, v)
-            assert calls == list(range(1, order))
+            kern = random_exact_kernel(1, order - 1, 2, rnd)
+            for run in (lambda: pair_moments(u, v), lambda: fm.exact_report(kern)):
+                calls.clear()
+                run()
+                assert calls == [r for r in range(1, order) for _ in range(3)]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             product_moment(SymTensor(2, 2), SymTensor(3, 2))
+
+
+# reals a + b*sqrt(2), b often zero
+EXACT_REALS = st.builds(lambda a, b: ExactComplex(a, 0, b, 0),
+                        st.fractions(-2, 2, max_denominator=3),
+                        st.sampled_from([0, 0, Fraction(1, 2), -1]))
+
+
+@st.composite
+def exact_pairs(draw):
+    """Exact real tensors (u, v) of one order 1..3 over dimension 2."""
+    order = draw(st.integers(1, 3))
+    keys = list(itertools.combinations_with_replacement(range(2), order))
+    return tuple(SymTensor(order, 2, {t: draw(EXACT_REALS) for t in keys})
+                 for _ in range(2))
+
+
+@given(exact_pairs())
+@settings(max_examples=30, deadline=None)
+def test_pair_moments_equal_the_wick_oracle(pair):
+    u, v = pair
+    table = pair_moments(u, v)
+    assert sorted(table) == sorted((a, b) for a in range(5) for b in range(5)
+                                   if 2 <= a + b <= 4)
+    for (a, b), value in table.items():
+        assert value == exact_moment([u] * a + [v] * b)
+
+
+@pytest.mark.parametrize("m, n, k", [(1, 1, 1), (2, 0, 1), (1, 2, 1), (1, 2, 2),
+                                     (2, 1, 1), (2, 2, 1)])
+def test_pair_moments_give_the_component_gaps(m, n, k):
+    kern = fm.gen_block_kernel(m, n, k)
+    table = pair_moments(*decompose(kern))
+    a, b = table[(2, 0)], table[(0, 2)]
+    assert (table[(4, 0)] - 3 * a * a, table[(0, 4)] - 3 * b * b,
+            table[(2, 2)] - a * b) == fm.component_gaps(kern)
 
 
 class TestComplexKernel:
@@ -356,12 +397,55 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_kernel("")
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 0), (1, 2), (2, 1), (2, 2), (0, 3)])
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_block_kernel_roundtrip_stays_exact(self, m, n, k):
+        # 1/sqrt(2) and sqrt(2)/4: values with a sqrt(2) part
+        kern = fm.gen_block_kernel(m, n, k)
+        back = load_kernel(dump_kernel(kern))
+        assert back.is_exact() and back.data == kern.data
+        assert fm.exact_report(back) == fm.exact_report(kern)
+
+    def test_sqrt2_tokens(self):
+        text = dump_kernel(ComplexKernel(1, 0, 2, {
+            ((0,), ()): ExactComplex(3, Fraction(-2, 5), Fraction(-1, 2), 7),
+            ((1,), ()): ExactComplex(0, Fraction(1, 3), Fraction(1, 2), 0)}))
+        assert text == "1 0 2\n0 3-1/2*r2 -2/5+7*r2\n1 1/2*r2 1/3\n"
+        # a float beside an exact token makes the value floating
+        back = load_kernel("1 0 1\n0 0.5 1/2*r2\n")
+        assert back.data[((0,), ())] == pytest.approx(0.5 + math.sqrt(0.5) * 1j)
+
+    @pytest.mark.parametrize("token", ["1/2*r2*r2", "1.5*r2", "1e3*r2", "*r2", "1+*r2"])
+    def test_rejects_malformed_sqrt2_tokens(self, token):
+        with pytest.raises(ValueError):
+            load_kernel(f"1 0 1\n0 {token} 0\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_rejects_non_finite_values(self, value):
         with pytest.raises(ValueError, match="not finite"):
             load_kernel(f"1 1 1\n0 0 {value} 0\n")
         with pytest.raises(ValueError, match="not finite"):
             load_kernel(f"1 1 1\n0 0 1 {value}\n")
+
+
+@st.composite
+def exact_kernels(draw):
+    """Exact kernels of bidegree up to (2, 2) over dimension 1..2 whose
+    parts may have sqrt(2) components."""
+    m, n, dim = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    keys = [(ta, tb) for ta in itertools.combinations_with_replacement(range(dim), m)
+            for tb in itertools.combinations_with_replacement(range(dim), n)]
+    return ComplexKernel(m, n, dim, {key: draw(EXACT_REALS) + draw(EXACT_REALS) * EC(0, 1)
+                                     for key in keys})
+
+
+@given(exact_kernels())
+@settings(max_examples=50, deadline=None)
+def test_exact_kernel_roundtrip(kern):
+    back = load_kernel(dump_kernel(kern))
+    assert (back.m, back.n, back.dim) == (kern.m, kern.n, kern.dim)
+    assert back.data == kern.data
+    assert back.is_exact()
 
 
 @given(st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
