@@ -84,14 +84,6 @@ class ExactComplex:
     def is_real(self) -> bool:
         return not (self.r or self.s)
 
-    def is_rational(self) -> bool:
-        return not (self.q or self.r or self.s)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not a plain rational")
-        return self.a
-
     def real(self) -> "ExactComplex":
         return _make(self.p, self.q, 0, 0, self.n)
 

@@ -364,8 +364,9 @@ class ComplexKernel(_OneScalarType):
     Coefficients are indexed by a pair (sorted m-tuple, sorted n-tuple) in
     the basis e_{i1} x ... x conj(e_{j1}) x ...; the kernel is symmetric
     separately within each block.  Kernels are not mutated after
-    construction; ``_term_plan`` holds ``chaos.eval_complex``'s float term
-    plan, built on first use.
+    construction; ``_term_plan`` holds ``chaos.eval_complex``'s evaluation
+    plan, built on first use on the route its cost rule picks (the term
+    loop or the Wick-trace matrices).
     """
 
     __slots__ = ("m", "n", "dim", "data", "_term_plan")

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chaoslab import chaos, fourth_moment as fm, hermite
 from chaoslab.chaos import (decompose, element_poly, eval_complex, eval_real,
@@ -175,6 +176,7 @@ class TestEvalComplexWork:
     def test_each_distinct_j_factor_evaluated_once_per_call(self, monkeypatch):
         rnd = random.Random(31)
         phi = random_exact_kernel(2, 2, 3, rnd)
+        assert isinstance(chaos._plan_of(phi), chaos._TermLoop)  # J factors are the loop's
         batch = sample_batch(3, 50, seed=32)
         zeta = batch.xi + 1j * batch.eta
         calls = []
@@ -248,6 +250,69 @@ class TestEvalComplexWork:
                     term = term * complex_hermite(ta.count(k), tb.count(k))(zeta[:, k])
                 want += term
             assert np.abs(eval_complex(phi, batch) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def dense_kernel_instance(d):
+    """perfbench's dense-kernel kernel at seed 1: rank-one (2,2) over d coordinates."""
+    rng = np.random.default_rng(1)
+    h = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    h *= 2.0 ** -0.25 / np.linalg.norm(h)
+    return ComplexKernel.rank_one([complex(x) for x in h], 2, 2)
+
+
+nonzero_rational = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def wick_trace_kernels(draw):
+    """Exact kernels with m + n <= 5 over d <= 4, on up to 12 stored terms."""
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 5 - m))
+    d = draw(st.integers(1, 4))
+    keys = [(ta, tb) for ta in itertools.combinations_with_replacement(range(d), m)
+            for tb in itertools.combinations_with_replacement(range(d), n)]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=12, unique=True))
+    return ComplexKernel(m, n, d, {key: ExactComplex(draw(nonzero_rational), draw(nonzero_rational))
+                                   for key in chosen})
+
+
+class TestWickTrace:
+    """The dense route against the term loop and the real-pair rule, and the
+    cost rule's choice of route on named kernels."""
+
+    @given(wick_trace_kernels())
+    @example(ComplexKernel(0, 0, 2, {((), ()): EC(3)}))
+    @example(ComplexKernel(0, 3, 2, {((), (0, 0, 1)): ExactComplex(1, -2)}))
+    @example(ComplexKernel(3, 0, 2, {((0, 1, 1), ()): ExactComplex(-1, 2)}))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_term_loop_and_the_real_pair(self, phi):
+        batch = sample_batch(phi.dim, 300, seed=41)
+        dense = chaos._WickTrace(phi)(batch)
+        loop = chaos._TermLoop(phi)(batch)
+        scale = np.abs(loop).max()
+        assert np.abs(dense - loop).max() <= 1e-12 * scale
+        u, v = decompose(phi)
+        pair = eval_real(u, batch) + 1j * eval_real(v, batch)
+        assert np.abs(dense - pair).max() <= 1e-9 * scale
+
+    def test_row_blocks_cover_the_batch(self, monkeypatch):
+        phi = dense_kernel_instance(4)
+        batch = sample_batch(4, 1000, seed=42)
+        whole = chaos._WickTrace(phi)(batch)
+        monkeypatch.setattr(chaos, "_BLOCK_BYTES", 16 * 16 * 300)  # blocks of 300 rows
+        blocked = chaos._WickTrace(phi)(batch)
+        assert np.abs(blocked - whole).max() <= 1e-12 * np.abs(whole).max()
+
+    @pytest.mark.parametrize("phi, route", [
+        pytest.param(dense_kernel_instance(8), "_WickTrace", id="dense-kernel full"),
+        pytest.param(dense_kernel_instance(2), "_TermLoop", id="dense-kernel tiny"),
+        *(pytest.param(fm.gen_block_kernel(1, 2, k), "_TermLoop", id=f"block (1,2) k={k}")
+          for k in (1, 4, 16, 64)),
+        pytest.param(random_exact_kernel(2, 2, 3, random.Random(31)), "_TermLoop",
+                     id="random (2,2) d=3"),
+    ])
+    def test_route_of_named_kernels(self, phi, route):
+        assert type(chaos._build_term_plan(phi)) is getattr(chaos, route)
 
 
 class TestIsometries:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chaoslab import fourth_moment as fm
+from chaoslab import chaos, fourth_moment as fm
 from chaoslab.chaos import decompose, element_poly, exact_moment, sample_batch
 from chaoslab.exact import EC, ExactComplex, I_UNIT, ONE
 from chaoslab.tensor import ComplexKernel
@@ -86,6 +86,15 @@ class TestEstimate:
         r1 = fm.estimate(phi, 20000, seed=5, workers=1)
         r4 = fm.estimate(phi, 20000, seed=5, workers=4)
         assert r1 == r4
+
+    def test_worker_count_invariance_on_the_wick_trace_route(self):
+        rng = np.random.default_rng(7)
+        h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        phi = ComplexKernel.rank_one([complex(x) for x in h / np.linalg.norm(h)], 2, 2)
+        assert isinstance(chaos._plan_of(phi), chaos._WickTrace)
+        reports = [fm.estimate(phi, 20_000, seed=8, workers=w, chunk_size=5000)
+                   for w in (1, 2, 5)]
+        assert repr(reports[0]) == repr(reports[1]) == repr(reports[2])
 
     def test_isonormal_variance(self):
         phi = ComplexKernel(1, 0, 1, {((0,), ()): 1})
