@@ -60,9 +60,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from .convert import conversion_tables
-from .exact import EC, ExactComplex, half_power
+from .exact import EC, ONE, ExactComplex, half_power
 from .hermite import BiPoly, complex_hermite, hermite_coeffs
-from .tensor import ComplexKernel, SymTensor, multiplicity_factor
+from .tensor import ComplexKernel, SymTensor, _complex, _float, multiplicity_factor
 from .wick import GaussianFamily, GaussPoly, embed, expect
 
 ChaosElementT = Union[SymTensor, ComplexKernel]
@@ -157,18 +157,13 @@ def eval_real(f: SymTensor, batch: SampleBatch) -> np.ndarray:
         term = np.full(len(batch), float(multiplicity_factor(key)))
         for coord in sorted(set(key)):
             term = term * cache.value(coord, key.count(coord))
-        v = val.to_complex().real if isinstance(val, ExactComplex) else float(val)
-        out += v * term
+        out += _float(val) * term
     return out
 
 
 @lru_cache(maxsize=None)
 def _j_poly(a: int, b: int) -> BiPoly:
     return complex_hermite(a, b)
-
-
-def _complex_value(val) -> complex:
-    return val.to_complex() if isinstance(val, ExactComplex) else complex(val)
 
 
 def _coord_degrees(ta: Tuple[int, ...], tb: Tuple[int, ...]) -> List[Tuple[int, int, int]]:
@@ -192,7 +187,7 @@ class _TermLoop:
         for (ta, tb), val in phi.data.items():
             mult = multiplicity_factor(ta) * multiplicity_factor(tb)
             where = tuple(slots.setdefault(f, len(slots)) for f in _coord_degrees(ta, tb))
-            terms.append(((mult * scale) * _complex_value(val), where))
+            terms.append(((mult * scale) * _complex(val), where))
         self.factors = tuple(slots)
         self.terms = tuple(terms)
 
@@ -232,7 +227,7 @@ class _WickTrace:
 
     def __init__(self, phi: ComplexKernel):
         m, n, d = phi.m, phi.n, phi.dim
-        vals = {key: _complex_value(val) for key, val in phi.data.items()}
+        vals = {key: _complex(val) for key, val in phi.data.items()}
         rows = [tuple(sorted(t)) for t in product(range(d), repeat=m)]
         cols = [tuple(sorted(t)) for t in product(range(d), repeat=n)]
         f = np.array([[vals.get((a, b), 0j) for b in cols] for a in rows], dtype=np.complex128)
@@ -374,45 +369,40 @@ def decompose(phi: ComplexKernel) -> Tuple[SymTensor, SymTensor]:
 # -- exact moments ------------------------------------------------------------------
 
 
-def real_element_poly(f: SymTensor) -> GaussPoly:
-    """The order-p integral of f as an exact polynomial in f.dim coordinates."""
-    if not f.is_exact():
-        raise ValueError("exact path needs exact tensor values")
-    dim = f.dim
-    out = GaussPoly(dim)
-    for key, val in f.data.items():
-        term = GaussPoly.constant(dim, EC(multiplicity_factor(key)) * val)
-        for coord in sorted(set(key)):
-            h = hermite_coeffs(key.count(coord))
-            term = term * embed({(k,): c for k, c in enumerate(h)}, (coord,), dim)
-        out = out + term
-    return out
-
-
-def complex_element_poly(phi: ComplexKernel) -> GaussPoly:
-    """The bidegree-(m, n) integral of phi as an exact polynomial over 2D coords."""
-    if not phi.is_exact():
-        raise ValueError("exact path needs exact kernel values")
-    D = phi.dim
-    dim = 2 * D
-    out = GaussPoly(dim)
-    scale = half_power(phi.m + phi.n)
-    for (ta, tb), val in phi.data.items():
-        coeff = EC(multiplicity_factor(ta) * multiplicity_factor(tb)) * val * scale
-        term = GaussPoly.constant(dim, coeff)
-        for k, a, b in _coord_degrees(ta, tb):
-            term = term * embed(_j_poly(a, b).to_xy(), (k, D + k), dim)
-        out = out + term
-    return out
+@lru_cache(maxsize=None)
+def _factor_terms(real: bool, a: int, b: int) -> Dict[Tuple[int, ...], ExactComplex]:
+    """One coordinate's factor as a term map: H_a(x), or J_{a,b}(x + iy) in (x, y)."""
+    if real:
+        return {(k,): EC(c) for k, c in enumerate(hermite_coeffs(a)) if c}
+    return _j_poly(a, b).to_xy()
 
 
 def element_poly(elem: ChaosElementT, conj: bool = False) -> GaussPoly:
-    if isinstance(elem, SymTensor):
-        poly = real_element_poly(elem)
-    elif isinstance(elem, ComplexKernel):
-        poly = complex_element_poly(elem)
-    else:
+    """The integral of an exact chaos element as an exact polynomial,
+    conjugated if asked, by the rules of the module docstring: I_p(f) over
+    f.dim coordinates, I_{m,n}(phi) over the 2 phi.dim coordinates (xi, eta).
+
+    Each stored term is its constant times one embedded factor per
+    coordinate k: H_{a_k} at coordinate k for a real key t (read as the
+    kernel key (t, ())), J_{a_k,b_k} at (k, D + k) for a kernel key.
+    """
+    if not isinstance(elem, (SymTensor, ComplexKernel)):
         raise TypeError(f"not a chaos element: {type(elem).__name__}")
+    if not elem.is_exact():
+        raise ValueError("exact path needs exact values")
+    real = isinstance(elem, SymTensor)
+    dim = elem.dim if real else 2 * elem.dim
+    scale = ONE if real else half_power(elem.m + elem.n)
+    pairs = []
+    for key, val in elem.data.items():
+        ta, tb = (key, ()) if real else key
+        term = GaussPoly.constant(
+            dim, EC(multiplicity_factor(ta) * multiplicity_factor(tb)) * val * scale)
+        for k, a, b in _coord_degrees(ta, tb):
+            coords = (k,) if real else (k, elem.dim + k)
+            term = term * embed(_factor_terms(real, a, b), coords, dim)
+        pairs.append((ONE, term))
+    poly = GaussPoly(dim).plus(pairs)
     return poly.conj() if conj else poly
 
 

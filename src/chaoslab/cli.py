@@ -47,7 +47,7 @@ import scipy
 from . import __version__, convert, fourth_moment as fm, hermite, identities
 from .chaos import SEED_LIMIT, WICK_DEGREE_BUDGET
 from .exact import EC, ExactComplex
-from .tensor import load_kernel
+from .tensor import _complex, load_kernel
 from .wick import GaussianFamily, expect_complex
 
 EXIT_OK = 0
@@ -120,20 +120,12 @@ def _cmd_identities(args) -> int:
                     json.dumps({"max_degree": args.max_degree, "results": rows},
                                indent=2, sort_keys=True) + "\n")
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["name", "status", "detail"])
-        for r in rows:
-            w.writerow([r["name"], r["status"], r["detail"]])
-        _write_text(args.out / "identities_report.csv", buf.getvalue())
+        _write_text(args.out / "identities_report.csv",
+                    _csv_text([["name", "status", "detail"], *(r.values() for r in rows)]))
     for n in range(args.max_degree + 1):
-        c2r, r2c = convert.conversion_tables(n)
-        for table in (c2r, r2c):
-            buf = io.StringIO()
-            w = csv.writer(buf, lineterminator="\n")
-            for row in convert.table_csv_rows(table):
-                w.writerow(row)
-            _write_text(args.out / f"table_{table.direction}_n{n}.csv", buf.getvalue())
+        for table in convert.conversion_tables(n):
+            _write_text(args.out / f"table_{table.direction}_n{n}.csv",
+                        _csv_text(convert.table_csv_rows(table)))
     # timings vary run to run, so they stay out of the report, whose bytes
     # are reproducible; an exact construction several suites share is built
     # once per run, and its cost is charged to the first suite that reads it
@@ -333,8 +325,7 @@ def _kernel_from(doc: dict, base: Path) -> tuple:
             if "scale" in kspec:
                 kern = _parse_exact(kspec["scale"]) * kern
             # the sampler reads the values as floats, which 10**400 overflows
-            if not all(cmath.isfinite(v.to_complex() if isinstance(v, ExactComplex) else v)
-                       for v in kern.data.values()):
+            if not all(cmath.isfinite(_complex(v)) for v in kern.data.values()):
                 raise ValueError("a kernel value overflows float")
         except FileNotFoundError:
             raise
@@ -418,15 +409,11 @@ def run_experiment(doc: dict, base: Path) -> tuple:
                               fm.normal_cdf(mean, var))
         result["ks"] = {"k": k_at, "component": component, "distance": d, "p_bound": p}
 
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["k", "quantity", "estimate", "stderr", "target", "pass"])
-    for name, q in the_verdict.quantities.items():
-        for row in q.rows:
-            w.writerow([row.k, name, _format_quantity(name, row.estimate),
-                        repr(row.stderr), _format_quantity(name, row.reference),
-                        str(row.passed)])
-    return buf.getvalue(), result
+    rows = [["k", "quantity", "estimate", "stderr", "target", "pass"]]
+    rows += ([row.k, name, _format_quantity(name, row.estimate), repr(row.stderr),
+              _format_quantity(name, row.reference), str(row.passed)]
+             for name, q in the_verdict.quantities.items() for row in q.rows)
+    return _csv_text(rows), result
 
 
 def _cmd_experiment(args) -> int:
@@ -459,6 +446,13 @@ def _out_dir_ok(out: Path) -> bool:
                   file=sys.stderr)
             return False
     return True
+
+
+def _csv_text(rows) -> str:
+    """The rows as CSV text, each line ended by a bare newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _write_text(path: Path, text: str) -> None:

@@ -137,19 +137,9 @@ class ExactComplex:
     __radd__ = __add__
 
     def __sub__(self, other):
-        p1, q1, r1, s1, n1 = self.p, self.q, self.r, self.s, self.n
-        if isinstance(other, ExactComplex):
-            p2, q2, r2, s2, n2 = other.p, other.q, other.r, other.s, other.n
-            if n1 == n2:
-                return _make(p1 - p2, q1 - q2, r1 - r2, s1 - s2, n1)
-            return _make(p1 * n2 - p2 * n1, q1 * n2 - q2 * n1,
-                         r1 * n2 - r2 * n1, s1 * n2 - s2 * n1, n1 * n2)
-        if isinstance(other, int):
-            return _make(p1 - other * n1, q1, r1, s1, n1)
-        if isinstance(other, Fraction):
-            u, v = other.numerator, other.denominator
-            return _make(p1 * v - u * n1, q1 * v, r1 * v, s1 * v, n1 * v)
-        return NotImplemented
+        if not isinstance(other, (ExactComplex, int, Fraction)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         if not isinstance(other, (ExactComplex, int, Fraction)):

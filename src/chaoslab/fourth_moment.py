@@ -50,7 +50,7 @@ from scipy.special import kolmogorov, ndtr
 from .chaos import (SampleBatch, decompose, eval_complex, eval_real, exact_moment,
                     sample_batch, top_degree)
 from .exact import EC, ExactComplex, I_UNIT, ONE, ZERO
-from .tensor import ComplexKernel, SymTensor, contract, pair_moments
+from .tensor import ComplexKernel, SymTensor, _complex, contract, pair_moments
 from .wick import GaussPoly
 
 QUANTITIES = ("abs2", "sq", "abs4", "fourth", "t3")
@@ -276,7 +276,7 @@ def eval_target(target: EstimateTarget, batch: SampleBatch) -> np.ndarray:
     """Pathwise complex values of a (possibly summed or decomposed) target."""
     out = np.zeros(len(batch), dtype=np.complex128)
     for coeff, elem in _terms_of(target):
-        c = coeff.to_complex() if isinstance(coeff, ExactComplex) else complex(coeff)
+        c = _complex(coeff)
         if isinstance(elem, SymTensor):
             out += c * eval_real(elem, batch)
         else:

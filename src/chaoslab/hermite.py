@@ -109,13 +109,9 @@ class BiPoly(GaussPoly):
                 ca = math.comb(a, r) * (i_power(a - r))
                 for s in range(b + 1):
                     cb = math.comb(b, s) * ((-I_UNIT) ** (b - s))
-                    key = (r + s, a + b - r - s)
-                    val = out.get(key, ZERO) + coeff * ca * cb
-                    if val.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = val
-        return out
+                    key, val = (r + s, a + b - r - s), coeff * ca * cb
+                    out[key] = out[key] + val if key in out else val
+        return {key: val for key, val in out.items() if not val.is_zero()}
 
     def __call__(self, z):
         return evaluate(self, z)

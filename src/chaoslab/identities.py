@@ -104,19 +104,15 @@ def suite_basis_expansion(max_degree: int) -> IdentityResult:
     """Each row of both tables is a true polynomial identity."""
     for n in range(max_degree + 1):
         c2r, r2c = convert.conversion_tables(n)
+        products = [_shared(_product, k, n - k) for k in range(n + 1)]
+        hermites = [hermite.complex_hermite(m, n - m) for m in range(n + 1)]
         for m in range(n + 1):
-            rhs = hermite.BiPoly()
-            for k in range(n + 1):
-                rhs = rhs + c2r.coefficient(m, k) * _shared(_product, k, n - k)
-            if rhs != hermite.complex_hermite(m, n - m):
+            if hermite.BiPoly().plus(zip(c2r.rows[m], products, strict=True)) != hermites[m]:
                 return IdentityResult(
                     "basis-expansion", False,
                     f"complex-to-real row (n={n}, m={m}) fails")
         for k in range(n + 1):
-            rhs = hermite.BiPoly()
-            for m in range(n + 1):
-                rhs = rhs + r2c.coefficient(k, m) * hermite.complex_hermite(m, n - m)
-            if rhs != _shared(_product, k, n - k):
+            if hermite.BiPoly().plus(zip(r2c.rows[k], hermites, strict=True)) != products[k]:
                 return IdentityResult(
                     "basis-expansion", False,
                     f"real-to-complex row (n={n}, k={k}) fails")
@@ -128,9 +124,9 @@ def suite_monomial_expansion(max_degree: int) -> IdentityResult:
     bound = min(max_degree, 5)
     for r in range(bound + 1):
         for s in range(bound + 1):
-            total = hermite.BiPoly()
-            for (m, n), c in hermite.expand_monomial(r, s).items():
-                total = total + c * hermite.complex_hermite(m, n)
+            expansion = hermite.expand_monomial(r, s).items()
+            total = hermite.BiPoly().plus((c, hermite.complex_hermite(m, n))
+                                          for (m, n), c in expansion)
             if total != hermite.BiPoly({(r, s): 1}):
                 return IdentityResult("monomial-expansion", False,
                                       f"monomial ({r},{s}) fails")
@@ -198,11 +194,10 @@ def suite_hermite_recurrence(max_degree: int) -> IdentityResult:
 def suite_rotation_identity(max_degree: int) -> IdentityResult:
     """H_n(x cos t + y sin t) = sum_l C(n,l) cos^l sin^(n-l) H_l(x) H_(n-l)(y)."""
     for n in range(max_degree + 1):
+        products = [_shared(_product, l, n - l) for l in range(n + 1)]
         for cos_t, sin_t in _exact_trig_pairs():
             coeffs = convert.rotation_expand(n, (cos_t, sin_t))
-            rhs = hermite.BiPoly()
-            for l in range(n + 1):
-                rhs = rhs + EC(coeffs[l]) * _shared(_product, l, n - l)
+            rhs = hermite.BiPoly().plus(zip(coeffs, products, strict=True))
             if rhs != _shared(_rotated, n, cos_t, sin_t):
                 return IdentityResult("rotation-identity", False,
                                       f"n={n}, trig=({cos_t},{sin_t})")
@@ -213,11 +208,10 @@ def suite_rotation_to_complex(max_degree: int) -> IdentityResult:
     """H_n(x cos t + y sin t) = sum_k d_k J_{k,n-k}(z); also d = rotation o table."""
     for n in range(max_degree + 1):
         _, r2c = convert.conversion_tables(n)
+        hermites = [hermite.complex_hermite(k, n - k) for k in range(n + 1)]
         for cos_t, sin_t in _exact_trig_pairs():
             d = convert.hermite_to_complex_coeffs(n, (cos_t, sin_t))
-            rhs = hermite.BiPoly()
-            for k in range(n + 1):
-                rhs = rhs + d[k] * hermite.complex_hermite(k, n - k)
+            rhs = hermite.BiPoly().plus(zip(d, hermites, strict=True))
             if rhs != _shared(_rotated, n, cos_t, sin_t):
                 return IdentityResult("rotation-to-complex", False,
                                       f"polynomial identity: n={n}, trig=({cos_t},{sin_t})")
@@ -238,9 +232,7 @@ def suite_pair_reconstruction(max_degree: int) -> IdentityResult:
         am = _shared(_exact_angle_matrix, n)
         rotated = [_shared(_rotated, n, c, s) for c, s in am.grid.trig]
         for l in range(n + 1):
-            rhs = hermite.BiPoly()
-            for k in range(n + 1):
-                rhs = rhs + EC(am.minv(l, k)) * rotated[k]
+            rhs = hermite.BiPoly().plus((am.minv(l, k), rotated[k]) for k in range(n + 1))
             if rhs != _shared(_product, l, n - l):
                 return IdentityResult("pair-reconstruction", False,
                                       f"exact: n={n}, l={l}")
@@ -272,9 +264,7 @@ def suite_complex_reconstruction(max_degree: int) -> IdentityResult:
         rotated = [_shared(_rotated, n, c, s) for c, s in am.grid.trig]
         for k in range(n + 1):
             coeffs = convert.complex_to_hermite_coeffs(n, k, am.grid, am)
-            rhs = hermite.BiPoly()
-            for c, poly in zip(coeffs, rotated):
-                rhs = rhs + c * poly
+            rhs = hermite.BiPoly().plus(zip(coeffs, rotated, strict=True))
             if rhs != hermite.complex_hermite(k, n - k):
                 return IdentityResult("complex-reconstruction", False,
                                       f"n={n}, k={k}")

@@ -180,18 +180,27 @@ def symmetrize(raw: Mapping[IndexTuple, Value], order: int, dim: int) -> SymTens
                                   for st, v in acc.items()})
 
 
+def _weighted_inner(f, g, weight: Callable, conj: bool = False):
+    """The sum of weight(key) * f[key] * g[key] over the keys f and g share,
+    with g's values conjugated if ``conj``; it walks the smaller map."""
+    a, b = f.data, g.data
+    total = _zero(f, g)
+    for key in (a if len(a) <= len(b) else b):
+        w = b.get(key)
+        if w is not None and key in a:
+            total = total + weight(key) * a[key] * (w.conjugate() if conj else w)
+    return total
+
+
+def _block_weight(key: Tuple[IndexTuple, IndexTuple]) -> int:
+    return multiplicity_factor(key[0]) * multiplicity_factor(key[1])
+
+
 def inner(f: SymTensor, g: SymTensor):
     """Full-tuple inner product: sum over all index tuples of f * g."""
     if (f.order, f.dim) != (g.order, g.dim):
         raise ValueError("shape mismatch")
-    f, g = _one_type(f, g)
-    small, big = (f, g) if len(f.data) <= len(g.data) else (g, f)
-    total = _zero(f, g)
-    for t, v in small.data.items():
-        w = big.data.get(t)
-        if w is not None:
-            total = total + multiplicity_factor(t) * v * w
-    return total
+    return _weighted_inner(*_one_type(f, g), multiplicity_factor)
 
 
 # -- contractions -----------------------------------------------------------------
@@ -220,12 +229,7 @@ class BlockTensor(_OneScalarType):
         """Full-tuple inner product: sum over all index tuples of self * other."""
         if (self.orders, self.dim) != (other.orders, other.dim):
             raise ValueError("shape mismatch")
-        total = _zero(self, other)
-        for (t1, t2), v in self.data.items():
-            w = other.data.get((t1, t2))
-            if w is not None:
-                total = total + multiplicity_factor(t1) * multiplicity_factor(t2) * v * w
-        return total
+        return _weighted_inner(self, other, _block_weight)
 
     def norm_sq(self):
         return self.inner(self)
@@ -434,14 +438,7 @@ def kernel_inner(f: ComplexKernel, g: ComplexKernel):
     """Hermitian inner product <f, g>, conjugate-linear in g."""
     if (f.m, f.n, f.dim) != (g.m, g.n, g.dim):
         raise ValueError("shape mismatch")
-    f, g = _one_type(f, g)
-    total = _zero(f, g)
-    for key, v in f.data.items():
-        w = g.data.get(key)
-        if w is not None:
-            mult = multiplicity_factor(key[0]) * multiplicity_factor(key[1])
-            total = total + mult * v * w.conjugate()
-    return total
+    return _weighted_inner(*_one_type(f, g), _block_weight, conj=True)
 
 
 # -- serialization -----------------------------------------------------------------
@@ -497,6 +494,8 @@ def load_kernel(text: str) -> ComplexKernel:
             raise ValueError(f"bad kernel line: {ln!r}")
         ta = tuple(int(x) for x in parts[:m])
         tb = tuple(int(x) for x in parts[m:m + n])
+        if (ta, tb) in data:
+            raise ValueError(f"kernel entry {' '.join(parts[:m + n])} is given twice")
         real, imag = _parse_value(parts[-2]), _parse_value(parts[-1])
         if isinstance(real, float) or isinstance(imag, float):
             data[(ta, tb)] = complex(_float(real), _float(imag))

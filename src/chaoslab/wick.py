@@ -13,6 +13,10 @@ and :func:`embed` places a small polynomial into chosen coordinates of a
 larger one.  Sharing the algebra does not make the oracle depend on what it
 checks: the expectation is still a pairing sum over the covariance
 (``_pairing_sum``), never a closed form for products of chaos elements.
+
+Exact terms are summed in one place, :meth:`GaussPoly.plus`: a linear
+combination p + sum c_i q_i goes into one term map in one pass, and ``+``
+and ``-`` are its one-pair case.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .exact import EC, ExactComplex, ZERO
+from .exact import EC, ExactComplex, ONE, ZERO
 
 Exponents = Tuple[int, ...]
 
@@ -186,7 +190,10 @@ class GaussPoly:
         out._terms = terms
         return out
 
-    def _scalar(self, value) -> "GaussPoly":
+    def _as_poly(self, value) -> "GaussPoly":
+        """A polynomial as it is, a scalar as a constant of self's class and dim."""
+        if isinstance(value, GaussPoly):
+            return value
         c = ExactComplex.coerce(value)
         return self._make({} if c.is_zero() else {(0,) * self.dim: c})
 
@@ -207,19 +214,24 @@ class GaussPoly:
         """Conjugate the coefficients; the variables are real."""
         return self._make({k: c.conjugate() for k, c in self._terms.items()})
 
-    def __add__(self, other):
-        if not isinstance(other, GaussPoly):
-            return self + self._scalar(other)
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
+    def plus(self, pairs: Iterable[Tuple[object, "GaussPoly"]]) -> "GaussPoly":
+        """self + sum of c * q over the (scalar c, polynomial q) pairs, summed
+        into one term map whose cancelled terms are dropped once at the end.
+        The result has self's class and dim; a q of another dim raises ValueError."""
         out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return self._make(out)
+        for c, q in pairs:
+            if q.dim != self.dim:
+                raise ValueError("dimension mismatch")
+            c = ExactComplex.coerce(c)
+            unit = c == ONE
+            for k, v in q._terms.items():
+                if not unit:
+                    v = c * v
+                out[k] = out[k] + v if k in out else v
+        return self._make({k: v for k, v in out.items() if not v.is_zero()})
+
+    def __add__(self, other):
+        return self.plus([(ONE, self._as_poly(other))])
 
     __radd__ = __add__
 
@@ -227,9 +239,7 @@ class GaussPoly:
         return self._make({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, GaussPoly):
-            other = self._scalar(other)
-        return self + (-other)
+        return self.plus([(-ONE, self._as_poly(other))])
 
     def __rsub__(self, other):
         return -self + other
@@ -245,13 +255,9 @@ class GaussPoly:
         out: Dict[Exponents, ExactComplex] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
-                key = tuple(map(add, k1, k2))
-                s = out.get(key, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return self._make(out)
+                key, v = tuple(map(add, k1, k2)), c1 * c2
+                out[key] = out[key] + v if key in out else v
+        return self._make({k: v for k, v in out.items() if not v.is_zero()})
 
     __rmul__ = __mul__
 

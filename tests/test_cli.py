@@ -408,11 +408,12 @@ class TestExperiment:
         ({"inline": "1 1 1\n0 0 1 0\n", "scale": 10 ** 100}, None),
         ({"inline": "1 1 1\n0 0 1 0\n", "scale": 10 ** 200}, None),
         ({"inline": "1 1 1\n0 0 1e300 0\n"}, None),
+        ({"inline": "1 1 1\n0 0 1 0\n0 0 3 0\n"}, None),
     ], ids=["inline-garbage", "inline-index-out-of-range", "inline-number",
             "file-garbage", "file-not-utf8", "file-number", "scale-string",
             "scale-float", "inline-nan", "file-overflow", "scale-exponent",
             "file-name-too-long", "scale-overflows-float", "scale-10**100",
-            "scale-10**200", "inline-1e300"])
+            "scale-10**200", "inline-1e300", "inline-repeated-entry"])
     def test_malformed_kernel_section_exit_65(self, tmp_path, kernel, file_text):
         if file_text is not None:
             (tmp_path / kernel["file"]).write_bytes(file_text)

@@ -396,6 +396,9 @@ class TestSerialization:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             load_kernel("")
+        # a repeated entry: the second line would silently replace the first
+        with pytest.raises(ValueError, match="kernel entry 0 0 is given twice"):
+            load_kernel("1 1 1\n0 0 1 0\n0 0 3 0\n")
 
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 0), (1, 2), (2, 1), (2, 2), (0, 3)])
     @pytest.mark.parametrize("k", [2, 8])

@@ -126,6 +126,11 @@ class TestExpect:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             expect(GaussianFamily.standard(1), GaussPoly.constant(2, 1))
+        one, two = GaussPoly.constant(1, 1), GaussPoly.constant(2, 1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            two.plus([(1, two), (1, one)])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            BiPoly.constant(1).plus([(1, one)])
 
 
 @given(st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -292,8 +297,16 @@ def test_polynomial_algebra_matches_sympy(pq, scalar):
              (p + scalar, sp + s), (scalar + p, s + sp), (p - scalar, sp - s),
              (scalar - p, s - sp), (p * scalar, sp * s), (scalar * p, s * sp),
              (p.conj(), _sympy_conj(sp, p, xs))]
+    # a linear combination through plus
+    combo = p.plus([(scalar, q), (-1, p), (2, q), (1, p)])
+    cases.append((combo, sp + s * sq - sp + 2 * sq + sp))
     for got, want in cases:
         assert got == _from_sympy(want, p, xs)
+    assert type(combo) is type(p) and combo.dim == p.dim
+    # cancelling pairs leave no term behind, not a stored zero
+    zero = p.plus([(1, q), (-1, p), (-1, q)])
+    assert zero.terms() == {} and type(zero) is type(p)
+    assert p.plus([(scalar, q), (-ExactComplex.coerce(scalar), q)]) == p
 
 
 @given(_poly_pair(), st.integers(1, 4), st.data())
