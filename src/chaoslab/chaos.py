@@ -422,6 +422,11 @@ def exact_moment(factors: Iterable) -> ExactComplex:
     Each factor is a SymTensor, a ComplexKernel, or an (element, conj: bool)
     pair.  The total Gaussian degree of the product must not exceed
     ``WICK_DEGREE_BUDGET``; that is checked before any product is formed.
+
+    Each (element, conj) factor is built into its polynomial once per call,
+    however often it repeats, so [u, u, u, u] builds one.  The expectation
+    is taken over the shared ``GaussianFamily.standard`` of the product's
+    dimension, whose pairing memo carries over from earlier calls.
     """
     normalized: List[Tuple[ChaosElementT, bool]] = []
     for f in factors:
@@ -436,7 +441,11 @@ def exact_moment(factors: Iterable) -> ExactComplex:
     if total_degree > WICK_DEGREE_BUDGET:
         raise ValueError(f"total Gaussian degree {total_degree} exceeds the "
                          f"budget {WICK_DEGREE_BUDGET}")
-    polys = [element_poly(e, conj) for e, conj in normalized]
+    built: Dict[Tuple[int, bool], GaussPoly] = {}
+    for e, conj in normalized:
+        if (id(e), conj) not in built:
+            built[id(e), conj] = element_poly(e, conj)
+    polys = [built[id(e), conj] for e, conj in normalized]
     dims = {p.dim for p in polys}
     if len(dims) != 1:
         raise ValueError(f"factors live over different coordinate counts: {dims}")

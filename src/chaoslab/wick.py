@@ -7,6 +7,15 @@ A family takes rational covariance entries only; a float is refused.
 Complex variables are always reduced to pairs of real coordinates before
 pairing; no complex shortcut is used here.
 
+The pairing sum runs on integers.  A family stores ``scale``, the lcm of its
+covariance denominators, and the integer matrix scale * cov; the sum over
+matchings of a degree-2n monomial is an int, and the moment is that int
+divided by scale**n (the int itself for ``GaussianFamily.standard``).  A
+family is immutable, so its pairing sums are a pure cache: each family keeps
+one memo, shared by :func:`isserlis_moment` and :func:`expect`, holding one
+int per distinct exponent tuple met.  ``GaussianFamily.standard(d)`` is one
+shared family per d, so its memo serves every caller in the process.
+
 ``GaussPoly`` is the package's one sparse exact polynomial class;
 ``hermite.BiPoly``, the polynomials in (z, zbar), is its two-variable case,
 and :func:`embed` places a small polynomial into chosen coordinates of a
@@ -22,6 +31,8 @@ and ``-`` are its one-pair case.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from operator import add
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
@@ -54,7 +65,13 @@ def _psd_exact(rows: Sequence[Sequence[Fraction]]) -> bool:
 class GaussianFamily:
     """A centered Gaussian vector given by its covariance matrix, whose
     entries must be int or Fraction: the oracle is exact, so a float or
-    complex entry is refused."""
+    complex entry is refused.
+
+    ``covariance`` is a tuple of tuples of Fraction and ``scale`` the lcm of
+    their denominators.  The memo of integer pairing sums (module docstring)
+    lives as long as the family; concurrent callers can only compute an
+    entry twice, never store a different one.
+    """
 
     def __init__(self, covariance, complex_pairs=None):
         rows = [tuple(row) for row in covariance]
@@ -67,18 +84,27 @@ class GaussianFamily:
                     raise ValueError("covariance must be symmetric")
         if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
             raise ValueError("covariance entries must be rational (int or Fraction)")
-        rows = [tuple(Fraction(x) for x in row) for row in rows]
+        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
         if not _psd_exact(rows):
             raise ValueError("covariance is not positive semidefinite")
         self.dim = d
         self.covariance = rows
+        self.scale = lcm(*(x.denominator for row in rows for x in row))
+        # row i as its (j, scale * cov[i][j]) pairs with a nonzero entry
+        self._int_rows = tuple(
+            tuple((j, x.numerator * (self.scale // x.denominator))
+                  for j, x in enumerate(row) if x)
+            for row in rows)
+        self._sums: Dict[Exponents, int] = {(0,) * d: 1}
         # optional map complex variable k -> (xi coordinate, eta coordinate)
         self.complex_pairs = tuple(complex_pairs) if complex_pairs else None
 
     @classmethod
+    @lru_cache(maxsize=None)
     def standard(cls, d: int) -> "GaussianFamily":
-        """d i.i.d. standard normal coordinates."""
-        eye = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+        """d i.i.d. standard normal coordinates; one shared family per d,
+        so its pairing memo serves every caller in the process."""
+        eye = [[int(i == j) for j in range(d)] for i in range(d)]
         pairs = None
         if d % 2 == 0:
             k = d // 2
@@ -126,31 +152,29 @@ def isserlis_moment(fam: GaussianFamily, exponents: Sequence[int]) -> Fraction:
         raise ValueError(f"expected {fam.dim} exponents, got {len(exps)}")
     if any(e < 0 for e in exps):
         raise ValueError("exponents must be nonnegative")
-    if sum(exps) % 2:
+    degree = sum(exps)
+    if degree % 2:
         return Fraction(0)
-    return _pairing_sum(exps, fam.covariance, {})
+    return Fraction(_pairing_sum(exps, fam._int_rows, fam._sums),
+                    fam.scale ** (degree // 2))
 
 
-def _pairing_sum(counts: Exponents, cov, memo) -> Fraction:
-    if not any(counts):
-        return Fraction(1)
+def _pairing_sum(counts: Exponents, rows, memo) -> int:
+    """Sum over the perfect matchings of the multiset ``counts`` (even total
+    degree) of the products of the integer covariance entries ``rows``."""
     got = memo.get(counts)
     if got is not None:
         return got
     i = next(k for k, c in enumerate(counts) if c)
     rest = list(counts)
     rest[i] -= 1
-    total = Fraction(0)
-    row = cov[i]
-    for j, c in enumerate(rest):
-        if c == 0:
-            continue
-        cij = row[j]
-        if cij == 0:
-            continue
-        rest[j] -= 1
-        total += c * cij * _pairing_sum(tuple(rest), cov, memo)
-        rest[j] += 1
+    total = 0
+    for j, cij in rows[i]:
+        c = rest[j]
+        if c:
+            rest[j] = c - 1
+            total += c * cij * _pairing_sum(tuple(rest), rows, memo)
+            rest[j] = c
     memo[counts] = total
     return total
 
@@ -292,16 +316,25 @@ def embed(terms: Mapping[Exponents, object], coords: Sequence[int], dim: int) ->
 
 
 def expect(fam: GaussianFamily, poly: GaussPoly) -> ExactComplex:
-    """Exact expectation of a polynomial in the family's coordinates."""
+    """Exact expectation of a polynomial in the family's coordinates.
+
+    Each even-degree term adds coeff times its integer pairing sum, brought
+    to the top degree's power of ``scale``; one division by that power ends
+    the sum.  The sums come from and go to the family's memo.
+    """
     if poly.dim != fam.dim:
         raise ValueError(f"polynomial dim {poly.dim} != family dim {fam.dim}")
-    memo: Dict[Exponents, Fraction] = {}
+    rows, memo, scale = fam._int_rows, fam._sums, fam.scale
+    top = poly.degree() // 2
     total = ZERO
     for exps, coeff in poly._terms.items():
-        if sum(exps) % 2:
+        degree = sum(exps)
+        if degree % 2:
             continue
-        total = total + coeff * _pairing_sum(exps, fam.covariance, memo)
-    return total
+        s = _pairing_sum(exps, rows, memo)
+        if s:
+            total = total + coeff * (s * scale ** (top - degree // 2))
+    return total * Fraction(1, scale ** top)
 
 
 def bipoly_to_gausspoly(p: GaussPoly, var: int, fam: GaussianFamily) -> GaussPoly:

@@ -436,3 +436,22 @@ class TestExactMoment:
         poly = element_poly(f)
         fam = GaussianFamily.standard(3)
         assert exact_moment([f, f]) == expect(fam, poly * poly)
+
+    def test_each_factor_is_built_once(self, monkeypatch):
+        u = random_exact_kernel(1, 1, 2, random.Random(91))
+        p, q = element_poly(u), element_poly(u, True)
+        eye = GaussianFamily([[int(i == j) for j in range(4)] for i in range(4)])
+        built = []
+        monkeypatch.setattr(chaos, "element_poly",
+                            lambda e, conj=False: built.append(conj) or element_poly(e, conj))
+        assert exact_moment([u, u, u, u]) == expect(eye, p * p * p * p)
+        assert built == [False]
+        built.clear()
+        assert exact_moment([u, (u, True), u]) == expect(eye, p * q * p)
+        assert sorted(built) == [False, True]
+
+    def test_standard_family_is_shared(self):
+        fam = GaussianFamily.standard(4)
+        assert GaussianFamily.standard(4) is fam
+        assert type(fam.covariance) is tuple
+        assert all(type(row) is tuple for row in fam.covariance)

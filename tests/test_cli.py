@@ -148,6 +148,24 @@ class TestOracle:
         assert run_cli("oracle", str(path)) == 0
         assert capsys.readouterr().out.strip() == "0"
 
+    def test_non_integer_gram_output_is_pinned(self, tmp_path, capsys):
+        # the gram's real covariance has entries 3/4, 1/6 and 1/8, so the pairing
+        # sums run on 24 times it in ints; the three terms share one family
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(
+            {"complex_dim": 2,
+             "gram": [["3/2", ["1/3", "1/4"]], [["1/3", "-1/4"], "2"]],
+             "terms": [{"coeff": ["1/2", "1/3"],
+                        "factors": [{"zpow": [2, 1], "var": 0},
+                                    {"zpow": [1, 2], "var": 1}]},
+                       {"coeff": "3",
+                        "factors": [{"j": [1, 1], "var": 0},
+                                    {"j": [1, 1], "var": 1, "conj": True}]},
+                       {"factors": [{"j": [2, 1], "var": 0},
+                                    {"j": [1, 2], "var": 1}]}]}))
+        assert run_cli("oracle", str(path)) == 0
+        assert capsys.readouterr().out == "1439/864 + 15563/5184*i\n"
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "expr.json"
         path.write_text("{not json")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chaoslab.exact import EC, SQRT2, ExactComplex
 from chaoslab.hermite import BiPoly, complex_hermite
@@ -67,6 +67,56 @@ class TestIsserlis:
             if sum(exps) > 8:
                 continue
             assert isserlis_moment(fam, exps) == brute_moment(cov, exps)
+
+
+_SCALED = st.builds(Fraction, st.integers(-3, 3), st.integers(2, 6))
+
+
+@st.composite
+def scaled_moment_cases(draw):
+    """A family whose covariance has a denominator above 1 (so ``scale`` > 1),
+    either A A^T for a rational A or the real form of a complex Gram matrix
+    B B^* with Fraction entries, and a polynomial of total degree <= 8."""
+    d = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        d += 1
+        a = [[draw(_SCALED) for _ in range(d)] for _ in range(d)]
+        fam = GaussianFamily([[sum(a[i][k] * a[j][k] for k in range(d))
+                               for j in range(d)] for i in range(d)])
+    else:
+        b = [[ExactComplex(draw(_SCALED), draw(_SCALED)) for _ in range(d)]
+             for _ in range(d)]
+        fam = GaussianFamily.from_complex_gram(
+            [[sum((b[i][k] * b[j][k].conjugate() for k in range(d)), EC(0))
+              for j in range(d)] for i in range(d)])
+    assume(fam.scale > 1)
+    exps = st.lists(st.integers(0, 3), min_size=fam.dim, max_size=fam.dim).filter(
+        lambda e: sum(e) <= 8)
+    terms = draw(st.lists(st.tuples(exps, st.tuples(_SCALED, _SCALED)),
+                          min_size=1, max_size=4))
+    return fam, [(tuple(e), ExactComplex(*c)) for e, c in terms]
+
+
+@given(scaled_moment_cases())
+@settings(max_examples=40, deadline=None)
+def test_scaled_covariance_matches_brute_force(case):
+    # the pairing sum runs on scale * cov in ints; each moment is divided back
+    fam, terms = case
+    cov = fam.covariance
+    poly = GaussPoly(fam.dim, {})
+    want = EC(0)
+    for exps, coeff in terms:
+        poly = poly + GaussPoly(fam.dim, {exps: coeff})
+        want = want + coeff * brute_moment(cov, exps)
+    for _ in range(2):  # the second round is served from the family's memo
+        for exps, _ in terms:
+            got = isserlis_moment(fam, exps)
+            assert type(got) is Fraction
+            assert got == brute_moment(cov, exps)
+            assert sum(exps) % 2 or exps in fam._sums
+        got = expect(fam, poly)
+        assert type(got) is ExactComplex
+        assert got == want
 
 
 class TestFamilyValidation:
