@@ -45,6 +45,14 @@ least 64 terms and 1.5 d^max(m,n) + d^(m+n)/32 <= terms; its docstring gives
 the measurements behind the constants.  The two routes agree to rounding
 (the trace route sums in another order); a kernel keeps its route, so it is
 evaluated the same way on every call and at every worker count.
+
+Every exact route expands a stored term as its constant times one factor
+per coordinate (``_expand``).  The Wick route (``element_poly``) takes
+J_{a,b} in monomials of (x, y), built from creation operators; the real
+pair (``decompose``, ``exact_report``) takes J_{a,b}'s row of the exact
+conversion table, over products H_j(x) H_{a+b-j}(y).  Neither table is
+derived from the other, so the Wick oracle stays an independent check of
+the real pair: a wrong entry on one side shows as a mismatch.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ from scipy.special import ndtri
 
 from .convert import conversion_tables
 from .exact import EC, ONE, ExactComplex, half_power
-from .hermite import BiPoly, complex_hermite, hermite_coeffs
+from .hermite import complex_hermite, hermite_coeffs
 from .tensor import ComplexKernel, SymTensor, _complex, _float, multiplicity_factor
 from .wick import GaussianFamily, GaussPoly, embed, expect
 
@@ -137,10 +145,7 @@ class _HermiteCache:
         tab = self.tables.setdefault(coord, [np.ones_like(x)])
         while len(tab) <= degree:
             j = len(tab) - 1
-            if j == 0:
-                tab.append(x.copy())
-            else:
-                tab.append(x * tab[j] - j * tab[j - 1])
+            tab.append(x * tab[j] - j * tab[j - 1] if j else x.copy())
         return tab[degree]
 
 
@@ -159,11 +164,6 @@ def eval_real(f: SymTensor, batch: SampleBatch) -> np.ndarray:
             term = term * cache.value(coord, key.count(coord))
         out += _float(val) * term
     return out
-
-
-@lru_cache(maxsize=None)
-def _j_poly(a: int, b: int) -> BiPoly:
-    return complex_hermite(a, b)
 
 
 def _coord_degrees(ta: Tuple[int, ...], tb: Tuple[int, ...]) -> List[Tuple[int, int, int]]:
@@ -195,7 +195,7 @@ class _TermLoop:
         zeta = np.empty((batch.dim, len(batch)), dtype=np.complex128)
         zeta.real = batch.xi.T
         zeta.imag = batch.eta.T
-        jvals = [_j_poly(a, b)(zeta[k]) for k, a, b in self.factors]
+        jvals = [complex_hermite(a, b)(zeta[k]) for k, a, b in self.factors]
         out = np.zeros(len(batch), dtype=np.complex128)
         buf = np.empty_like(out)
         for c, where in self.terms:
@@ -313,83 +313,13 @@ def eval_complex(phi: ComplexKernel, batch: SampleBatch) -> np.ndarray:
     return _plan_of(phi)(batch)
 
 
-# -- real-pair decomposition ----------------------------------------------------------
+# -- exact term expansion ------------------------------------------------------------
 
 
-def decompose(phi: ComplexKernel) -> Tuple[SymTensor, SymTensor]:
-    """Real tensors (u, v) with I_{m,n}(phi) = I_{m+n}(u) + i I_{m+n}(v) pathwise.
-
-    Pipeline: expand the kernel in the complex product basis, rewrite each
-    per-coordinate complex Hermite factor in the real Hermite-product basis
-    (exact conversion table), distribute across coordinates, and read the
-    resulting real Fourier-Hermite coefficients back as a tensor over the
-    2D coordinates.  Exact kernels give exact tensors (coefficients may
-    carry a factor sqrt(2) when m + n is odd).
-
-    When m != n the two tensors are exactly orthogonal with equal norms.
-    """
-    if not phi.is_exact():
-        raise ValueError("decompose needs an exact kernel")
-    D = phi.dim
-    P = phi.m + phi.n
-    beta: Dict[Tuple[int, ...], ExactComplex] = {}
-    for (ta, tb), val in phi.data.items():
-        base = EC(multiplicity_factor(ta) * multiplicity_factor(tb)) * val * half_power(P)
-        combos: List[Tuple[Dict[int, Tuple[int, int]], ExactComplex]] = [({}, base)]
-        for k, a, b in _coord_degrees(ta, tb):
-            l = a + b
-            table = conversion_tables(l)[0]
-            new_combos = []
-            for assign, cf in combos:
-                for j in range(l + 1):
-                    cj = table.coefficient(a, j)
-                    if cj.is_zero():
-                        continue
-                    nxt = dict(assign)
-                    nxt[k] = (j, l - j)
-                    new_combos.append((nxt, cf * cj))
-            combos = new_combos
-        for assign, cf in combos:
-            mvec = [0] * (2 * D)
-            for k, (j, lj) in assign.items():
-                mvec[k] = j
-                mvec[D + k] = lj
-            key = tuple(mvec)
-            beta[key] = beta[key] + cf if key in beta else cf
-    u_data: Dict[Tuple[int, ...], ExactComplex] = {}
-    v_data: Dict[Tuple[int, ...], ExactComplex] = {}
-    for mvec, cf in beta.items():
-        t = tuple(i for i, m in enumerate(mvec) for _ in range(m))
-        w = EC(Fraction(1, multiplicity_factor(t)))
-        scaled = cf * w
-        u_data[t], v_data[t] = scaled.real(), scaled.imag()  # zeros are dropped
-    return (SymTensor(P, 2 * D, u_data), SymTensor(P, 2 * D, v_data))
-
-
-# -- exact moments ------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _factor_terms(real: bool, a: int, b: int) -> Dict[Tuple[int, ...], ExactComplex]:
-    """One coordinate's factor as a term map: H_a(x), or J_{a,b}(x + iy) in (x, y)."""
-    if real:
-        return {(k,): EC(c) for k, c in enumerate(hermite_coeffs(a)) if c}
-    return _j_poly(a, b).to_xy()
-
-
-def element_poly(elem: ChaosElementT, conj: bool = False) -> GaussPoly:
-    """The integral of an exact chaos element as an exact polynomial,
-    conjugated if asked, by the rules of the module docstring: I_p(f) over
-    f.dim coordinates, I_{m,n}(phi) over the 2 phi.dim coordinates (xi, eta).
-
-    Each stored term is its constant times one embedded factor per
-    coordinate k: H_{a_k} at coordinate k for a real key t (read as the
-    kernel key (t, ())), J_{a_k,b_k} at (k, D + k) for a kernel key.
-    """
-    if not isinstance(elem, (SymTensor, ComplexKernel)):
-        raise TypeError(f"not a chaos element: {type(elem).__name__}")
-    if not elem.is_exact():
-        raise ValueError("exact path needs exact values")
+def _expand(elem: ChaosElementT, factor) -> GaussPoly:
+    """Sum over elem's stored terms of the rule's constant (module docstring)
+    times the factor table's term map ``factor(real, a_k, b_k)`` placed at
+    k for a real key t (read as (t, ())), at (k, D + k) for a kernel key."""
     real = isinstance(elem, SymTensor)
     dim = elem.dim if real else 2 * elem.dim
     scale = ONE if real else half_power(elem.m + elem.n)
@@ -400,9 +330,83 @@ def element_poly(elem: ChaosElementT, conj: bool = False) -> GaussPoly:
             dim, EC(multiplicity_factor(ta) * multiplicity_factor(tb)) * val * scale)
         for k, a, b in _coord_degrees(ta, tb):
             coords = (k,) if real else (k, elem.dim + k)
-            term = term * embed(_factor_terms(real, a, b), coords, dim)
+            term = term * embed(factor(real, a, b), coords, dim)
         pairs.append((ONE, term))
-    poly = GaussPoly(dim).plus(pairs)
+    return GaussPoly(dim).plus(pairs)
+
+
+@lru_cache(maxsize=None)
+def _hermite_factor(real: bool, a: int, b: int) -> Dict[Tuple[int, ...], ExactComplex]:
+    """One coordinate's factor in the real Hermite-product basis: H_a for a
+    real key; for a kernel key J_{a,b}(x + iy) as its row of the exact table
+    ``conversion_tables(a + b)[0]``, the key (j, l) standing for H_j(x) H_l(y)."""
+    if real:
+        return {(a,): ONE}
+    row = conversion_tables(a + b)[0].rows[a]
+    return {(j, a + b - j): c for j, c in enumerate(row) if not c.is_zero()}
+
+
+def _hermite_pair(terms, order: int) -> Tuple[SymTensor, SymTensor]:
+    """The real pair (u, v) of sum c I(elem) over exact (c, elem) terms of
+    one chaos order: the weighted Hermite-basis expansions (``_expand`` with
+    ``_hermite_factor``) summed in one pass over (xi, eta), then read off.
+
+    Their exponent tuples are Hermite multi-indices: e stands for
+    prod_i H_{e_i}(w_i) and carries order!/t! (u + iv)[t], t its index tuple.
+    ``_expand``'s GaussPoly product is right for them only because a term's
+    factors sit on distinct coordinates, so adding exponents concatenates."""
+    polys = [(c, _expand(elem, _hermite_factor)) for c, elem in terms]
+    dim = polys[0][1].dim
+    u_data, v_data = {}, {}
+    for mvec, cf in GaussPoly(dim).plus(polys).terms().items():
+        t = tuple(i for i, m in enumerate(mvec) for _ in range(m))
+        scaled = cf * EC(Fraction(1, multiplicity_factor(t)))
+        u_data[t], v_data[t] = scaled.real(), scaled.imag()  # zeros are dropped
+    return SymTensor(order, dim, u_data), SymTensor(order, dim, v_data)
+
+
+def decompose(phi: ComplexKernel) -> Tuple[SymTensor, SymTensor]:
+    """Real tensors (u, v) with I_{m,n}(phi) = I_{m+n}(u) + i I_{m+n}(v) pathwise.
+
+    Pipeline: expand each stored term as its constant times one factor per
+    coordinate, J_{a_k,b_k} rewritten in the real Hermite-product basis by
+    its row of the exact conversion table, sum the terms, and read the
+    resulting real Fourier-Hermite coefficients back as a tensor over the
+    2D coordinates (``_hermite_pair``).  Exact kernels give exact tensors
+    (coefficients may carry a factor sqrt(2) when m + n is odd).
+
+    When m != n the two tensors are exactly orthogonal with equal norms.
+    """
+    if not phi.is_exact():
+        raise ValueError("decompose needs an exact kernel")
+    return _hermite_pair([(ONE, phi)], phi.m + phi.n)
+
+
+# -- exact moments ------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _factor_terms(real: bool, a: int, b: int) -> Dict[Tuple[int, ...], ExactComplex]:
+    """One coordinate's factor as a term map: H_a(x), or J_{a,b}(x + iy) in (x, y)."""
+    if real:
+        return {(k,): EC(c) for k, c in enumerate(hermite_coeffs(a)) if c}
+    return complex_hermite(a, b).to_xy()
+
+
+def element_poly(elem: ChaosElementT, conj: bool = False) -> GaussPoly:
+    """The integral of an exact chaos element as an exact polynomial,
+    conjugated if asked, by the rules of the module docstring: I_p(f) over
+    f.dim coordinates, I_{m,n}(phi) over the 2 phi.dim coordinates (xi, eta).
+
+    Each stored term is its constant times one embedded factor per
+    coordinate k (``_expand``): H_{a_k} at coordinate k for a real key t,
+    J_{a_k,b_k} in monomials of (xi_k, eta_k) at (k, D + k) for a kernel key.
+    """
+    if not isinstance(elem, (SymTensor, ComplexKernel)):
+        raise TypeError(f"not a chaos element: {type(elem).__name__}")
+    if not elem.is_exact():
+        raise ValueError("exact path needs exact values")
+    poly = _expand(elem, _factor_terms)
     return poly.conj() if conj else poly
 
 
@@ -428,13 +432,8 @@ def exact_moment(factors: Iterable) -> ExactComplex:
     is taken over the shared ``GaussianFamily.standard`` of the product's
     dimension, whose pairing memo carries over from earlier calls.
     """
-    normalized: List[Tuple[ChaosElementT, bool]] = []
-    for f in factors:
-        if isinstance(f, tuple):
-            elem, conj = f
-            normalized.append((elem, bool(conj)))
-        else:
-            normalized.append((f, False))
+    normalized = [(elem, bool(conj)) for elem, conj in
+                  (f if isinstance(f, tuple) else (f, False) for f in factors)]
     if not normalized:
         raise ValueError("need at least one factor")
     total_degree = sum(top_degree(e) for e, _ in normalized)
@@ -452,9 +451,6 @@ def exact_moment(factors: Iterable) -> ExactComplex:
     # balanced multiplication keeps intermediate term counts small
     while len(polys) > 1:
         polys.sort(key=lambda p: len(p.terms()))
-        a = polys.pop(0)
-        b = polys.pop(0)
+        a, b = polys.pop(0), polys.pop(0)
         polys.append(a * b)
-    product = polys[0]
-    fam = GaussianFamily.standard(product.dim)
-    return expect(fam, product)
+    return expect(GaussianFamily.standard(polys[0].dim), polys[0])

@@ -11,10 +11,12 @@ Exit codes are a stable contract:
         any section, a malformed kernel section (kernel text, kernel file
         contents, file name or scale), an exact number in exponent notation,
         a kernel of degree m + n < 2, a kernel value or moments that
-        overflow float (a kernel scaled by 10**100, say), a ks section
-        beside a chi-square case, and a value past a MAX_* bound below:
-        kernel degree m + n, kernel dimension (block k), workers, n_samples
-        beside a ks section and the oracle's complex_dim
+        overflow float (a kernel scaled by 10**100, say), a criterion whose
+        limit moments overflow float (sigma2 = 1e200, or a chi-square case
+        whose configured law does) or that has no configured chi-square law
+        (a = 1), a ks section beside a chi-square case, and a value past a
+        MAX_* bound below: kernel degree m + n, kernel dimension (block k),
+        workers, n_samples beside a ks section and the oracle's complex_dim
     66  missing kernel file
 
 A default seed may be supplied via the CHAOSLAB_SEED environment variable;

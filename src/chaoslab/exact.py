@@ -29,8 +29,6 @@ RationalLike = Union[int, Fraction]
 def _rational(x) -> RationalLike:
     if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"not a rational value: {x!r}")
 
 

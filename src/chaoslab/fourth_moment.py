@@ -20,7 +20,9 @@ The five quantities of a chaos variable F are
 sums apply it to sample arrays.  :func:`exact_report` applies it to
 F = U + iV as a polynomial in two symbols, where F = I_q(u) + i I_q(v) is
 the real pair of the target, and replaces each monomial U^a V^b by its
-exact mean.  Those means are the table :func:`chaoslab.tensor.pair_moments`
+exact mean.  The real pair is read off the weighted sum of the terms'
+expansions by the conversion tables, as :func:`chaoslab.chaos.decompose`
+reads one kernel's.  The means are the table :func:`chaoslab.tensor.pair_moments`
 reads off one set of contractions of u and v (the product formula), so the
 cost is polynomial in the kernel size.  The Wick pairing oracle
 (:mod:`chaoslab.wick`) stays the independent check; :func:`component_gaps`
@@ -47,8 +49,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import kolmogorov, ndtr
 
-from .chaos import (SampleBatch, decompose, eval_complex, eval_real, exact_moment,
-                    sample_batch, top_degree)
+from .chaos import (SampleBatch, _hermite_pair, decompose, eval_complex, eval_real,
+                    exact_moment, sample_batch, top_degree)
 from .exact import EC, ExactComplex, I_UNIT, ONE, ZERO
 from .tensor import ComplexKernel, SymTensor, _complex, contract, pair_moments
 from .wick import GaussPoly
@@ -119,6 +121,9 @@ class CriterionSpec:
     """Target parameters for one limit-theorem case.
 
     ``m``/``n`` describe a fixed bidegree, ``total_degree`` a multichaos sum.
+    ``sigma2`` and every limit it implies (:func:`case_targets`, and a
+    chi-square case's configured law, which needs |a| < 1) must be finite:
+    an infinite limit would pass any estimate with its infinite tolerance.
     """
 
     case: str
@@ -133,10 +138,11 @@ class CriterionSpec:
     def __post_init__(self):
         if self.case not in _CASES:
             raise ConfigError(f"unknown case {self.case!r}; expected one of {_CASES}")
-        if self.sigma2 <= 0:
-            raise ConfigError("sigma2 must be positive")
+        if not 0 < self.sigma2 < math.inf:  # a NaN fails both comparisons
+            raise ConfigError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if self.a * self.a + self.b * self.b > 1 + 1e-12:
             raise ConfigError("need a^2 + b^2 <= 1")
+        limits = list(case_targets(self).items())
         if self.case.startswith("chi2"):
             if self.m is None or self.n is None:
                 raise ConfigError("chi-square cases need the bidegree (m, n)")
@@ -145,6 +151,13 @@ class CriterionSpec:
                     "no chi-square limit exists in an odd-degree chaos: no sequence "
                     "with bounded variances converges to the chi-square target when "
                     "m + n is odd")
+            try:
+                limits += [(f"configured-law {k}", v) for k, v in _chi2_law(self).items()]
+            except ValueError as exc:
+                raise ConfigError(f"no configured chi-square law at a={self.a}: {exc}")
+        for name, value in limits:
+            if not cmath.isfinite(value):
+                raise ConfigError(f"sigma2={self.sigma2} puts the {name} limit out of float range")
 
     def is_degenerate(self) -> bool:
         return abs(self.a * self.a + self.b * self.b - 1.0) <= 1e-9
@@ -202,6 +215,12 @@ def chi2_target_moments(alpha1: float, alpha2: float,
     }
 
 
+def _chi2_law(spec: CriterionSpec) -> Dict[str, complex]:
+    """Moments of a chi-square case's configured law, alpha_{1,2} = (1 +- a) sigma2 / 2."""
+    return chi2_target_moments((1 + spec.a) * spec.sigma2 / 2, (1 - spec.a) * spec.sigma2 / 2,
+                               spec.chi2_variance_is_alpha)
+
+
 # -- kernel generation ---------------------------------------------------------------
 
 
@@ -249,10 +268,8 @@ def _terms_of(target: EstimateTarget) -> List[Tuple[ExactComplex, object]]:
     if isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], SymTensor):
         u, v = target  # a real pair (u, v), meaning I(u) + i I(v)
         return [(ONE, u), (I_UNIT, v)]
-    terms = []
-    for coeff, kern in target:  # type: ignore[union-attr]
-        terms.append((ExactComplex.coerce(coeff) if not isinstance(coeff, (float, complex))
-                      else coeff, kern))
+    terms = [(ExactComplex.coerce(coeff) if not isinstance(coeff, (float, complex)) else coeff,
+              kern) for coeff, kern in target]  # type: ignore[union-attr]
     if not terms:
         raise ValueError("empty target")
     return terms
@@ -376,9 +393,9 @@ def estimate(target: EstimateTarget, n_samples: int, seed: int, *,
 def _real_pair(target: EstimateTarget) -> Tuple[SymTensor, SymTensor]:
     """Exact real tensors (u, v) with target = I_q(u) + i I_q(v).
 
-    Each term c * I(elem) adds Re(c) u_e - Im(c) v_e to u and
-    Im(c) u_e + Re(c) v_e to v, where (u_e, v_e) is the element's own real
-    pair.
+    The weighted Hermite-basis expansions of the target's terms are summed
+    in one pass and (u, v) is read off the sum once, as
+    :func:`chaoslab.chaos.decompose` does for one kernel.
     """
     terms = _terms_of(target)
     orders = {top_degree(elem) for _, elem in terms}
@@ -387,16 +404,7 @@ def _real_pair(target: EstimateTarget) -> Tuple[SymTensor, SymTensor]:
                          "report needs one chaos")
     if not all(isinstance(c, ExactComplex) and elem.is_exact() for c, elem in terms):
         raise ValueError("the exact report needs exact coefficients and kernel values")
-    u = v = None
-    for coeff, elem in terms:
-        if isinstance(elem, ComplexKernel):
-            eu, ev = decompose(elem)
-        else:
-            eu, ev = elem, SymTensor(elem.order, elem.dim)
-        re, im = coeff.real(), coeff.imag()
-        du, dv = re * eu + (-im) * ev, im * eu + re * ev
-        u, v = (du, dv) if u is None else (u + du, v + dv)
-    return u, v
+    return _hermite_pair(terms, orders.pop())
 
 
 def exact_report(target: EstimateTarget) -> MomentReport:
@@ -529,16 +537,12 @@ def verdict(reports: Sequence[Tuple[int, MomentReport]], spec: CriterionSpec,
             notes.append("estimates show |E F^2| = E|F|^2: routed to the degenerate case")
     targets = case_targets(effective)
     if effective.case.startswith("chi2"):
-        alpha1 = (1 + effective.a) * effective.sigma2 / 2
-        alpha2 = (1 - effective.a) * effective.sigma2 / 2
-        law = chi2_target_moments(alpha1, alpha2, effective.chi2_variance_is_alpha)
+        law = _chi2_law(effective)
         notes.append("configured chi-square law moments: "
                      + ", ".join(f"{k}={law[k]}" for k in sorted(law)))
     quantities: Dict[str, QuantityVerdict] = {}
     for name, limit in targets.items():
-        rows = []
-        gaps = []
-        ses = []
+        rows, gaps, ses = [], [], []
         for k, rep in reports:
             ref = limit
             if references and k in references and name in references[k]:

@@ -78,10 +78,8 @@ class GaussianFamily:
         d = len(rows)
         if any(len(row) != d for row in rows):
             raise ValueError("covariance must be square")
-        for i in range(d):
-            for j in range(d):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("covariance must be symmetric")
+        if any(rows[i][j] != rows[j][i] for i in range(d) for j in range(i)):
+            raise ValueError("covariance must be symmetric")
         if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
             raise ValueError("covariance entries must be rational (int or Fraction)")
         rows = tuple(tuple(Fraction(x) for x in row) for row in rows)

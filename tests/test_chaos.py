@@ -15,11 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 from chaoslab import chaos, fourth_moment as fm, hermite
 from chaoslab.chaos import (decompose, element_poly, eval_complex, eval_real,
                             exact_moment, sample_batch)
-from chaoslab.exact import EC, ExactComplex
+from chaoslab.exact import EC, I_UNIT, ExactComplex
 from chaoslab.hermite import complex_hermite
 from chaoslab.tensor import (ComplexKernel, SymTensor, inner, kernel_inner,
                              multiplicity_factor)
-from chaoslab.wick import GaussianFamily, expect
+from chaoslab.wick import GaussianFamily, GaussPoly, expect
 
 
 def random_exact_tensor(order, dim, rnd):
@@ -356,7 +356,56 @@ class TestIsometries:
             assert exact_moment([phi, phi]) == EC(0)
 
 
+exact_part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+exact_values = st.builds(ExactComplex, exact_part, exact_part, exact_part, exact_part)
+
+
+@st.composite
+def one_order_targets(draw):
+    """A real pair (u, v) or 1 to 3 weighted terms, exact kernels and real
+    tensors of one chaos order q <= 4 over d <= 3 complex coordinates, with
+    sqrt(2) and complex parts in values and weights."""
+    q = draw(st.integers(0, 4))
+    d = draw(st.integers(1, 3))
+
+    def stored(keys, value):
+        chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6, unique=True))
+        return {key: draw(value) for key in chosen}
+
+    def tensor():
+        keys = list(itertools.combinations_with_replacement(range(2 * d), q))
+        real = st.builds(ExactComplex, exact_part, st.just(0), exact_part)
+        return SymTensor(q, 2 * d, stored(keys, real))
+
+    def kernel():
+        m = draw(st.integers(0, q))
+        keys = [(ta, tb) for ta in itertools.combinations_with_replacement(range(d), m)
+                for tb in itertools.combinations_with_replacement(range(d), q - m)]
+        return ComplexKernel(m, q - m, d, stored(keys, exact_values))
+
+    if draw(st.booleans()) and draw(st.booleans()):
+        return (tensor(), tensor())
+    return [(draw(exact_values), kernel() if draw(st.booleans()) else tensor())
+            for _ in range(draw(st.integers(1, 3)))]
+
+
 class TestDecompose:
+    @given(one_order_targets())
+    @settings(max_examples=60, deadline=None)
+    def test_real_pair_matches_the_wick_route_exactly(self, target):
+        # the real pair reads the conversion tables, element_poly J_{a,b}
+        # built from creation operators: two independent factor tables
+        terms = [(EC(1), target[0]), (I_UNIT, target[1])] \
+            if isinstance(target, tuple) else target
+        polys = [(c, element_poly(elem)) for c, elem in terms]
+        want = GaussPoly(polys[0][1].dim).plus(polys)
+        u, v = fm._real_pair(target)
+        assert element_poly(u) + I_UNIT * element_poly(v) == want
+        for _, elem in terms:
+            if isinstance(elem, ComplexKernel):
+                du, dv = decompose(elem)
+                assert element_poly(du) + I_UNIT * element_poly(dv) == element_poly(elem)
+
     def test_degree_one_structure(self):
         phi = ComplexKernel(1, 0, 1, {((0,), ()): 1})
         u, v = decompose(phi)

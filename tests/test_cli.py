@@ -396,18 +396,28 @@ class TestExperiment:
         {"kernel": {"block": {"m": 1, "n": 2}, "scale": "2"}},
         {"kernel": {"block": {"m": 1, "n": 2, "k": 4}}},
         {"ks": {"k": 4, "comp": "im"}},
+        {"criterion": {**BASE_CONFIG["criterion"], "sigma2": 1e200}},
+        {"kernel": {"block": {"m": 1, "n": 1}}, "criterion": {
+            "case": "chi2-offdiag", "sigma2": 1e200, "m": 1, "n": 1}},
+        {"kernel": {"block": {"m": 1, "n": 1}}, "criterion": {
+            "case": "chi2-offdiag", "sigma2": 5e153, "m": 1, "n": 1,
+            "chi2_variance_is_alpha": False}},
+        {"kernel": {"block": {"m": 1, "n": 1}}, "criterion": {
+            "case": "chi2-diag", "sigma2": 2.0, "a": 1.0, "m": 1, "n": 1}},
     ], ids=["chunk_size-0", "n_samples-abc", "block-missing-n", "workers-0",
             "workers-negative", "k_values-fraction", "criterion-m-abc",
             "sigma2-abc", "seed-abc", "ks-k-abc", "block-degree-1",
             "exact_reference-string", "chi2_variance_is_alpha-string",
             "sigma2-10**400", "unknown-top-level-key", "unknown-criterion-key",
             "unknown-kernel-key", "scale-beside-block", "unknown-block-key",
-            "unknown-ks-key"])
-    def test_bad_integer_fields_exit_65(self, tmp_path, change):
+            "unknown-ks-key", "sigma2-1e200", "chi2-sigma2-1e200",
+            "chi2-plain-law-overflow", "chi2-a-1"])
+    def test_bad_integer_fields_exit_65(self, tmp_path, capsys, change):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**BASE_CONFIG, **change}))
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
         assert not (tmp_path / "o").exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     @pytest.mark.parametrize("kernel, file_text", [
         ({"inline": "garbage"}, None),

@@ -144,6 +144,13 @@ def test_zero_and_reduced_construction():
     assert_same(ExactComplex(Fraction(6, 4), Fraction(-3, 9), Fraction(10, 8), 2),
                 ExactComplex(Fraction(3, 2), Fraction(-1, 3), Fraction(5, 4), 2))
     assert fields(ExactComplex(Fraction(1, 6), 0, Fraction(1, 4), 0)) == (2, 3, 0, 0, 12)
+    # components are int or Fraction; a string is refused like a float, never
+    # parsed (Fraction("1e10000000") would write out ten million digits)
+    for bad in ("1/2", "1e10000000", 0.5):
+        with pytest.raises(TypeError):
+            ExactComplex(bad)
+        with pytest.raises(TypeError):
+            ExactComplex(0, 0, 0, bad)
 
 
 @given(values, values, scalars)

@@ -284,10 +284,12 @@ class TestExactReport:
         assert rep.abs4 == 265248
 
     def test_mixed_total_orders_rejected_before_decompose(self, monkeypatch):
-        def no_decompose(*args):
-            raise AssertionError("decomposed a kernel before the order check")
+        # _real_pair expands the terms in _hermite_pair, which may not run
+        # before the order check
+        def no_expansion(*args):
+            raise AssertionError("expanded a term before the order check")
 
-        monkeypatch.setattr(fm, "decompose", no_decompose)
+        monkeypatch.setattr(fm, "_hermite_pair", no_expansion)
         target = [(ONE, fm.gen_block_kernel(1, 1, 1)), (ONE, fm.gen_block_kernel(1, 2, 1))]
         with pytest.raises(ValueError, match="total orders"):
             fm.exact_report(target)
@@ -305,6 +307,32 @@ class TestCriterionSpec:
             fm.CriterionSpec(case="gaussian-diag", sigma2=1.0, a=1.0, b=0.5)
         with pytest.raises(fm.ConfigError):
             fm.CriterionSpec(case="unknown", sigma2=1.0)
+        for sigma2 in (float("nan"), float("inf")):  # nan <= 0 is false
+            with pytest.raises(fm.ConfigError, match="finite"):
+                fm.CriterionSpec(case="gaussian-offdiag", sigma2=sigma2)
+
+    @pytest.mark.parametrize("case, sigma2, a, plain, limit", [
+        ("gaussian-offdiag", 1e200, 0.0, False, "abs4"),
+        ("gaussian-offdiag", 1e154, 0.0, False, "abs4"),
+        ("gaussian-diag", 1e200, 0.5, False, "abs4"),
+        ("chi2-offdiag", 1e200, 0.0, False, "abs4"),
+        # the stated limits fit in float, the plain-convention law's do not:
+        # its abs4 is 8 sigma2^2 and its fourth inf - inf
+        ("chi2-offdiag", 5e153, 0.0, True, "configured-law abs4"),
+        ("chi2-diag", 1e154, 0.5, False, "abs4"),
+    ])
+    def test_limits_beyond_float_rejected(self, case, sigma2, a, plain, limit):
+        spec = dict(case=case, sigma2=sigma2, a=a, m=1, n=1)
+        with pytest.raises(fm.ConfigError, match=f"the {limit} limit out of float range"):
+            fm.CriterionSpec(**spec, chi2_variance_is_alpha=not plain)
+        if plain:  # the same sigma2 fits under the variance-equals-alpha law
+            fm.CriterionSpec(**spec)
+
+    @pytest.mark.parametrize("a", [1.0, -1.0])
+    def test_chi2_law_needs_both_factors(self, a):
+        # alpha2 or alpha1 = (1 -+ a) sigma2 / 2 is 0: no configured law
+        with pytest.raises(fm.ConfigError, match="chi-square law"):
+            fm.CriterionSpec(case="chi2-diag", sigma2=2.0, a=a, m=1, n=1)
 
     def test_chi2_odd_degree_excluded(self):
         with pytest.raises(fm.ConfigError):
