@@ -13,8 +13,8 @@ from .convert import (AngleMatrix, ConversionTable, IllConditionedError,
                       det_closed_form, exact_grid,
                       hermite_to_complex_coeffs, rotation_expand)
 from .tensor import (BlockTensor, ComplexKernel, SymTensor, contract,
-                     contract_sym, dump_kernel, inner, kernel_inner,
-                     load_kernel, pair_moments, product_moment, symmetrize)
+                     dump_kernel, inner, kernel_inner, load_kernel,
+                     pair_moments, product_moment, symmetrize)
 from .chaos import (SampleBatch, decompose, eval_complex, eval_real,
                     exact_moment, sample_batch)
 from .fourth_moment import (CriterionSpec, MomentReport, Verdict,

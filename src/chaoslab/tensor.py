@@ -7,10 +7,22 @@ products therefore carry multinomial weights.  With contractions they give
 
 Each tensor holds one scalar type, chosen once when it is built: if every
 input value is exact (int, Fraction or ExactComplex) the values become
-ExactComplex, otherwise float (SymTensor) or complex (ComplexKernel).  Each
-algorithm is written once with ``+``, ``*``, ``conjugate()`` and truthiness
-and int or Fraction weights, so exact inputs give exact results that
-compare with ``==``; an exact operand meets a floating one as floats.
+ExactComplex, otherwise float (SymTensor) or complex (ComplexKernel).  An
+exact operand meets a floating one as floats.
+
+The algebra (contractions, symmetrization, inner products) runs on a
+tensor's numerator form: one positive int denominator and, per stored key,
+an int pair (p, q) standing for (p + q*sqrt(2))/den (``_numerators``; an
+exact complex kernel splits into the forms of its real and imaginary
+parts).  A product of two entries is four int multiplies, a sum two int
+adds, and the denominator multiplies once per operation, not once per
+entry.  Each loop is written once: a floating tensor runs it on pairs
+(x, 0) over 1, summing in the order and with the association of a plain
+float loop (a weighted product is (w x) y).  An ExactComplex is formed only
+for a returned scalar, with one ``exact._make``, and for a returned
+tensor's ``data``, filled from its form when first read; exact results
+compare with ``==``.  A tensor the algebra returns has its operands' scalar
+type even when it is empty, while a tensor built empty counts as exact.
 
 The text format (:func:`dump_kernel`, :func:`load_kernel`) covers complex
 kernels only: a header ``m n dim`` and one line per stored entry, its
@@ -20,18 +32,21 @@ token ``a``, ``b*r2`` or ``a+b*r2`` (a, b rational, r2 = sqrt 2).
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .exact import ExactComplex, I_UNIT, ZERO
+from .exact import ExactComplex, I_UNIT, ZERO, _make
 
 IndexTuple = Tuple[int, ...]
 Value = Union[int, Fraction, float, complex, ExactComplex]
 
 
+@lru_cache(maxsize=1 << 16)
 def multiplicity_factor(t: IndexTuple) -> int:
     """Number of distinct arrangements of the multiset t: p! / prod(mult!)."""
     out = math.factorial(len(t))
@@ -70,32 +85,114 @@ def _complex(v) -> complex:
 
 
 class _OneScalarType:
-    """Base of the tensor classes, whose values share one scalar type."""
+    """Base of the tensor classes, whose values share one scalar type.
 
-    __slots__ = ()
+    ``_exact`` is set once, when the tensor is built: true when every
+    stored value is exact, so also when none is stored."""
+
+    __slots__ = ("_exact",)
 
     def is_exact(self) -> bool:
-        # one value tells: the type is chosen once per tensor
-        return isinstance(next(iter(self.data.values()), ZERO), ExactComplex)
-
-
-def _zero(*tensors: _OneScalarType):
-    """Additive identity of the operands' scalar type (a tensor without
-    values counts as exact)."""
-    return ZERO if all(t.is_exact() for t in tensors) else 0.0
+        return self._exact
 
 
 def _one_type(f, g):
     """f and g over one scalar type: floating point if either is floating."""
     if f.is_exact() == g.is_exact():
         return f, g
-    return 1.0 * f, 1.0 * g
+    return _floating(f), _floating(g)
 
 
-class SymTensor(_OneScalarType):
+def _floating(t):
+    """t over floating point.  An empty tensor's numerator form is (1, {})
+    under either type, so an empty exact tensor is only re-flagged."""
+    if not t.is_exact():
+        return t
+    if t.data:
+        return 1.0 * t
+    t = copy.copy(t)
+    t._exact = False
+    return t
+
+
+# -- numerator forms ---------------------------------------------------------------
+
+
+def _numerators(exact: bool, data: Mapping, imag: bool = False):
+    """The numerator form (den, {key: (p, q)}) of data's values: the value
+    at key is (p + q sqrt2)/den.  Exact values go over the lcm of their
+    denominators, taking their real parts, or their imaginary parts if
+    ``imag``; floats x go as (x, 0) over 1."""
+    if not exact:
+        return 1, {k: (v, 0) for k, v in data.items()}
+    den = math.lcm(*(v.n for v in data.values()))
+    out = {}
+    for k, v in data.items():
+        s = den // v.n
+        out[k] = (v.r * s, v.s * s) if imag else (v.p * s, v.q * s)
+    return den, out
+
+
+def _value(exact: bool, p, q, den):
+    """(p + q sqrt2)/den in the scalar type: one ``_make`` if exact, else a
+    float (q is 0)."""
+    return _make(p, q, 0, 0, den) if exact else p / den
+
+
+def _sum_products(a: Mapping, b: Mapping, weight: Callable):
+    """(P, Q), the numerator over the product of the two denominators of the
+    sum of weight(key) * a[key] * b[key] over the keys two numerator maps
+    share.  It walks the smaller map and weights a's entry first, so a
+    float term is (w * a) * b."""
+    a_first = len(a) <= len(b)
+    walk, other = (a, b) if a_first else (b, a)
+    big_p = big_q = 0
+    for key, x in walk.items():
+        y = other.get(key)
+        if y is not None:
+            (p1, q1), (p2, q2) = (x, y) if a_first else (y, x)
+            w = weight(key)
+            p1, q1 = w * p1, w * q1
+            big_p += p1 * p2 + 2 * q1 * q2
+            big_q += p1 * q2 + q1 * p2
+    return big_p, big_q
+
+
+class _RealTensor(_OneScalarType):
+    """Base of SymTensor and BlockTensor, whose values are real.
+
+    The tensor algebra reads a tensor's numerator form (``_numerators``),
+    built from ``data`` on first use and kept in ``_num``.  A tensor the
+    algebra returns holds only its form, and ``data`` is filled from it
+    when first read.  Tensors are not mutated after construction."""
+
+    __slots__ = ("_data", "_num")
+
+    @property
+    def data(self) -> Dict:
+        if self._data is None:
+            den, items = self._num
+            self._data = {k: _value(self._exact, p, q, den) for k, (p, q) in items.items()}
+        return self._data
+
+    def _form(self):
+        if self._num is None:
+            self._num = _numerators(self._exact, self._data)
+        return self._num
+
+
+def _of_form(t: _RealTensor, exact: bool, den: int, items: Dict) -> _RealTensor:
+    """The empty tensor t made to hold the numerator form (den, items),
+    whose values are nonzero, over the scalar type of its operands (even
+    when it is empty)."""
+    t._data, t._num, t._exact = None, (den, items), exact
+    return t
+
+
+class SymTensor(_RealTensor):
     """Fully symmetric order-p tensor over R^dim in canonical sorted storage."""
 
-    __slots__ = ("order", "dim", "data")
+    __slots__ = ("order", "dim")
 
     def __init__(self, order: int, dim: int,
                  data: Mapping[IndexTuple, Value] | None = None):
@@ -104,8 +201,10 @@ class SymTensor(_OneScalarType):
         self.order = int(order)
         self.dim = int(dim)
         store: Dict[IndexTuple, Value] = {}
+        exact = True
         if data:
             to_value = _converter(data.values(), _exact_real, _float)
+            exact = to_value is _exact_real
             for key, val in data.items():
                 t = tuple(int(i) for i in key)
                 if len(t) != self.order:
@@ -117,7 +216,7 @@ class SymTensor(_OneScalarType):
                 v = to_value(val)
                 if v:
                     store[t] = v
-        self.data = store
+        self._data, self._num, self._exact = store, None, exact or not store
 
     # -- access ---------------------------------------------------------------
 
@@ -157,39 +256,53 @@ class SymTensor(_OneScalarType):
         return f"SymTensor(order={self.order}, dim={self.dim}, nnz={len(self.data)})"
 
 
+def _symmetrized(out: SymTensor, exact: bool, den: int, items: Iterable) -> SymTensor:
+    """out made to hold the symmetrization of dense entries given as (index
+    tuple, numerator over den) pairs: each sorted key sums the entries
+    listed at its arrangements and divides by their count."""
+    acc: Dict[IndexTuple, Tuple] = {}
+    for t, (p, q) in items:
+        st = tuple(sorted(t))
+        pq = acc.get(st)
+        acc[st] = (pq[0] + p, pq[1] + q) if pq else (p, q)
+    counts = [multiplicity_factor(st) for st in acc]
+    # exact: over the lcm of the counts; floats: times the float 1/count
+    scale = math.lcm(*counts) if exact else 1
+    out_items = {}
+    for (st, (p, q)), c in zip(acc.items(), counts):
+        f = scale // c if exact else 1 / c
+        p, q = p * f, q * f
+        if p or q:
+            out_items[st] = (p, q)
+    return _of_form(out, exact, den * scale, out_items)
+
+
 def symmetrize(raw: Mapping[IndexTuple, Value], order: int, dim: int) -> SymTensor:
     """Average a raw dense coefficient map over all slot permutations.
 
     Unlisted positions are zero.  Idempotent on tensors that are already
     symmetric (feeding back the canonical entries at their sorted keys).
     """
-    to_value = _converter(raw.values(), ExactComplex.coerce, _float)
-    acc: Dict[IndexTuple, Value] = {}
+    to_value = _converter(raw.values(), _exact_real, _float)
+    values: Dict[IndexTuple, Value] = {}
     for key, val in raw.items():
         t = tuple(int(i) for i in key)
         if len(t) != order:
             raise ValueError(f"tuple {t} has wrong length")
         if any(not 0 <= i < dim for i in t):
             raise ValueError(f"index {t} out of range for dim {dim}")
-        st = tuple(sorted(t))
         v = to_value(val)
-        acc[st] = acc[st] + v if st in acc else v
-    # each sorted key now holds the sum over listed arrangements; the
-    # symmetrized dense entry is that sum divided by the arrangement count
-    return SymTensor(order, dim, {st: Fraction(1, multiplicity_factor(st)) * v
-                                  for st, v in acc.items()})
+        values[t] = values[t] + v if t in values else v  # keys equal after int()
+    exact = to_value is _exact_real
+    den, items = _numerators(exact, values)
+    return _symmetrized(SymTensor(order, dim), exact, den, items.items())
 
 
-def _weighted_inner(f, g, weight: Callable, conj: bool = False):
-    """The sum of weight(key) * f[key] * g[key] over the keys f and g share,
-    with g's values conjugated if ``conj``; it walks the smaller map."""
-    a, b = f.data, g.data
-    total = _zero(f, g)
-    for key in (a if len(a) <= len(b) else b):
-        w = b.get(key)
-        if w is not None and key in a:
-            total = total + weight(key) * a[key] * (w.conjugate() if conj else w)
-    return total
+def _weighted_inner(f: _RealTensor, g: _RealTensor, weight: Callable):
+    """The sum of weight(key) * f[key] * g[key] over the keys f and g share."""
+    f, g = _one_type(f, g)
+    (df, a), (dg, b) = f._form(), g._form()
+    return _value(f.is_exact(), *_sum_products(a, b, weight), df * dg)
 
 
 def _block_weight(key: Tuple[IndexTuple, IndexTuple]) -> int:
@@ -200,30 +313,34 @@ def inner(f: SymTensor, g: SymTensor):
     """Full-tuple inner product: sum over all index tuples of f * g."""
     if (f.order, f.dim) != (g.order, g.dim):
         raise ValueError("shape mismatch")
-    return _weighted_inner(*_one_type(f, g), multiplicity_factor)
+    return _weighted_inner(f, g, multiplicity_factor)
 
 
 # -- contractions -----------------------------------------------------------------
 
 
-class BlockTensor(_OneScalarType):
+class BlockTensor(_RealTensor):
     """Tensor symmetric within two index blocks (the raw contraction shape)."""
 
-    __slots__ = ("orders", "dim", "data")
+    __slots__ = ("orders", "dim")
 
     def __init__(self, orders: Tuple[int, int], dim: int,
                  data: Mapping[Tuple[IndexTuple, IndexTuple], Value] | None = None):
         self.orders = (int(orders[0]), int(orders[1]))
         self.dim = int(dim)
         store: Dict[Tuple[IndexTuple, IndexTuple], Value] = {}
+        exact = True
         if data:
+            to_value = _converter(data.values(), _exact_real, _float)
+            exact = to_value is _exact_real
             for (t1, t2), val in data.items():
                 t1, t2 = tuple(t1), tuple(t2)
                 if len(t1) != self.orders[0] or len(t2) != self.orders[1]:
                     raise ValueError("block tuple of wrong length")
-                if val:
-                    store[(t1, t2)] = val
-        self.data = store
+                v = to_value(val)
+                if v:
+                    store[(t1, t2)] = v
+        self._data, self._num, self._exact = store, None, exact or not store
 
     def inner(self, other: "BlockTensor"):
         """Full-tuple inner product: sum over all index tuples of self * other."""
@@ -262,51 +379,66 @@ def contract(u: SymTensor, v: SymTensor, r: int) -> BlockTensor:
 
     r = order gives the scalar inner product; r = 0 the outer product.
     The result is symmetric within its two blocks but not across them;
-    use :func:`contract_sym` for the symmetrized variant.
+    ``_symmetrize_block`` symmetrizes it over all of its slots.
     """
     if (u.order, u.dim) != (v.order, v.dim):
         raise ValueError("shape mismatch")
-    q = u.order
-    if not 0 <= r <= q:
-        raise ValueError(f"contraction order {r} outside 0..{q}")
+    order = u.order
+    if not 0 <= r <= order:
+        raise ValueError(f"contraction order {r} outside 0..{order}")
     u, v = _one_type(u, v)
+    (du, a), (dv, b) = u._form(), v._form()
 
-    def split_map(t: SymTensor):
-        out: Dict[IndexTuple, List[Tuple[IndexTuple, Value]]] = {}
-        for key, val in t.data.items():
+    def split_map(items: Mapping):
+        out: Dict[IndexTuple, List[Tuple[IndexTuple, Tuple]]] = {}
+        for key, pq in items.items():
             for kept, shared in _splits(key, r):
-                out.setdefault(shared, []).append((kept, val))
+                out.setdefault(shared, []).append((kept, pq))
         return out
 
-    left = split_map(u)
-    right = left if u is v else split_map(v)
-    data: Dict[Tuple[IndexTuple, IndexTuple], Value] = {}
+    # u (x)_r u is symmetric under swapping its blocks.  Exact, it sums each
+    # unordered pair of kept tuples once, at (smaller, larger), and mirrors;
+    # floats sum every ordered pair, since (w x) y and (w y) x round apart
+    mirror = b is a and u.is_exact()
+    left = split_map(a)
+    right = left if b is a else split_map(b)
+    if mirror:
+        for entries in left.values():
+            entries.sort()  # by kept tuple, unique within one shared multiset
+    acc: Dict[Tuple[IndexTuple, IndexTuple], List] = {}  # (kept_l, kept_r) -> [p, q]
     for shared, lefts in left.items():
         rights = right.get(shared)
         if rights is None:
             continue
         # number of ordered r-sequences realizing the shared multiset
         w = multiplicity_factor(shared)
-        for kept_l, val_l in lefts:
-            for kept_r, val_r in rights:
+        for i, (kept_l, (p1, q1)) in enumerate(lefts):
+            p1, q1 = w * p1, w * q1
+            q1x2 = 2 * q1
+            for kept_r, (p2, q2) in (lefts[i:] if mirror else rights):
                 key = (kept_l, kept_r)
-                inc = w * val_l * val_r
-                data[key] = data[key] + inc if key in data else inc
-    return BlockTensor((q - r, q - r), u.dim, data)
+                pq = acc.get(key)
+                if pq is None:
+                    acc[key] = [p1 * p2 + q1x2 * q2, p1 * q2 + q1 * p2]
+                else:
+                    pq[0] += p1 * p2 + q1x2 * q2
+                    pq[1] += p1 * q2 + q1 * p2
+    out = {key: (p, q) for key, (p, q) in acc.items() if p or q}
+    if mirror:
+        out.update([((kr, kl), pq) for (kl, kr), pq in out.items() if kl != kr])
+    return _of_form(BlockTensor((order - r, order - r), u.dim), u.is_exact(), du * dv, out)
 
 
 def _symmetrize_block(block: BlockTensor) -> SymTensor:
     """Symmetrization of a block tensor over all of its slots."""
+    den, items = block._form()
     # the dense entries of the block over all arrangements of a key (t1, t2)
     # sum to the block entry times the per-block arrangement counts
-    raw = {t1 + t2: multiplicity_factor(t1) * multiplicity_factor(t2) * val
-           for (t1, t2), val in block.data.items()}
-    return symmetrize(raw, sum(block.orders), block.dim)
-
-
-def contract_sym(u: SymTensor, v: SymTensor, r: int) -> SymTensor:
-    """Symmetrization of the r-th contraction over all 2(q - r) slots."""
-    return _symmetrize_block(contract(u, v, r))
+    raw = []
+    for (t1, t2), (p, q) in items.items():
+        w = multiplicity_factor(t1) * multiplicity_factor(t2)
+        raw.append((t1 + t2, (w * p, w * q)))
+    return _symmetrized(SymTensor(sum(block.orders), block.dim), block.is_exact(), den, raw)
 
 
 def pair_moments(u: SymTensor, v: SymTensor) -> Dict[Tuple[int, int], Value]:
@@ -332,7 +464,7 @@ def pair_moments(u: SymTensor, v: SymTensor) -> Dict[Tuple[int, int], Value]:
     qf = math.factorial(q)
     a, b, c = qf * inner(u, u), qf * inner(v, v), qf * inner(u, v)
     moments = {(2, 0): a, (1, 1): c, (0, 2): b,
-               **dict.fromkeys(((3, 0), (2, 1), (1, 2), (0, 3)), _zero(u, v)),
+               **dict.fromkeys(((3, 0), (2, 1), (1, 2), (0, 3)), ZERO if u.is_exact() else 0.0),
                (4, 0): 3 * a * a, (3, 1): 3 * a * c, (2, 2): a * b + 2 * c * c,
                (1, 3): 3 * b * c, (0, 4): 3 * b * b}
     for r in range(1, q):
@@ -381,8 +513,10 @@ class ComplexKernel(_OneScalarType):
             raise ValueError("need m, n >= 0 and dim >= 1")
         self.m, self.n, self.dim = int(m), int(n), int(dim)
         store: Dict[Tuple[IndexTuple, IndexTuple], Value] = {}
+        exact = True
         if data:
             to_value = _converter(data.values(), ExactComplex.coerce, _complex)
+            exact = to_value is not _complex
             for (ta, tb), val in data.items():
                 ta, tb = tuple(int(i) for i in ta), tuple(int(i) for i in tb)
                 if len(ta) != self.m or len(tb) != self.n:
@@ -395,6 +529,7 @@ class ComplexKernel(_OneScalarType):
                 if v:
                     store[(ta, tb)] = v
         self.data = store
+        self._exact = exact or not store
         self._term_plan = None
 
     @classmethod
@@ -435,10 +570,28 @@ class ComplexKernel(_OneScalarType):
 
 
 def kernel_inner(f: ComplexKernel, g: ComplexKernel):
-    """Hermitian inner product <f, g>, conjugate-linear in g."""
+    """Hermitian inner product <f, g>, conjugate-linear in g.
+
+    Exact, with f = f' + i f'' and g = g' + i g'' split into real and
+    imaginary parts, it is <f', g'> + <f'', g''> + i (<f'', g'> - <f', g''>),
+    four sums over the parts' numerator forms.  Floating, it is one sum of
+    complex entries (x, 0) over 1, with g's conjugated.
+    """
     if (f.m, f.n, f.dim) != (g.m, g.n, g.dim):
         raise ValueError("shape mismatch")
-    return _weighted_inner(*_one_type(f, g), _block_weight, conj=True)
+    f, g = _one_type(f, g)
+    if not f.is_exact():
+        big_p, _ = _sum_products({k: (x, 0) for k, x in f.data.items()},
+                                 {k: (x.conjugate(), 0) for k, x in g.data.items()},
+                                 _block_weight)
+        return _value(False, big_p, 0, 1)
+    f_parts = [_numerators(True, f.data, imag) for imag in (False, True)]
+    (df, fr), (_, fi) = f_parts
+    (dg, gr), (_, gi) = f_parts if g is f else [_numerators(True, g.data, imag)
+                                                for imag in (False, True)]
+    (p1, q1), (p2, q2), (p3, q3), (p4, q4) = (
+        _sum_products(x, y, _block_weight) for x, y in ((fr, gr), (fi, gi), (fi, gr), (fr, gi)))
+    return _make(p1 + p2, q1 + q2, p3 - p4, q3 - q4, df * dg)
 
 
 # -- serialization -----------------------------------------------------------------

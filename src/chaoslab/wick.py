@@ -221,7 +221,7 @@ class GaussPoly:
 
     @classmethod
     def constant(cls, dim: int, value) -> "GaussPoly":
-        return cls(dim, {(0,) * dim: value})
+        return cls(dim)._as_poly(ExactComplex.coerce(value))
 
     def terms(self) -> Dict[Exponents, ExactComplex]:
         return dict(self._terms)
@@ -302,15 +302,24 @@ def embed(terms: Mapping[Exponents, object], coords: Sequence[int], dim: int) ->
     The result is a polynomial over ``dim`` coordinates.  Keys that land on
     one exponent tuple (a repeated coordinate) are summed, so the
     substitution is a ring map: embed(p * q) = embed(p) * embed(q).
+    Each coordinate must lie in 0..dim-1 and each small key be a tuple of
+    len(coords) nonnegative ints (ValueError otherwise); the output tuples
+    are then valid by construction.
     """
+    if not all(isinstance(c, int) and 0 <= c < dim for c in coords):
+        raise ValueError(f"coordinates {tuple(coords)} outside 0..{dim - 1}")
     out: Dict[Exponents, ExactComplex] = {}
     for key, coeff in terms.items():
+        if not (isinstance(key, tuple) and len(key) == len(coords)
+                and all(isinstance(e, int) and e >= 0 for e in key)):
+            raise ValueError(f"small key {key!r} is not a tuple of {len(coords)} "
+                             "nonnegative ints")
         exps = [0] * dim
-        for coord, e in zip(coords, key, strict=True):
+        for coord, e in zip(coords, key):
             exps[coord] += e
         exps, c = tuple(exps), ExactComplex.coerce(coeff)
         out[exps] = out[exps] + c if exps in out else c
-    return GaussPoly(dim, out)
+    return GaussPoly(dim)._make({k: v for k, v in out.items() if not v.is_zero()})
 
 
 def expect(fam: GaussianFamily, poly: GaussPoly) -> ExactComplex:

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaoslab import fourth_moment as fm, tensor as tensor_module
-from chaoslab.chaos import decompose, exact_moment
-from chaoslab.exact import EC, ExactComplex
-from chaoslab.tensor import (ComplexKernel, SymTensor, contract,
-                             contract_sym, dump_kernel, inner, kernel_inner,
+from chaoslab.chaos import decompose, element_poly, exact_moment
+from chaoslab.exact import EC, ZERO, ExactComplex
+from chaoslab.tensor import (ComplexKernel, SymTensor, _symmetrize_block, contract,
+                             dump_kernel, inner, kernel_inner,
                              load_kernel, multiplicity_factor, pair_moments,
                              product_moment, symmetrize)
+from chaoslab.wick import GaussianFamily, GaussPoly, expect
 
 
 # -- dense brute-force oracles (test-only path) --------------------------------
@@ -63,6 +64,23 @@ def random_exact_tensor(order, dim, rnd) -> SymTensor:
     for t in itertools.combinations_with_replacement(range(dim), order):
         data[t] = Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
     return SymTensor(order, dim, data)
+
+
+def random_sqrt2_tensor(order, dim, rnd) -> SymTensor:
+    """Exact real tensor whose entries a + b*sqrt(2) have mixed denominators;
+    about a quarter of its entries are zero."""
+    data = {}
+    for t in itertools.combinations_with_replacement(range(dim), order):
+        if rnd.random() < 0.75:
+            data[t] = ExactComplex(Fraction(rnd.randint(-4, 4), rnd.randint(1, 6)), 0,
+                                   Fraction(rnd.randint(-3, 3), rnd.randint(1, 5)), 0)
+    return SymTensor(order, dim, data)
+
+
+def exact_dense(t: SymTensor) -> dict:
+    """Every dense entry of an exact tensor as an ExactComplex, zeros included."""
+    return {idx: ExactComplex.coerce(t.entry(idx))
+            for idx in itertools.product(range(t.dim), repeat=t.order)}
 
 
 class TestSymmetrize:
@@ -153,7 +171,7 @@ class TestContract:
         raw = contract(s, s, 1)
         assert raw.data == {((0,), (0,)): EC(Fraction(1, 4)),
                             ((1,), (1,)): EC(Fraction(1, 4))}
-        sym = contract_sym(s, s, 1)
+        sym = _symmetrize_block(contract(s, s, 1))
         assert sym.data == {(0, 0): EC(Fraction(1, 4)), (1, 1): EC(Fraction(1, 4))}
 
     def test_outer_product_norm_factorizes(self):
@@ -184,8 +202,42 @@ class TestContract:
                                     if isinstance(v_got, ExactComplex) else float(v_got))
                             assert as_f == pytest.approx(float(want[i_idx + j_idx]))
                     # symmetrized variant matches dense symmetrization
-                    sym = contract_sym(u, v, r)
+                    sym = _symmetrize_block(contract(u, v, r))
                     assert np.allclose(dense_of(sym), dense_symmetrize(want))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_exact_results_equal_dense_sums(self, order, dim):
+        # exact reference: ExactComplex sums over all index tuples
+        rnd = random.Random(10 * order + dim)
+        u, v = random_sqrt2_tensor(order, dim, rnd), random_sqrt2_tensor(order, dim, rnd)
+        dense_u = exact_dense(u)
+        assert inner(u, v) == sum((dense_u[i] * x for i, x in exact_dense(v).items()), ZERO)
+        for x, y in ((u, v), (u, u), (v, u)):  # (u, u) mirrors its block pairs
+            dense_x, dense_y = exact_dense(x), exact_dense(y)
+            for r in range(order + 1):
+                k = order - r
+                dense = {i + j: sum((dense_x[i + s] * dense_y[j + s]
+                                     for s in itertools.product(range(dim), repeat=r)), ZERO)
+                         for i in itertools.product(range(dim), repeat=k)
+                         for j in itertools.product(range(dim), repeat=k)}
+                block, arrangements = {}, {}
+                for idx, val in dense.items():
+                    key = (tuple(sorted(idx[:k])), tuple(sorted(idx[k:])))
+                    assert block.setdefault(key, val) == val  # symmetric in each block
+                    st_key = tuple(sorted(idx))
+                    arrangements.setdefault(st_key, []).append(val)
+                got = contract(x, y, r)
+                assert got.data == {key: val for key, val in block.items() if val}
+                assert got.norm_sq() == sum((val * val for val in dense.values()), ZERO)
+                # the symmetrization averages the dense entries over the
+                # distinct arrangements of each sorted index tuple
+                sym_want = {t: sum(vals, ZERO) * EC(Fraction(1, len(vals)))
+                            for t, vals in arrangements.items()}
+                sym = _symmetrize_block(got)
+                assert sym.data == {t: val for t, val in sym_want.items() if val}
+                assert sym.norm_sq() == sum((sym_want[tuple(sorted(idx))] ** 2 for idx in dense),
+                                            ZERO)
 
     def test_cauchy_schwarz_chain(self):
         rnd = random.Random(29)
@@ -196,7 +248,7 @@ class TestContract:
             nv = inner(v, v).to_complex().real
             for r in range(1, 3):
                 raw = contract(u, v, r).norm_sq().to_complex().real
-                sym = contract_sym(u, v, r).norm_sq().to_complex().real
+                sym = _symmetrize_block(contract(u, v, r)).norm_sq().to_complex().real
                 assert sym <= raw + 1e-12
                 assert raw <= nu * nv + 1e-12
 
@@ -260,10 +312,10 @@ EXACT_REALS = st.builds(lambda a, b: ExactComplex(a, 0, b, 0),
 
 @st.composite
 def exact_pairs(draw):
-    """Exact real tensors (u, v) of one order 1..3 over dimension 2."""
-    order = draw(st.integers(1, 3))
-    keys = list(itertools.combinations_with_replacement(range(2), order))
-    return tuple(SymTensor(order, 2, {t: draw(EXACT_REALS) for t in keys})
+    """Exact real tensors (u, v) of one order 1..3 over dimension 2..3."""
+    order, dim = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    keys = list(itertools.combinations_with_replacement(range(dim), order))
+    return tuple(SymTensor(order, dim, {t: draw(EXACT_REALS) for t in keys})
                  for _ in range(2))
 
 
@@ -276,6 +328,43 @@ def test_pair_moments_equal_the_wick_oracle(pair):
                                    if 2 <= a + b <= 4)
     for (a, b), value in table.items():
         assert value == exact_moment([u] * a + [v] * b)
+
+
+@pytest.mark.parametrize("m, n, dim", [(2, 2, 2), (1, 2, 3)])
+def test_pair_moments_of_dense_kernels_equal_the_wick_oracle(m, n, dim):
+    # every stored term of a random kernel, with complex and sqrt(2) parts
+    rnd = random.Random(100 * m + 10 * n + dim)
+
+    def part():
+        return Fraction(rnd.randint(-3, 3), rnd.randint(1, 4))
+
+    kern = ComplexKernel(m, n, dim, {
+        (ta, tb): ExactComplex(part(), part(), part(), part())
+        for ta in itertools.combinations_with_replacement(range(dim), m)
+        for tb in itertools.combinations_with_replacement(range(dim), n)})
+    u, v = decompose(kern)
+    # a fourth moment is E[P Q] for P, Q among u u, u v, v v, each built once.
+    # Over i.i.d. standard coordinates a monomial with an odd exponent has
+    # mean 0, so E[P Q] sums E[P_c Q_c] over the exponent parity classes c,
+    # and the Wick oracle forms only those products
+    pu, pv = element_poly(u), element_poly(v)
+    squares = {(2, 0): pu * pu, (1, 1): pu * pv, (0, 2): pv * pv}
+    fam = GaussianFamily.standard(pu.dim)
+
+    def parity_classes(poly):
+        out = {}
+        for e, c in poly.terms().items():
+            out.setdefault(tuple(x % 2 for x in e), {})[e] = c
+        return out
+
+    for (a, b), value in pair_moments(u, v).items():
+        if a + b < 4:
+            assert value == exact_moment([u] * a + [v] * b)
+            continue
+        left = (min(a, 2), 2 - min(a, 2))
+        cp, cq = (parity_classes(squares[k]) for k in (left, (a - left[0], b - left[1])))
+        assert value == sum((expect(fam, GaussPoly(pu.dim, cp[c]) * GaussPoly(pu.dim, cq[c]))
+                             for c in cp.keys() & cq.keys()), ZERO)
 
 
 @pytest.mark.parametrize("m, n, k", [(1, 1, 1), (2, 0, 1), (1, 2, 1), (1, 2, 2),
@@ -345,7 +434,8 @@ class TestFloatingPath:
                 for r in range(order + 1):
                     self.assert_close(contract(fu, fv, r).norm_sq(),
                                       contract(u, v, r).norm_sq())
-                    got, want = contract_sym(fu, fv, r), contract_sym(u, v, r)
+                    got = _symmetrize_block(contract(fu, fv, r))
+                    want = _symmetrize_block(contract(u, v, r))
                     for key in got.data.keys() | want.data.keys():
                         self.assert_close(float(got.entry(key)), ExactComplex.coerce(want.entry(key)))
                 self.assert_close(product_moment(fu, fv), product_moment(u, v))
@@ -370,6 +460,83 @@ class TestFloatingPath:
         assert all(isinstance(x, ExactComplex) for x in exact.data.values())
         kernel = ComplexKernel(1, 1, 2, {((0,), (0,)): 1, ((0,), (1,)): 0.5j})
         assert all(type(x) is complex for x in kernel.data.values())
+
+
+class TestFloatingResults:
+    """Floating operands give float results, bit for bit as a plain loop
+    does, also where a contraction or an operand is empty."""
+
+    def test_inner_weights_the_first_operand_first(self):
+        rnd = random.Random(23)
+        f = SymTensor(3, 3, {t: rnd.uniform(-1, 1) for t in
+                             itertools.combinations_with_replacement(range(3), 3)})
+        g = SymTensor(3, 3, {t: rnd.uniform(-1, 1) for t in list(f.data)[::2]})
+        for x, y in ((f, g), (g, f)):
+            small, big = (x.data, y.data) if len(x.data) <= len(y.data) else (y.data, x.data)
+            want = 0.0
+            for t in small:
+                if t in big:
+                    want = want + multiplicity_factor(t) * x.data[t] * y.data[t]
+            assert inner(x, y) == want
+
+    def test_kernel_inner_is_one_complex_sum(self):
+        rnd = random.Random(29)
+        keys = [(ta, tb) for ta in itertools.combinations_with_replacement(range(3), 2)
+                for tb in itertools.combinations_with_replacement(range(3), 2)]
+        f = ComplexKernel(2, 2, 3, {k: complex(rnd.uniform(-1, 1), rnd.uniform(-1, 1))
+                                    for k in keys})
+        g = ComplexKernel(2, 2, 3, {k: complex(rnd.uniform(-1, 1), rnd.uniform(-1, 1))
+                                    for k in keys[1:]})
+        want = 0.0
+        for k in g.data:
+            want = want + (multiplicity_factor(k[0]) * multiplicity_factor(k[1])
+                           * f.data[k] * g.data[k].conjugate())
+        assert kernel_inner(f, g) == want
+
+    def test_symmetrize_is_a_plain_float_loop(self):
+        rnd = random.Random(31)
+        raw = {tuple(rnd.randrange(3) for _ in range(3)): rnd.uniform(-1, 1) for _ in range(20)}
+        acc = {}
+        for t, x in raw.items():
+            st = tuple(sorted(t))
+            acc[st] = acc[st] + x if st in acc else x
+        want = [(st, (1 / multiplicity_factor(st)) * x) for st, x in acc.items()]
+        assert list(symmetrize(raw, 3, 3).data.items()) == want
+
+    def test_self_contraction_sums_every_ordered_pair(self):
+        # floats: u (x)_r u gives what it gives for an equal copy of u, in
+        # the same order (an exact one may sum unordered pairs once)
+        rnd = random.Random(37)
+        u = SymTensor(3, 3, {t: rnd.uniform(-1, 1) for t in
+                             itertools.combinations_with_replacement(range(3), 3)})
+        copy = SymTensor(3, 3, dict(u.data))
+        for r in range(4):
+            assert list(contract(u, u, r).data.items()) == list(contract(u, copy, r).data.items())
+
+    def test_empty_operands_and_contractions(self):
+        a = SymTensor(2, 2, {(0, 0): 1.0})
+        zero = SymTensor(2, 2)
+        assert zero.is_exact()
+        # disjoint supports: the (u, v) contractions are empty
+        for u, v in ((a, SymTensor(2, 2, {(1, 1): 1.0})), (a, zero), (zero, a)):
+            exact = [SymTensor(2, 2, {t: int(x) for t, x in w.data.items()}) for w in (u, v)]
+            want = pair_moments(*exact)
+            got = pair_moments(u, v)
+            assert all(type(x) is float for x in got.values())
+            assert got == {key: x.to_complex().real for key, x in want.items()}
+            assert product_moment(u, v) == got[(2, 2)]
+            block = contract(u, v, 1)
+            assert not block.is_exact() and block.data == {}
+            assert type(block.norm_sq()) is float
+            assert type(_symmetrize_block(block).norm_sq()) is float
+        for x, y in ((zero, a), (a, zero)):
+            assert type(inner(x, y)) is float and inner(x, y) == 0
+        assert inner(zero, zero) == ZERO
+        fk = ComplexKernel(1, 1, 2, {((0,), (1,)): 1 + 2j})
+        empty = ComplexKernel(1, 1, 2)
+        for x, y in ((empty, fk), (fk, empty)):
+            assert type(kernel_inner(x, y)) is float and kernel_inner(x, y) == 0
+        assert kernel_inner(empty, empty) == ZERO
 
 
 class TestSerialization:

@@ -375,3 +375,22 @@ def test_embed_is_a_ring_map(pq, dim, data):
     substituted = _to_sympy(p, xs).subs(dict(zip(xs, (big[c] for c in coords))),
                                         simultaneous=True)
     assert emb(p) == _from_sympy(substituted, GaussPoly(dim), big)
+
+
+@pytest.mark.parametrize("terms, coords", [
+    ({(1,): 1}, (-1,)),           # negative coordinate: used to land on dim - 1
+    ({(1,): 1}, (3,)),            # coordinate equal to dim
+    ({(1, 0): 1}, (0,)),          # key longer than coords
+    ({(1,): 1}, (0, 1)),          # key shorter than coords
+    ({(-1,): 1}, (0,)),           # negative exponent
+    ({(1.0,): 1}, (0,)),          # non-int exponent
+    ({1: 1}, (0,)),               # key not a tuple
+])
+def test_embed_rejects_bad_inputs(terms, coords):
+    with pytest.raises(ValueError):
+        embed(terms, coords, 3)
+
+
+def test_embed_drops_cancelled_terms():
+    # two small keys land on one tuple through a repeated coordinate
+    assert embed({(1, 0): 1, (0, 1): -1, (0, 0): 2}, (1, 1), 3).terms() == {(0, 0, 0): EC(2)}
