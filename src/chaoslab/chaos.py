@@ -319,7 +319,10 @@ def eval_complex(phi: ComplexKernel, batch: SampleBatch) -> np.ndarray:
 def _expand(elem: ChaosElementT, factor) -> GaussPoly:
     """Sum over elem's stored terms of the rule's constant (module docstring)
     times the factor table's term map ``factor(real, a_k, b_k)`` placed at
-    k for a real key t (read as (t, ())), at (k, D + k) for a kernel key."""
+    k for a real key t (read as (t, ())), at (k, D + k) for a kernel key.
+
+    The stored value is not multiplied in: it weights the term in the one
+    ``plus``, which runs on the polynomials' int numerators."""
     real = isinstance(elem, SymTensor)
     dim = elem.dim if real else 2 * elem.dim
     scale = ONE if real else half_power(elem.m + elem.n)
@@ -327,11 +330,11 @@ def _expand(elem: ChaosElementT, factor) -> GaussPoly:
     for key, val in elem.data.items():
         ta, tb = (key, ()) if real else key
         term = GaussPoly.constant(
-            dim, EC(multiplicity_factor(ta) * multiplicity_factor(tb)) * val * scale)
+            dim, scale * (multiplicity_factor(ta) * multiplicity_factor(tb)))
         for k, a, b in _coord_degrees(ta, tb):
             coords = (k,) if real else (k, elem.dim + k)
             term = term * embed(factor(real, a, b), coords, dim)
-        pairs.append((ONE, term))
+        pairs.append((val, term))
     return GaussPoly(dim).plus(pairs)
 
 
@@ -450,7 +453,7 @@ def exact_moment(factors: Iterable) -> ExactComplex:
         raise ValueError(f"factors live over different coordinate counts: {dims}")
     # balanced multiplication keeps intermediate term counts small
     while len(polys) > 1:
-        polys.sort(key=lambda p: len(p.terms()))
+        polys.sort(key=lambda p: len(p._num))
         a, b = polys.pop(0), polys.pop(0)
         polys.append(a * b)
     return expect(GaussianFamily.standard(polys[0].dim), polys[0])

@@ -44,22 +44,21 @@ from typing import Dict, Mapping, Tuple, Union
 
 import numpy as np
 
-from .exact import EC, ExactComplex, HALF, I_UNIT, ONE, ZERO, i_power
-from .wick import GaussPoly
+from .exact import EC, ExactComplex, HALF, I_UNIT, ONE, ZERO, _make as _element, i_power
+from .wick import GaussPoly, _reduced
 
 Scalar = Union[int, Fraction, ExactComplex]
 ExponentPair = Tuple[int, int]
 
 
-def _ec(x) -> ExactComplex:
-    return ExactComplex.coerce(x)
-
-
 class BiPoly(GaussPoly):
-    """Polynomial in (z, zbar) with ExactComplex coefficients: the
+    """Polynomial in (z, zbar) with coefficients in Q(i, sqrt2): the
     two-variable ``GaussPoly`` whose key (a, b) is the degree in z and in
-    zbar.  ``_plan`` holds the floating radial plan of :func:`evaluate`,
-    built on first use.
+    zbar, stored as its numerator form (``wick`` module docstring).
+    Conjugation and the derivatives map the int numerators; a coefficient
+    becomes an ``ExactComplex`` only when read (:meth:`coefficient`,
+    ``terms()``).  ``_plan`` holds the floating radial plan of
+    :func:`evaluate`, built on first use.
     """
 
     __slots__ = ("_plan",)
@@ -88,22 +87,28 @@ class BiPoly(GaussPoly):
     # -- (z, zbar) structure ---------------------------------------------------
 
     def coefficient(self, a: int, b: int) -> ExactComplex:
-        return self._terms.get((a, b), ZERO)
+        v = self._num.get((a, b))
+        return ZERO if v is None else _element(*v, self._den)
 
     def conj(self) -> "BiPoly":
         """Complex conjugate: conjugate coefficients, swap z and zbar powers."""
-        return self._make({(b, a): c.conjugate() for (a, b), c in self._terms.items()})
+        return self._make(self._den, {(b, a): (p, q, -r, -s)
+                                      for (a, b), (p, q, r, s) in self._num.items()})
 
     def d_z(self) -> "BiPoly":
-        return self._make({(a - 1, b): a * c for (a, b), c in self._terms.items() if a})
+        return self._make(*_reduced(self._den, {
+            (a - 1, b): (a * p, a * q, a * r, a * s)
+            for (a, b), (p, q, r, s) in self._num.items() if a}))
 
     def d_zbar(self) -> "BiPoly":
-        return self._make({(a, b - 1): b * c for (a, b), c in self._terms.items() if b})
+        return self._make(*_reduced(self._den, {
+            (a, b - 1): (b * p, b * q, b * r, b * s)
+            for (a, b), (p, q, r, s) in self._num.items() if b}))
 
     def to_xy(self) -> Dict[ExponentPair, ExactComplex]:
         """Exact real-coordinate form: map (i, j) -> coeff of x^i y^j."""
         out: Dict[ExponentPair, ExactComplex] = {}
-        for (a, b), coeff in self._terms.items():
+        for (a, b), coeff in self.terms().items():
             # z^a zbar^b = (x + iy)^a (x - iy)^b
             for r in range(a + 1):
                 ca = math.comb(a, r) * (i_power(a - r))
@@ -123,7 +128,7 @@ def _radial_plan(p: BiPoly) -> Tuple[Tuple[int, tuple], ...]:
     that p lacks get a zero; a frequency with only real coefficients gets
     floats, otherwise complex numbers."""
     groups: Dict[int, Dict[int, ExactComplex]] = {}
-    for (a, b), coeff in p._terms.items():
+    for (a, b), coeff in p.terms().items():
         groups.setdefault(a - b, {})[min(a, b)] = coeff
     plan = []
     for d in sorted(groups):
@@ -232,7 +237,7 @@ def hermite_of_linear(n: int, cx, cy) -> BiPoly:
     coefficient c_k C(k,r) alpha^r beta^(k-r), and each key comes from one k,
     so nothing is summed.  The powers of alpha and beta are built once.
     """
-    cx, cy = _ec(cx), _ec(cy)
+    cx, cy = ExactComplex.coerce(cx), ExactComplex.coerce(cy)
     alpha = (cx - I_UNIT * cy) * HALF
     beta = (cx + I_UNIT * cy) * HALF
     alpha_pow, beta_pow = [ONE], [ONE]
@@ -317,7 +322,7 @@ def ou_apply(p: BiPoly, trig: Tuple[Fraction, Fraction], rho=Fraction(2)) -> BiP
     if cos_t <= 0:
         raise ValueError("angle outside (-pi/2, pi/2): cos must be positive")
     rho = _check_rho(rho)
-    return BiPoly(_ou_terms(p._terms, EC(2 * rho * cos_t), ExactComplex(cos_t, sin_t)))
+    return BiPoly(_ou_terms(p.terms(), EC(2 * rho * cos_t), ExactComplex(cos_t, sin_t)))
 
 
 def ou_apply_numeric(p: BiPoly, theta: float, rho=2.0) -> Dict[ExponentPair, complex]:
@@ -327,7 +332,7 @@ def ou_apply_numeric(p: BiPoly, theta: float, rho=2.0) -> Dict[ExponentPair, com
     rho = float(rho)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    out = _ou_terms({k: c.to_complex() for k, c in p._terms.items()},
+    out = _ou_terms({k: c.to_complex() for k, c in p.terms().items()},
                     2 * rho * math.cos(theta), complex(math.cos(theta), math.sin(theta)))
     return {k: v for k, v in out.items() if v != 0}
 

@@ -23,20 +23,32 @@ larger one.  Sharing the algebra does not make the oracle depend on what it
 checks: the expectation is still a pairing sum over the covariance
 (``_pairing_sum``), never a closed form for products of chaos elements.
 
+A polynomial is stored as its numerator form: one positive int
+denominator ``den`` and, per exponent tuple, a nonzero int tuple
+(p, q, r, s) standing for the coefficient (p + q sqrt2 + (r + s sqrt2) i)/den.
+The form is canonical, den and all components having gcd 1, so ``==`` and
+``hash`` compare forms.  Products, sums, conjugation, :func:`embed` and
+:func:`expect` run on these ints: a product of two coefficients is sixteen
+int multiplies, a sum four int adds, the denominator multiplies once per
+operation and the form is reduced once at its end.  An ``ExactComplex`` is
+formed only where a coefficient leaves the algebra: :meth:`GaussPoly.terms`,
+``repr``, ``BiPoly.coefficient`` and the result of :func:`expect`, one
+``exact._make`` each.
+
 Exact terms are summed in one place, :meth:`GaussPoly.plus`: a linear
-combination p + sum c_i q_i goes into one term map in one pass, and ``+``
-and ``-`` are its one-pair case.
+combination p + sum c_i q_i goes into one numerator map in one pass, and
+``+`` and ``-`` are its one-pair case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .exact import EC, ExactComplex, ONE, ZERO
+from .exact import EC, ExactComplex, ONE, _make as _element
 
 Exponents = Tuple[int, ...]
 
@@ -177,21 +189,70 @@ def _pairing_sum(counts: Exponents, rows, memo) -> int:
     return total
 
 
-class GaussPoly:
-    """Sparse polynomial in ``dim`` variables with exact coefficients.
+def _numerator(c: ExactComplex, f: int = 1) -> Tuple[int, int, int, int]:
+    """The numerator of c over f times its denominator."""
+    return c.p * f, c.q * f, c.r * f, c.s * f
 
-    Keys of the term map are exponent tuples of length ``dim``; values are
-    nonzero ``ExactComplex``.  Instances are immutable.  Arithmetic returns
-    the class of its polynomial operand (``hermite.BiPoly`` is the
-    two-variable case), and a scalar may stand on either side of ``+``, ``-``
-    and ``*``.
+
+def _add_into(out: Dict, items: Iterable) -> Dict:
+    """``out`` with the (key, numerator) items added in, key by key."""
+    for k, v in items:
+        old = out.get(k)
+        out[k] = v if old is None else (
+            old[0] + v[0], old[1] + v[1], old[2] + v[2], old[3] + v[3])
+    return out
+
+
+def _scaled(items: Mapping, m: Tuple[int, int, int, int]) -> Dict:
+    """Each numerator of ``items`` times the numerator m = (a, b, c, d), as
+    elements a + b sqrt2 + (c + d sqrt2) i multiply."""
+    a, b, c, d = m
+    if not (b or c or d):
+        return {k: (a * p, a * q, a * r, a * s) for k, (p, q, r, s) in items.items()}
+    return {k: (a * p - c * r + 2 * (b * q - d * s), a * q + b * p - c * s - d * r,
+                a * r + c * p + 2 * (b * s + d * q), a * s + b * r + c * q + d * p)
+            for k, (p, q, r, s) in items.items()}
+
+
+def _reduced(den: int, items: Mapping) -> Tuple[int, Dict]:
+    """The canonical form of (den, items): zero numerators dropped, and den
+    and every component divided by their common gcd (den 1 when empty)."""
+    kept, g = {}, den
+    for k, v in items.items():
+        if v != (0, 0, 0, 0):
+            kept[k] = v
+            if g != 1:
+                g = gcd(g, *v)
+    if g != 1:
+        den //= g
+        kept = {k: (p // g, q // g, r // g, s // g) for k, (p, q, r, s) in kept.items()}
+    return den, kept
+
+
+def _numerators(pairs: Iterable[Tuple[Exponents, object]]) -> Tuple[int, Dict]:
+    """The canonical numerator form (den, {key: (p, q, r, s)}) of (key,
+    scalar) pairs, first over the lcm of the scalars' denominators; the
+    values of a repeated key are summed."""
+    coeffs = [(k, ExactComplex.coerce(c)) for k, c in pairs]
+    den = lcm(*(c.n for _, c in coeffs))
+    return _reduced(den, _add_into({}, ((k, _numerator(c, den // c.n)) for k, c in coeffs)))
+
+
+class GaussPoly:
+    """Sparse polynomial in ``dim`` variables with coefficients in Q(i, sqrt2).
+
+    Stored as its numerator form (module docstring): ``_den`` and ``_num``,
+    a map from exponent tuples of length ``dim`` to nonzero int tuples
+    (p, q, r, s).  Instances are immutable.  Arithmetic returns the class of
+    its polynomial operand (``hermite.BiPoly`` is the two-variable case),
+    and a scalar may stand on either side of ``+``, ``-`` and ``*``.
     """
 
-    __slots__ = ("dim", "_terms")
+    __slots__ = ("dim", "_den", "_num")
 
     def __init__(self, dim: int, terms: Mapping[Exponents, object] | None = None):
         self.dim = int(dim)
-        cleaned: Dict[Exponents, ExactComplex] = {}
+        pairs = []
         if terms:
             for key, coeff in terms.items():
                 exps = tuple(int(e) for e in key)
@@ -199,17 +260,14 @@ class GaussPoly:
                     raise ValueError("exponent tuple has wrong length")
                 if any(e < 0 for e in exps):
                     raise ValueError("exponents must be nonnegative")
-                c = ExactComplex.coerce(coeff)
-                if not c.is_zero():
-                    cleaned[exps] = c
-        self._terms = cleaned
+                pairs.append((exps, coeff))
+        self._den, self._num = _numerators(pairs)
 
-    def _make(self, terms: Dict[Exponents, ExactComplex]) -> "GaussPoly":
-        """A polynomial of self's class and dim holding ``terms`` as given:
-        its keys must be valid and its values nonzero ExactComplex."""
+    def _make(self, den: int, items: Dict) -> "GaussPoly":
+        """A polynomial of self's class and dim holding the numerator form
+        (den, items) as given: it must be canonical (see :func:`_reduced`)."""
         out = object.__new__(type(self))
-        out.dim = self.dim
-        out._terms = terms
+        out.dim, out._den, out._num = self.dim, den, items
         return out
 
     def _as_poly(self, value) -> "GaussPoly":
@@ -217,40 +275,43 @@ class GaussPoly:
         if isinstance(value, GaussPoly):
             return value
         c = ExactComplex.coerce(value)
-        return self._make({} if c.is_zero() else {(0,) * self.dim: c})
+        return self._make(*_reduced(c.n, {(0,) * self.dim: _numerator(c)}))
 
     @classmethod
     def constant(cls, dim: int, value) -> "GaussPoly":
         return cls(dim)._as_poly(ExactComplex.coerce(value))
 
     def terms(self) -> Dict[Exponents, ExactComplex]:
-        return dict(self._terms)
+        """The coefficients as ExactComplex, in a new dict."""
+        den = self._den
+        return {k: _element(p, q, r, s, den) for k, (p, q, r, s) in self._num.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def degree(self) -> int:
-        return max((sum(k) for k in self._terms), default=0)
+        return max((sum(k) for k in self._num), default=0)
 
     def conj(self) -> "GaussPoly":
         """Conjugate the coefficients; the variables are real."""
-        return self._make({k: c.conjugate() for k, c in self._terms.items()})
+        return self._make(self._den, {k: (p, q, -r, -s)
+                                      for k, (p, q, r, s) in self._num.items()})
 
     def plus(self, pairs: Iterable[Tuple[object, "GaussPoly"]]) -> "GaussPoly":
         """self + sum of c * q over the (scalar c, polynomial q) pairs, summed
-        into one term map whose cancelled terms are dropped once at the end.
-        The result has self's class and dim; a q of another dim raises ValueError."""
-        out = dict(self._terms)
+        into one numerator map over the lcm of the terms' denominators and
+        reduced once at the end.  The result has self's class and dim; a q of
+        another dim raises ValueError."""
+        terms = []
         for c, q in pairs:
             if q.dim != self.dim:
                 raise ValueError("dimension mismatch")
-            c = ExactComplex.coerce(c)
-            unit = c == ONE
-            for k, v in q._terms.items():
-                if not unit:
-                    v = c * v
-                out[k] = out[k] + v if k in out else v
-        return self._make({k: v for k, v in out.items() if not v.is_zero()})
+            terms.append((ExactComplex.coerce(c), q))
+        den = lcm(self._den, *(c.n * q._den for c, q in terms))
+        out = _scaled(self._num, (den // self._den, 0, 0, 0))
+        for c, q in terms:
+            _add_into(out, _scaled(q._num, _numerator(c, den // (c.n * q._den))).items())
+        return self._make(*_reduced(den, out))
 
     def __add__(self, other):
         return self.plus([(ONE, self._as_poly(other))])
@@ -258,7 +319,8 @@ class GaussPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make({k: -c for k, c in self._terms.items()})
+        return self._make(self._den, {k: (-p, -q, -r, -s)
+                                      for k, (p, q, r, s) in self._num.items()})
 
     def __sub__(self, other):
         return self.plus([(-ONE, self._as_poly(other))])
@@ -269,30 +331,36 @@ class GaussPoly:
     def __mul__(self, other):
         if not isinstance(other, GaussPoly):
             c = ExactComplex.coerce(other)
-            if c.is_zero():
-                return self._make({})
-            return self._make({k: c * v for k, v in self._terms.items()})
+            return self._make(*_reduced(self._den * c.n, _scaled(self._num, _numerator(c))))
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        out: Dict[Exponents, ExactComplex] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                key, v = tuple(map(add, k1, k2)), c1 * c2
-                out[key] = out[key] + v if key in out else v
-        return self._make({k: v for k, v in out.items() if not v.is_zero()})
+        out: Dict[Exponents, Tuple[int, int, int, int]] = {}
+        right = other._num.items()
+        for k1, (p1, q1, r1, s1) in self._num.items():
+            for k2, (p2, q2, r2, s2) in right:
+                key = tuple(map(add, k1, k2))
+                p = p1 * p2 - r1 * r2 + 2 * (q1 * q2 - s1 * s2)
+                q = p1 * q2 + q1 * p2 - r1 * s2 - s1 * r2
+                r = p1 * r2 + r1 * p2 + 2 * (q1 * s2 + s1 * q2)
+                s = p1 * s2 + q1 * r2 + r1 * q2 + s1 * p2
+                old = out.get(key)
+                out[key] = (p, q, r, s) if old is None else (
+                    old[0] + p, old[1] + q, old[2] + r, old[3] + s)
+        return self._make(*_reduced(self._den * other._den, out))
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
+        return (self.dim == other.dim and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __repr__(self):
-        terms = ", ".join(f"{k}: {c!r}" for k, c in sorted(self._terms.items()))
+        terms = ", ".join(f"{k}: {c!r}" for k, c in sorted(self.terms().items()))
         return f"{type(self).__name__}(dim={self.dim}, {{{terms}}})"
 
 
@@ -308,7 +376,7 @@ def embed(terms: Mapping[Exponents, object], coords: Sequence[int], dim: int) ->
     """
     if not all(isinstance(c, int) and 0 <= c < dim for c in coords):
         raise ValueError(f"coordinates {tuple(coords)} outside 0..{dim - 1}")
-    out: Dict[Exponents, ExactComplex] = {}
+    pairs = []
     for key, coeff in terms.items():
         if not (isinstance(key, tuple) and len(key) == len(coords)
                 and all(isinstance(e, int) and e >= 0 for e in key)):
@@ -317,31 +385,33 @@ def embed(terms: Mapping[Exponents, object], coords: Sequence[int], dim: int) ->
         exps = [0] * dim
         for coord, e in zip(coords, key):
             exps[coord] += e
-        exps, c = tuple(exps), ExactComplex.coerce(coeff)
-        out[exps] = out[exps] + c if exps in out else c
-    return GaussPoly(dim)._make({k: v for k, v in out.items() if not v.is_zero()})
+        pairs.append((tuple(exps), coeff))
+    return GaussPoly(dim)._make(*_numerators(pairs))
 
 
 def expect(fam: GaussianFamily, poly: GaussPoly) -> ExactComplex:
     """Exact expectation of a polynomial in the family's coordinates.
 
-    Each even-degree term adds coeff times its integer pairing sum, brought
-    to the top degree's power of ``scale``; one division by that power ends
-    the sum.  The sums come from and go to the family's memo.
+    Each even-degree term adds its numerator times its integer pairing sum,
+    brought to the top degree's power of ``scale``; the result is that int
+    sum over den * scale**top, one ``exact._make``.  The sums come from and
+    go to the family's memo.
     """
     if poly.dim != fam.dim:
         raise ValueError(f"polynomial dim {poly.dim} != family dim {fam.dim}")
     rows, memo, scale = fam._int_rows, fam._sums, fam.scale
     top = poly.degree() // 2
-    total = ZERO
-    for exps, coeff in poly._terms.items():
+    big_p = big_q = big_r = big_s = 0
+    for exps, (p, q, r, s) in poly._num.items():
         degree = sum(exps)
         if degree % 2:
             continue
-        s = _pairing_sum(exps, rows, memo)
-        if s:
-            total = total + coeff * (s * scale ** (top - degree // 2))
-    return total * Fraction(1, scale ** top)
+        m = _pairing_sum(exps, rows, memo)
+        if m:
+            m *= scale ** (top - degree // 2)
+            big_p, big_q, big_r, big_s = (big_p + m * p, big_q + m * q,
+                                          big_r + m * r, big_s + m * s)
+    return _element(big_p, big_q, big_r, big_s, poly._den * scale ** top)
 
 
 def bipoly_to_gausspoly(p: GaussPoly, var: int, fam: GaussianFamily) -> GaussPoly:

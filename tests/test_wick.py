@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chaoslab.exact import EC, SQRT2, ExactComplex
 from chaoslab.hermite import BiPoly, complex_hermite
@@ -117,6 +117,22 @@ def test_scaled_covariance_matches_brute_force(case):
         got = expect(fam, poly)
         assert type(got) is ExactComplex
         assert got == want
+
+
+@pytest.mark.parametrize("fam", [
+    GaussianFamily.from_complex_gram([[EC(1)]]),  # covariance I/2, scale 2
+    GaussianFamily([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]]),  # scale 6
+], ids=["complex-gram", "rational-2-3"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_expect_with_irrational_coefficients_over_a_scaled_family(fam, data):
+    # each term's numerator meets den * scale**top in the int sum; the
+    # reference adds c * E[x^k] term by term in ExactComplex
+    assert fam.scale > 1
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: sum(e) <= 8)
+    terms = data.draw(st.dictionaries(exps, _COEFF, min_size=1, max_size=5))
+    want = sum((c * isserlis_moment(fam, k) for k, c in terms.items()), EC(0))
+    assert expect(fam, GaussPoly(2, terms)) == want
 
 
 class TestFamilyValidation:
@@ -337,6 +353,10 @@ def _poly_pair(draw):
     return make(p_terms), make(q_terms)
 
 
+# p + q cancels zbar and leaves 2/2 at z: every numerator shares the factor 2
+# with the denominator, so the sum must be reduced to compare equal
+@example((BiPoly({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}),
+          BiPoly({(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 2)})), 1)
 @given(_poly_pair(), _SCALAR)
 @settings(max_examples=60, deadline=None)
 def test_polynomial_algebra_matches_sympy(pq, scalar):
@@ -351,7 +371,9 @@ def test_polynomial_algebra_matches_sympy(pq, scalar):
     combo = p.plus([(scalar, q), (-1, p), (2, q), (1, p)])
     cases.append((combo, sp + s * sq - sp + 2 * sq + sp))
     for got, want in cases:
-        assert got == _from_sympy(want, p, xs)
+        want = _from_sympy(want, p, xs)
+        assert got == want
+        assert hash(got) == hash(want)  # equal by different routes, equal hashes
     assert type(combo) is type(p) and combo.dim == p.dim
     # cancelling pairs leave no term behind, not a stored zero
     zero = p.plus([(1, q), (-1, p), (-1, q)])
