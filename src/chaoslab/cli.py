@@ -61,7 +61,8 @@ EXIT_NOKERNEL = 66
 
 # Input bounds, each checked before anything it sizes is built (exit 65).
 # J_{m,n}'s float coefficients reach 1e47 at degree m + n = 64 and leave
-# double range near 300; the tests run blocks up to degree 5.
+# double range near 300.  A block's exact reference at degree 64 takes
+# 1.2 s (32, 32) to 2.4 s (63, 1) on 2 CPUs; the tests reach degree 20.
 MAX_KERNEL_DEGREE = 64
 # each sample draws 2 k normals, so one default chunk of 8192 samples at
 # k = 1024 already takes about 400 MB; the tests and the benchmark reach 64

@@ -18,7 +18,8 @@ parts).  A product of two entries is four int multiplies, a sum two int
 adds, and the denominator multiplies once per operation, not once per
 entry.  Each loop is written once: a floating tensor runs it on pairs
 (x, 0) over 1, summing in the order and with the association of a plain
-float loop (a weighted product is (w x) y).  An ExactComplex is formed only
+float loop (a weighted product is (w x) y), so exact and floating
+contractions run one loop in one order.  An ExactComplex is formed only
 for a returned scalar, with one ``exact._make``, and for a returned
 tensor's ``data``, filled from its form when first read; exact results
 compare with ``==``.  A tensor the algebra returns has its operands' scalar
@@ -37,10 +38,10 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .exact import ExactComplex, I_UNIT, ZERO, _make
+from .exact import _SQRT2, ExactComplex, I_UNIT, ZERO, _make
 
 IndexTuple = Tuple[int, ...]
 Value = Union[int, Fraction, float, complex, ExactComplex]
@@ -104,15 +105,36 @@ def _one_type(f, g):
 
 
 def _floating(t):
-    """t over floating point.  An empty tensor's numerator form is (1, {})
-    under either type, so an empty exact tensor is only re-flagged."""
+    """t over floating point.  A real tensor's p/den + (q/den) sqrt2 rounds
+    as ``ExactComplex.to_complex`` does; an empty kernel is only re-flagged."""
     if not t.is_exact():
         return t
+    if isinstance(t, _RealTensor):
+        den, items = t._form()
+        floats = ((k, p / den + (q / den) * _SQRT2) for k, (p, q) in items.items())
+        return _of_form(copy.copy(t), False, 1, {k: (x, 0) for k, x in floats if x})
     if t.data:
         return 1.0 * t
     t = copy.copy(t)
     t._exact = False
     return t
+
+
+def _store(t: _OneScalarType, data: Mapping | None, exact: Callable, inexact: Callable,
+           check_key: Callable) -> Dict:
+    """The value map of t, built from data: each key through t's own
+    ``check_key``, each value through the one converter (``_converter``),
+    zeros dropped.  Sets ``t._exact``; a tensor built empty counts as exact."""
+    data = data or {}
+    to_value = _converter(data.values(), exact, inexact)
+    store = {}
+    for key, val in data.items():
+        key = check_key(key)
+        v = to_value(val)
+        if v:
+            store[key] = v
+    t._exact = to_value is not inexact or not store
+    return store
 
 
 # -- numerator forms ---------------------------------------------------------------
@@ -200,23 +222,17 @@ class SymTensor(_RealTensor):
             raise ValueError("need order >= 0 and dim >= 1")
         self.order = int(order)
         self.dim = int(dim)
-        store: Dict[IndexTuple, Value] = {}
-        exact = True
-        if data:
-            to_value = _converter(data.values(), _exact_real, _float)
-            exact = to_value is _exact_real
-            for key, val in data.items():
-                t = tuple(int(i) for i in key)
-                if len(t) != self.order:
-                    raise ValueError(f"tuple {t} has wrong length")
-                if any(not 0 <= i < self.dim for i in t):
-                    raise ValueError(f"index out of range in {t}")
-                if tuple(sorted(t)) != t:
-                    raise ValueError(f"tuple {t} is not sorted")
-                v = to_value(val)
-                if v:
-                    store[t] = v
-        self._data, self._num, self._exact = store, None, exact or not store
+        self._data, self._num = _store(self, data, _exact_real, _float, self._key), None
+
+    def _key(self, key) -> IndexTuple:
+        t = tuple(int(i) for i in key)
+        if len(t) != self.order:
+            raise ValueError(f"tuple {t} has wrong length")
+        if any(not 0 <= i < self.dim for i in t):
+            raise ValueError(f"index out of range in {t}")
+        if tuple(sorted(t)) != t:
+            raise ValueError(f"tuple {t} is not sorted")
+        return t
 
     # -- access ---------------------------------------------------------------
 
@@ -320,27 +336,15 @@ def inner(f: SymTensor, g: SymTensor):
 
 
 class BlockTensor(_RealTensor):
-    """Tensor symmetric within two index blocks (the raw contraction shape)."""
+    """Tensor symmetric within two index blocks (the raw contraction shape).
+    Built empty; :func:`contract` is what fills one."""
 
     __slots__ = ("orders", "dim")
 
-    def __init__(self, orders: Tuple[int, int], dim: int,
-                 data: Mapping[Tuple[IndexTuple, IndexTuple], Value] | None = None):
+    def __init__(self, orders: Tuple[int, int], dim: int):
         self.orders = (int(orders[0]), int(orders[1]))
         self.dim = int(dim)
-        store: Dict[Tuple[IndexTuple, IndexTuple], Value] = {}
-        exact = True
-        if data:
-            to_value = _converter(data.values(), _exact_real, _float)
-            exact = to_value is _exact_real
-            for (t1, t2), val in data.items():
-                t1, t2 = tuple(t1), tuple(t2)
-                if len(t1) != self.orders[0] or len(t2) != self.orders[1]:
-                    raise ValueError("block tuple of wrong length")
-                v = to_value(val)
-                if v:
-                    store[(t1, t2)] = v
-        self._data, self._num, self._exact = store, None, exact or not store
+        self._data, self._num, self._exact = {}, None, True
 
     def inner(self, other: "BlockTensor"):
         """Full-tuple inner product: sum over all index tuples of self * other."""
@@ -362,16 +366,21 @@ class BlockTensor(_RealTensor):
 
 
 def _splits(t: IndexTuple, r: int):
-    """Distinct multiset splits of sorted tuple t into (kept, contracted of size r)."""
-    seen = set()
-    pos = range(len(t))
-    for keep_pos in combinations(pos, len(t) - r):
-        kept = tuple(t[i] for i in keep_pos)
-        rest = tuple(t[i] for i in pos if i not in keep_pos)
-        key = (kept, rest)
-        if key not in seen:
-            seen.add(key)
-            yield kept, rest
+    """The distinct splits of sorted tuple t into (kept, contracted of size r):
+    k of the c copies of t's first index are contracted, for each k the rest
+    of t can complete, and the rest splits the same way.  Kept tuples come
+    in increasing order, the first-occurrence order of a walk over position
+    subsets, which fixes the summation order of float contractions.  The
+    recursion is as deep as t has distinct indices and costs one step per
+    split, not C(len(t), r)."""
+    if not t:
+        yield (), ()
+        return
+    c = t.count(t[0])
+    head, rest = t[:1], t[c:]
+    for k in range(max(0, r - len(rest)), min(c, r) + 1):
+        for kept, shared in _splits(rest, r - k):
+            yield head * (c - k) + kept, head * k + shared
 
 
 def contract(u: SymTensor, v: SymTensor, r: int) -> BlockTensor:
@@ -396,15 +405,8 @@ def contract(u: SymTensor, v: SymTensor, r: int) -> BlockTensor:
                 out.setdefault(shared, []).append((kept, pq))
         return out
 
-    # u (x)_r u is symmetric under swapping its blocks.  Exact, it sums each
-    # unordered pair of kept tuples once, at (smaller, larger), and mirrors;
-    # floats sum every ordered pair, since (w x) y and (w y) x round apart
-    mirror = b is a and u.is_exact()
     left = split_map(a)
     right = left if b is a else split_map(b)
-    if mirror:
-        for entries in left.values():
-            entries.sort()  # by kept tuple, unique within one shared multiset
     acc: Dict[Tuple[IndexTuple, IndexTuple], List] = {}  # (kept_l, kept_r) -> [p, q]
     for shared, lefts in left.items():
         rights = right.get(shared)
@@ -412,10 +414,10 @@ def contract(u: SymTensor, v: SymTensor, r: int) -> BlockTensor:
             continue
         # number of ordered r-sequences realizing the shared multiset
         w = multiplicity_factor(shared)
-        for i, (kept_l, (p1, q1)) in enumerate(lefts):
+        for kept_l, (p1, q1) in lefts:
             p1, q1 = w * p1, w * q1
             q1x2 = 2 * q1
-            for kept_r, (p2, q2) in (lefts[i:] if mirror else rights):
+            for kept_r, (p2, q2) in rights:
                 key = (kept_l, kept_r)
                 pq = acc.get(key)
                 if pq is None:
@@ -424,8 +426,6 @@ def contract(u: SymTensor, v: SymTensor, r: int) -> BlockTensor:
                     pq[0] += p1 * p2 + q1x2 * q2
                     pq[1] += p1 * q2 + q1 * p2
     out = {key: (p, q) for key, (p, q) in acc.items() if p or q}
-    if mirror:
-        out.update([((kr, kl), pq) for (kl, kr), pq in out.items() if kl != kr])
     return _of_form(BlockTensor((order - r, order - r), u.dim), u.is_exact(), du * dv, out)
 
 
@@ -512,25 +512,18 @@ class ComplexKernel(_OneScalarType):
         if m < 0 or n < 0 or dim < 1:
             raise ValueError("need m, n >= 0 and dim >= 1")
         self.m, self.n, self.dim = int(m), int(n), int(dim)
-        store: Dict[Tuple[IndexTuple, IndexTuple], Value] = {}
-        exact = True
-        if data:
-            to_value = _converter(data.values(), ExactComplex.coerce, _complex)
-            exact = to_value is not _complex
-            for (ta, tb), val in data.items():
-                ta, tb = tuple(int(i) for i in ta), tuple(int(i) for i in tb)
-                if len(ta) != self.m or len(tb) != self.n:
-                    raise ValueError("kernel tuple of wrong length")
-                if tuple(sorted(ta)) != ta or tuple(sorted(tb)) != tb:
-                    raise ValueError("kernel tuples must be sorted")
-                if any(not 0 <= i < self.dim for i in ta + tb):
-                    raise ValueError("index out of range")
-                v = to_value(val)
-                if v:
-                    store[(ta, tb)] = v
-        self.data = store
-        self._exact = exact or not store
+        self.data = _store(self, data, ExactComplex.coerce, _complex, self._key)
         self._term_plan = None
+
+    def _key(self, key) -> Tuple[IndexTuple, IndexTuple]:
+        ta, tb = (tuple(map(int, t)) for t in key)
+        if len(ta) != self.m or len(tb) != self.n:
+            raise ValueError("kernel tuple of wrong length")
+        if tuple(sorted(ta)) != ta or tuple(sorted(tb)) != tb:
+            raise ValueError("kernel tuples must be sorted")
+        if any(not 0 <= i < self.dim for i in ta + tb):
+            raise ValueError("index out of range")
+        return ta, tb
 
     @classmethod
     def rank_one(cls, h: Sequence[Value], m: int, n: int) -> "ComplexKernel":

@@ -494,6 +494,20 @@ class TestExperiment:
         doc = json.loads((out / "verdict.json").read_text())
         assert doc["quantities"]["abs2"]["rows"][0]["reference"] == [12.0, 0.0]
 
+    def test_degree_twenty_block_has_exact_references(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 2, "n_samples": 200, "kernel": {"block": {"m": 10, "n": 10}},
+            "k_values": [1, 4], "exact_reference": True,
+            "criterion": {"case": "gaussian-diag", "sigma2": 13168189440000.0,
+                          "a": 1.0, "b": 0.0, "m": 10, "n": 10}}))
+        out = tmp_path / "o"
+        assert run_cli("experiment", str(cfg), "--out", str(out)) == 0
+        doc = json.loads((out / "verdict.json").read_text())
+        # (10!)^2, by the isometry, at each k
+        assert ([row["reference"] for row in doc["quantities"]["abs2"]["rows"]]
+                == [[13168189440000.0, 0.0]] * 2)
+
     def test_ks_with_too_few_samples_rejected_before_sampling(self, tmp_path, monkeypatch):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the config was checked")

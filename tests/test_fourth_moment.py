@@ -283,6 +283,14 @@ class TestExactReport:
         assert expect(GaussianFamily.standard(f.dim), a2 * a2) == EC(265248)
         assert rep.abs4 == 265248
 
+    @pytest.mark.parametrize("m, n", [(10, 10), (12, 7)])
+    def test_high_degree_block_is_computed(self, m, n):
+        # a contraction splits multisets, so a one-coordinate block of
+        # degree ~20 has few splits per key
+        rep = fm.exact_report(fm.gen_block_kernel(m, n, 1))
+        assert rep.abs2 == math.factorial(m) * math.factorial(n)  # the isometry
+        assert rep.sq == (rep.abs2 if m == n else 0)
+
     def test_mixed_total_orders_rejected_before_decompose(self, monkeypatch):
         # _real_pair expands the terms in _hermite_pair, which may not run
         # before the order check

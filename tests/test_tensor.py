@@ -213,7 +213,7 @@ class TestContract:
         u, v = random_sqrt2_tensor(order, dim, rnd), random_sqrt2_tensor(order, dim, rnd)
         dense_u = exact_dense(u)
         assert inner(u, v) == sum((dense_u[i] * x for i, x in exact_dense(v).items()), ZERO)
-        for x, y in ((u, v), (u, u), (v, u)):  # (u, u) mirrors its block pairs
+        for x, y in ((u, v), (u, u), (v, u)):  # (u, u): one operand on both sides
             dense_x, dense_y = exact_dense(x), exact_dense(y)
             for r in range(order + 1):
                 k = order - r
@@ -504,14 +504,27 @@ class TestFloatingResults:
         assert list(symmetrize(raw, 3, 3).data.items()) == want
 
     def test_self_contraction_sums_every_ordered_pair(self):
-        # floats: u (x)_r u gives what it gives for an equal copy of u, in
-        # the same order (an exact one may sum unordered pairs once)
+        # u (x)_r u gives what it gives for an equal copy of u, in the same
+        # order: exact and floating tensors run one loop
         rnd = random.Random(37)
-        u = SymTensor(3, 3, {t: rnd.uniform(-1, 1) for t in
-                             itertools.combinations_with_replacement(range(3), 3)})
-        copy = SymTensor(3, 3, dict(u.data))
-        for r in range(4):
-            assert list(contract(u, u, r).data.items()) == list(contract(u, copy, r).data.items())
+        keys = list(itertools.combinations_with_replacement(range(3), 3))
+        floating = SymTensor(3, 3, {t: rnd.uniform(-1, 1) for t in keys})
+        exact = SymTensor(3, 3, {t: Fraction(rnd.randint(-9, 9), rnd.randint(1, 5))
+                                 for t in keys})
+        for u in (floating, exact):
+            copy = SymTensor(3, 3, dict(u.data))
+            for r in range(4):
+                assert (list(contract(u, u, r).data.items())
+                        == list(contract(u, copy, r).data.items()))
+
+    def test_exact_block_meets_a_floating_one_as_floats(self):
+        ue = SymTensor(2, 2, {(0, 0): 1, (0, 1): 2})
+        uf = SymTensor(2, 2, {(0, 0): 1.0, (0, 1): 2.0})
+        be, bf = contract(ue, ue, 1), contract(uf, uf, 1)
+        # the dense square [[5, 2], [2, 4]] has squared norm 49
+        for x, y in ((be, bf), (bf, be)):
+            got = x.inner(y)
+            assert type(got) is float and got == 49.0
 
     def test_empty_operands_and_contractions(self):
         a = SymTensor(2, 2, {(0, 0): 1.0})
@@ -626,6 +639,27 @@ def test_symmetrize_is_idempotent(raw_terms):
     raw = {k: v for k, v in raw_terms}
     s = symmetrize(raw, 2, 3)
     assert symmetrize(dense_items(s), 2, 3) == s
+
+
+def _position_splits(t, r):
+    """The position walk over subsets of t's slots, first occurrence of each
+    split kept: the order in which ``_splits`` must yield."""
+    seen, out = set(), []
+    pos = range(len(t))
+    for keep_pos in itertools.combinations(pos, len(t) - r):
+        split = (tuple(t[i] for i in keep_pos), tuple(t[i] for i in pos if i not in keep_pos))
+        if split not in seen:
+            seen.add(split)
+            out.append(split)
+    return out
+
+
+@given(st.lists(st.integers(0, 4), max_size=9).map(lambda xs: tuple(sorted(xs))))
+@settings(max_examples=200, deadline=None)
+def test_splits_follow_the_position_walk(t):
+    # float contractions sum in this order, so it fixes their rounding
+    for r in range(len(t) + 1):
+        assert list(tensor_module._splits(t, r)) == _position_splits(t, r)
 
 
 def test_multiplicity_factor():
