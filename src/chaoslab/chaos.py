@@ -24,10 +24,12 @@ it builds:
 
 - **The term loop** walks the stored terms.  Its plan holds each term's
   float constant (m!/a!)(n!/b!) 2^(-(m+n)/2) f[a,b] and its (k, a_k, b_k)
-  J factors; a call lays the batch out coordinate-major, evaluates every
-  distinct J factor once and accumulates the terms into one buffer.  It
-  serves sparse kernels (block kernels store d terms over d coordinates)
-  and small ones.
+  J factors; a call lays the batch out coordinate-major, in row blocks of
+  the budget that also sizes the trace route's blocks (``_BLOCK_BYTES``),
+  evaluates every distinct J factor once and accumulates the terms into one
+  buffer.  (One strided transpose of a whole chunk runs about 4x slower
+  than blocks that fit the L2 cache.)  It serves sparse kernels (block
+  kernels store d terms over d coordinates) and small ones.
 - **The Wick-trace route** expands each J by Ito's product formula, which
   for a kernel f in the full tensor power gives
 
@@ -172,11 +174,21 @@ def _coord_degrees(ta: Tuple[int, ...], tb: Tuple[int, ...]) -> List[Tuple[int, 
     return [(k, ta.count(k), tb.count(k)) for k in sorted(set(ta + tb))]
 
 
+# bytes of one row block, one budget for both routes: of the term loop's zeta
+# (16 D a row) and of the Wick trace's widest Kronecker power (16 d^max(m,n) a
+# row); 512 rows at D = 64 or d^2 = 64.  Such blocks fit the L2 cache: laying
+# out an 8,192 x 64 batch took 2.0-2.7 ms in them, 10.5-11.2 ms in one piece
+_BLOCK_BYTES = 1 << 19
+
+
 class _TermLoop:
     """The term plan: the distinct (k, a, b) J factors of phi, and per stored
     term its float constant (m!/a!)(n!/b!) 2^(-(m+n)/2) f[a,b] with the
-    positions of its factors in ``factors``.  A call evaluates each factor
-    once and accumulates the terms into one scratch buffer."""
+    positions of its factors in ``factors``.  A call lays zeta out as a
+    (D, N) array in row blocks of ``_BLOCK_BYTES``, the budget of the Wick
+    trace's blocks, since one strided transpose of the whole batch runs
+    about 4x slower; it then evaluates each factor once and accumulates the
+    terms into one scratch buffer."""
 
     __slots__ = ("factors", "terms")
 
@@ -193,8 +205,11 @@ class _TermLoop:
 
     def __call__(self, batch: SampleBatch) -> np.ndarray:
         zeta = np.empty((batch.dim, len(batch)), dtype=np.complex128)
-        zeta.real = batch.xi.T
-        zeta.imag = batch.eta.T
+        re, im = zeta.real, zeta.imag
+        step = max(1, _BLOCK_BYTES // (16 * batch.dim))
+        for s in range(0, len(batch), step):
+            re[:, s:s + step] = batch.xi[s:s + step].T
+            im[:, s:s + step] = batch.eta[s:s + step].T
         jvals = [complex_hermite(a, b)(zeta[k]) for k, a, b in self.factors]
         out = np.zeros(len(batch), dtype=np.complex128)
         buf = np.empty_like(out)
@@ -207,10 +222,6 @@ class _TermLoop:
                 buf *= jvals[i]
             out += buf
         return out
-
-
-# bytes of one row block's widest Kronecker power: 512 rows at d^2 = 64
-_BLOCK_BYTES = 1 << 19
 
 
 class _WickTrace:
@@ -274,12 +285,14 @@ def _wick_trace_pays(m: int, n: int, d: int, n_terms: int) -> bool:
     terms 42 against 12.8 ms; random (2,2) d=4 with 95 terms 5.3 against
     2.5; (2,1) d=5 with 75 terms 3.7 against 2.0; (3,2) d=4 with 193 terms
     9.4 against 6.4; (3,3) d=4 with 379 terms 17.0 against 13.5.  The rule
-    sends those dense and keeps on the loop (3,1) d=5 with 166 terms (7.0
-    against 7.9), (4,1) d=4 with 134 terms (5.6 against 13.3), (3,0) d=8
-    with 115 terms (3.8 against 19.5; with nothing to trace, (m,0) and
-    (0,n) kernels are 5-15x slower dense), rank-one (2,2) d=2 with 9 terms
-    (0.8 against 1.2) and block kernels, which store d terms over d
-    coordinates (gen_block_kernel(2, 2, 16): 2.1 against 104 ms).
+    sends those dense and keeps on the loop the kernels below, timed with
+    the loop's row-blocked zeta (same machine, best of 15 in each of three
+    rounds, the least of the rounds shown): (3,1) d=5 with 166 terms (6.9
+    against 7.5), (4,1) d=4 with 134 terms (6.3 against 14.5), (3,0) d=8
+    with 115 terms (4.2 against 14.7: with nothing to trace, (m,0) and
+    (0,n) kernels are slow dense), rank-one (2,2) d=2 with 9 terms (0.8
+    against 0.8, under the floor) and block kernels, which store d terms
+    over d coordinates (gen_block_kernel(2, 2, 16): 1.3 against 93 ms).
     """
     return n_terms >= 64 and 1.5 * d ** max(m, n) + d ** (m + n) / 32 <= n_terms
 

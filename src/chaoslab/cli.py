@@ -16,7 +16,8 @@ Exit codes are a stable contract:
         whose configured law does) or that has no configured chi-square law
         (a = 1), a ks section beside a chi-square case, and a value past a
         MAX_* bound below: kernel degree m + n, kernel dimension (block k),
-        workers, n_samples beside a ks section and the oracle's complex_dim
+        workers, n_samples beside a ks section, the oracle's complex_dim and
+        the cells of one chunk, min(chunk_size, n_samples) x kernel dimension
     66  missing kernel file
 
 A default seed may be supplied via the CHAOSLAB_SEED environment variable;
@@ -67,6 +68,9 @@ MAX_KERNEL_DEGREE = 64
 # each sample draws 2 k normals, so one default chunk of 8192 samples at
 # k = 1024 already takes about 400 MB; the tests and the benchmark reach 64
 MAX_KERNEL_DIM = 1024
+# the same memory bounds a chunk of any shape: (samples per chunk) x (kernel
+# dimension), so a chunk_size of 10**12 is refused, not left to fail allocating
+MAX_CHUNK_CELLS = 8192 * MAX_KERNEL_DIM
 # each worker is a thread, started per chunk up to this count; it is
 # ThreadPoolExecutor's own default ceiling
 MAX_WORKERS = 32
@@ -383,6 +387,8 @@ def run_experiment(doc: dict, base: Path) -> tuple:
     chunk = _value(doc.get("chunk_size", fm.DEFAULT_CHUNK), int, "chunk_size", 1)
     spec = _criterion_from(doc.get("criterion"))
     m, n, k_values, kern = _kernel_from(doc, base)
+    _value(min(chunk, n_samples) * (max(k_values) if kern is None else kern.dim), int,
+           "min(chunk_size, n_samples) x kernel dimension", hi=MAX_CHUNK_CELLS)
     for key, kernel_value in (("m", m), ("n", n), ("total_degree", m + n)):
         value = getattr(spec, key)
         if value is not None and value != kernel_value:

@@ -251,6 +251,35 @@ class TestEvalComplexWork:
                 want += term
             assert np.abs(eval_complex(phi, batch) - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("fortran", [False, True], ids=["sampled", "fortran"])
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    def test_row_blocks_of_zeta_change_no_bit(self, monkeypatch, d, fortran):
+        step = 4
+        monkeypatch.setattr(chaos, "_BLOCK_BYTES", 16 * d * step)  # blocks of 4 rows
+        loop = chaos._TermLoop(fm.gen_block_kernel(1, 2, d))
+        for n in (1, step - 1, step, step + 1, 3 * step + 7):
+            batch = sample_batch(d, n, seed=n)  # xi and eta are views of one array
+            if fortran:
+                batch = chaos.SampleBatch(np.asfortranarray(batch.xi),
+                                          np.asfortranarray(batch.eta))
+            assert np.array_equal(loop(batch), term_loop_on_a_whole_array_layout(loop, batch))
+
+
+def term_loop_on_a_whole_array_layout(loop, batch):
+    """``_TermLoop``'s call with zeta laid out by one transposing write of the
+    whole batch, as before the row blocks; the products run in the same order."""
+    zeta = np.empty((batch.dim, len(batch)), dtype=np.complex128)
+    zeta.real = batch.xi.T
+    zeta.imag = batch.eta.T
+    jvals = [complex_hermite(a, b)(zeta[k]) for k, a, b in loop.factors]
+    out = np.zeros(len(batch), dtype=np.complex128)
+    for c, where in loop.terms:
+        term = jvals[where[0]] * c if where else np.full(len(batch), c)
+        for i in where[1:]:
+            term = term * jvals[i]
+        out += term
+    return out
+
 
 def dense_kernel_instance(d):
     """perfbench's dense-kernel kernel at seed 1: rank-one (2,2) over d coordinates."""

@@ -580,17 +580,35 @@ class TestExperimentConfigChecks:
         {**BASE_CONFIG, "workers": 10 ** 40},
         {**BASE_CONFIG, "n_samples": cli.MAX_KS_SAMPLES + 1, "ks": {}},
         {**BASE_CONFIG, "n_samples": 2 ** 128, "ks": {}},
+        # chunk_size had no bound: 10**12 samples at k = 64 failed allocating
+        # 931 TiB and exited 1
+        {**BASE_CONFIG, "n_samples": 10 ** 12, "chunk_size": 10 ** 12, "k_values": [64]},
+        {**BASE_CONFIG, "n_samples": 10 ** 6, "chunk_size": 8193,
+         "k_values": [4, cli.MAX_KERNEL_DIM]},
+        {"seed": 1, "n_samples": 10 ** 6, "chunk_size": 10 ** 6,
+         "kernel": {"inline": "1 1 16\n0 0 1 0\n"},
+         "criterion": {"case": "gaussian-diag", "sigma2": 1.0, "a": 1.0}},
     ], ids=["degree-2**128", "degree-over-cap", "k-10**40", "k-over-cap",
             "inline-dim-over-cap", "workers-over-cap", "workers-10**40",
-            "ks-n_samples-over-cap", "ks-n_samples-2**128"])
+            "ks-n_samples-over-cap", "ks-n_samples-2**128", "chunk-10**12-k-64",
+            "chunk-8193-k-1024", "inline-chunk-10**6-dim-16"])
     def test_values_past_a_bound_exit_65_before_any_kernel(self, tmp_path, monkeypatch,
-                                                           doc):
-        monkeypatch.setattr(cli.fm, "gen_block_kernel", _no_sampling)
-        monkeypatch.setattr(cli.fm, "estimate", _no_sampling)
+                                                           capsys, doc):
+        for name in ("gen_block_kernel", "block_reference_trajectory", "estimate"):
+            monkeypatch.setattr(cli.fm, name, _no_sampling)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        assert len(capsys.readouterr().err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    def test_a_large_chunk_size_over_few_samples_still_runs(self, tmp_path):
+        # the bound is on the chunk that runs, min(chunk_size, n_samples)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, "n_samples": 300, "k_values": [64],
+                                   "chunk_size": 10 ** 12, "exact_reference": False}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 0
+        assert (tmp_path / "o" / "verdict.json").exists()
 
     def test_repeated_k_values_exit_65(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.fm, "estimate", _no_sampling)

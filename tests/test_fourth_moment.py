@@ -139,13 +139,17 @@ class TestEstimate:
         assert repr(rep) == repr(fm.estimate(target, 2500, seed=17, chunk_size=1000))
 
     def test_out_bytes_whatever_the_chunking(self):
-        phi = fm.gen_block_kernel(1, 2, 4)
-        kept = []
-        for workers, chunk_size in ((1, 8192), (3, 1000), (5, 777)):
-            out = np.empty(9000, complex)
-            fm.estimate(phi, 9000, seed=23, workers=workers, chunk_size=chunk_size, out=out)
-            kept.append(out.tobytes())
-        assert kept[0] == kept[1] == kept[2]
+        # at k = 64 the term loop lays zeta out in 512-row blocks, which the
+        # chunks of 1000 and 777 samples cut across; at k = 4 one block is the chunk
+        for k in (4, 64):
+            phi = fm.gen_block_kernel(1, 2, k)
+            kept = []
+            for workers, chunk_size in ((1, 8192), (3, 1000), (5, 777)):
+                out = np.empty(9000, complex)
+                fm.estimate(phi, 9000, seed=23, workers=workers, chunk_size=chunk_size,
+                            out=out)
+                kept.append(out.tobytes())
+            assert kept[0] == kept[1] == kept[2]
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_chunks_stream_with_a_bounded_number_in_flight(self, workers):
