@@ -570,8 +570,7 @@ def verdict(reports: Sequence[Tuple[int, MomentReport]], spec: CriterionSpec,
 
 
 def contraction_norms_sq(t: SymTensor) -> list:
-    """Squared norms of the contractions t (x)_r t for r = 1 .. order-1,
-    exact for an exact t."""
+    """Exact squared norms of the contractions t (x)_r t for r = 1 .. order-1."""
     return [contract(t, t, r).norm_sq() for r in range(1, t.order)]
 
 

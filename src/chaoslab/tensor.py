@@ -5,10 +5,12 @@ equal to the dense entry at every permutation of that tuple.  Inner
 products therefore carry multinomial weights.  With contractions they give
 :func:`pair_moments`, the moment table that ``exact_report`` reads.
 
-Each tensor holds one scalar type, chosen once when it is built: if every
-input value is exact (int, Fraction or ExactComplex) the values become
-ExactComplex, otherwise float (SymTensor) or complex (ComplexKernel).  An
-exact operand meets a floating one as floats.
+Real tensors (SymTensor, BlockTensor) are exact: their values are real
+ExactComplex, and a float value or scalar is refused with the TypeError of
+``ExactComplex.coerce``.  A ComplexKernel holds one scalar type, chosen
+once when it is built: ExactComplex if every input value is exact (int,
+Fraction or ExactComplex), otherwise complex, which the Monte Carlo path
+evaluates.
 
 The algebra (contractions, symmetrization, inner products) runs on a
 tensor's numerator form: one positive int denominator and, per stored key,
@@ -16,14 +18,9 @@ an int pair (p, q) standing for (p + q*sqrt(2))/den (``_numerators``; an
 exact complex kernel splits into the forms of its real and imaginary
 parts).  A product of two entries is four int multiplies, a sum two int
 adds, and the denominator multiplies once per operation, not once per
-entry.  Each loop is written once: a floating tensor runs it on pairs
-(x, 0) over 1, summing in the order and with the association of a plain
-float loop (a weighted product is (w x) y), so exact and floating
-contractions run one loop in one order.  An ExactComplex is formed only
-for a returned scalar, with one ``exact._make``, and for a returned
-tensor's ``data``, filled from its form when first read; exact results
-compare with ``==``.  A tensor the algebra returns has its operands' scalar
-type even when it is empty, while a tensor built empty counts as exact.
+entry.  An ExactComplex is formed only for a returned scalar, with one
+``exact._make``, and for a returned tensor's ``data``, filled from its
+form when first read; results compare with ``==``.
 
 The text format (:func:`dump_kernel`, :func:`load_kernel`) covers complex
 kernels only: a header ``m n dim`` and one line per stored entry, its
@@ -33,7 +30,6 @@ token ``a``, ``b*r2`` or ``a+b*r2`` (a, b rational, r2 = sqrt 2).
 
 from __future__ import annotations
 
-import copy
 import math
 import re
 from fractions import Fraction
@@ -41,10 +37,11 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .exact import _SQRT2, ExactComplex, I_UNIT, ZERO, _make
+from .exact import ExactComplex, I_UNIT, ZERO, _make
 
 IndexTuple = Tuple[int, ...]
-Value = Union[int, Fraction, float, complex, ExactComplex]
+ExactValue = Union[int, Fraction, ExactComplex]
+Value = Union[ExactValue, float, complex]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -59,11 +56,11 @@ def multiplicity_factor(t: IndexTuple) -> int:
     return out
 
 
-# -- the scalar type of a tensor ---------------------------------------------------
+# -- scalar conversions -------------------------------------------------------------
 
 
 def _converter(values: Iterable, exact: Callable, inexact: Callable) -> Callable:
-    """The one converter for a tensor built from ``values``: ``exact`` when
+    """The one converter for a kernel built from ``values``: ``exact`` when
     every value is exact, ``inexact`` otherwise."""
     if all(isinstance(v, (int, Fraction, ExactComplex)) for v in values):
         return exact
@@ -85,68 +82,14 @@ def _complex(v) -> complex:
     return v.to_complex() if isinstance(v, ExactComplex) else complex(v)
 
 
-class _OneScalarType:
-    """Base of the tensor classes, whose values share one scalar type.
-
-    ``_exact`` is set once, when the tensor is built: true when every
-    stored value is exact, so also when none is stored."""
-
-    __slots__ = ("_exact",)
-
-    def is_exact(self) -> bool:
-        return self._exact
-
-
-def _one_type(f, g):
-    """f and g over one scalar type: floating point if either is floating."""
-    if f.is_exact() == g.is_exact():
-        return f, g
-    return _floating(f), _floating(g)
-
-
-def _floating(t):
-    """t over floating point.  A real tensor's p/den + (q/den) sqrt2 rounds
-    as ``ExactComplex.to_complex`` does; an empty kernel is only re-flagged."""
-    if not t.is_exact():
-        return t
-    if isinstance(t, _RealTensor):
-        den, items = t._form()
-        floats = ((k, p / den + (q / den) * _SQRT2) for k, (p, q) in items.items())
-        return _of_form(copy.copy(t), False, 1, {k: (x, 0) for k, x in floats if x})
-    if t.data:
-        return 1.0 * t
-    t = copy.copy(t)
-    t._exact = False
-    return t
-
-
-def _store(t: _OneScalarType, data: Mapping | None, exact: Callable, inexact: Callable,
-           check_key: Callable) -> Dict:
-    """The value map of t, built from data: each key through t's own
-    ``check_key``, each value through the one converter (``_converter``),
-    zeros dropped.  Sets ``t._exact``; a tensor built empty counts as exact."""
-    data = data or {}
-    to_value = _converter(data.values(), exact, inexact)
-    store = {}
-    for key, val in data.items():
-        key = check_key(key)
-        v = to_value(val)
-        if v:
-            store[key] = v
-    t._exact = to_value is not inexact or not store
-    return store
-
-
 # -- numerator forms ---------------------------------------------------------------
 
 
-def _numerators(exact: bool, data: Mapping, imag: bool = False):
-    """The numerator form (den, {key: (p, q)}) of data's values: the value
-    at key is (p + q sqrt2)/den.  Exact values go over the lcm of their
+def _numerators(data: Mapping, imag: bool = False):
+    """The numerator form (den, {key: (p, q)}) of data's exact values: the
+    value at key is (p + q sqrt2)/den, den the lcm of the values'
     denominators, taking their real parts, or their imaginary parts if
-    ``imag``; floats x go as (x, 0) over 1."""
-    if not exact:
-        return 1, {k: (v, 0) for k, v in data.items()}
+    ``imag``."""
     den = math.lcm(*(v.n for v in data.values()))
     out = {}
     for k, v in data.items():
@@ -155,24 +98,17 @@ def _numerators(exact: bool, data: Mapping, imag: bool = False):
     return den, out
 
 
-def _value(exact: bool, p, q, den):
-    """(p + q sqrt2)/den in the scalar type: one ``_make`` if exact, else a
-    float (q is 0)."""
-    return _make(p, q, 0, 0, den) if exact else p / den
-
-
 def _sum_products(a: Mapping, b: Mapping, weight: Callable):
     """(P, Q), the numerator over the product of the two denominators of the
     sum of weight(key) * a[key] * b[key] over the keys two numerator maps
-    share.  It walks the smaller map and weights a's entry first, so a
-    float term is (w * a) * b."""
-    a_first = len(a) <= len(b)
-    walk, other = (a, b) if a_first else (b, a)
+    share.  It walks the smaller map."""
+    if len(a) > len(b):
+        a, b = b, a
     big_p = big_q = 0
-    for key, x in walk.items():
-        y = other.get(key)
+    for key, (p1, q1) in a.items():
+        y = b.get(key)
         if y is not None:
-            (p1, q1), (p2, q2) = (x, y) if a_first else (y, x)
+            p2, q2 = y
             w = weight(key)
             p1, q1 = w * p1, w * q1
             big_p += p1 * p2 + 2 * q1 * q2
@@ -180,8 +116,8 @@ def _sum_products(a: Mapping, b: Mapping, weight: Callable):
     return big_p, big_q
 
 
-class _RealTensor(_OneScalarType):
-    """Base of SymTensor and BlockTensor, whose values are real.
+class _RealTensor:
+    """Base of SymTensor and BlockTensor, whose values are exact and real.
 
     The tensor algebra reads a tensor's numerator form (``_numerators``),
     built from ``data`` on first use and kept in ``_num``.  A tensor the
@@ -190,24 +126,27 @@ class _RealTensor(_OneScalarType):
 
     __slots__ = ("_data", "_num")
 
+    def is_exact(self) -> bool:
+        """True: real tensors hold exact values only (module docstring)."""
+        return True
+
     @property
     def data(self) -> Dict:
         if self._data is None:
             den, items = self._num
-            self._data = {k: _value(self._exact, p, q, den) for k, (p, q) in items.items()}
+            self._data = {k: _make(p, q, 0, 0, den) for k, (p, q) in items.items()}
         return self._data
 
     def _form(self):
         if self._num is None:
-            self._num = _numerators(self._exact, self._data)
+            self._num = _numerators(self._data)
         return self._num
 
 
-def _of_form(t: _RealTensor, exact: bool, den: int, items: Dict) -> _RealTensor:
+def _of_form(t: _RealTensor, den: int, items: Dict) -> _RealTensor:
     """The empty tensor t made to hold the numerator form (den, items),
-    whose values are nonzero, over the scalar type of its operands (even
-    when it is empty)."""
-    t._data, t._num, t._exact = None, (den, items), exact
+    whose values are nonzero."""
+    t._data, t._num = None, (den, items)
     return t
 
 
@@ -217,12 +156,16 @@ class SymTensor(_RealTensor):
     __slots__ = ("order", "dim")
 
     def __init__(self, order: int, dim: int,
-                 data: Mapping[IndexTuple, Value] | None = None):
+                 data: Mapping[IndexTuple, ExactValue] | None = None):
         if order < 0 or dim < 1:
             raise ValueError("need order >= 0 and dim >= 1")
         self.order = int(order)
         self.dim = int(dim)
-        self._data, self._num = _store(self, data, _exact_real, _float, self._key), None
+        self._data, self._num = {}, None
+        for key, val in (data or {}).items():
+            key, v = self._key(key), _exact_real(val)
+            if v:
+                self._data[key] = v
 
     def _key(self, key) -> IndexTuple:
         t = tuple(int(i) for i in key)
@@ -236,9 +179,9 @@ class SymTensor(_RealTensor):
 
     # -- access ---------------------------------------------------------------
 
-    def entry(self, t: IndexTuple):
+    def entry(self, t: IndexTuple) -> ExactComplex:
         """Dense entry at an arbitrary (unsorted) index tuple."""
-        return self.data.get(tuple(sorted(t)), 0)
+        return self.data.get(tuple(sorted(t)), ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, SymTensor):
@@ -251,28 +194,25 @@ class SymTensor(_RealTensor):
     def __add__(self, other: "SymTensor") -> "SymTensor":
         if (other.order, other.dim) != (self.order, self.dim):
             raise ValueError("shape mismatch")
-        a, b = _one_type(self, other)
-        out = dict(a.data)
-        for t, v in b.data.items():
+        out = dict(self.data)
+        for t, v in other.data.items():
             out[t] = out[t] + v if t in out else v
         return SymTensor(self.order, self.dim, out)
 
     def __rmul__(self, scalar):
-        to_value = _converter([scalar, *self.data.values()], ExactComplex.coerce, _float)
-        c = to_value(scalar)
-        return SymTensor(self.order, self.dim,
-                         {t: c * to_value(v) for t, v in self.data.items()})
+        c = ExactComplex.coerce(scalar)
+        return SymTensor(self.order, self.dim, {t: c * v for t, v in self.data.items()})
 
     __mul__ = __rmul__
 
-    def norm_sq(self):
+    def norm_sq(self) -> ExactComplex:
         return inner(self, self)
 
     def __repr__(self):
         return f"SymTensor(order={self.order}, dim={self.dim}, nnz={len(self.data)})"
 
 
-def _symmetrized(out: SymTensor, exact: bool, den: int, items: Iterable) -> SymTensor:
+def _symmetrized(out: SymTensor, den: int, items: Iterable) -> SymTensor:
     """out made to hold the symmetrization of dense entries given as (index
     tuple, numerator over den) pairs: each sorted key sums the entries
     listed at its arrangements and divides by their count."""
@@ -282,50 +222,46 @@ def _symmetrized(out: SymTensor, exact: bool, den: int, items: Iterable) -> SymT
         pq = acc.get(st)
         acc[st] = (pq[0] + p, pq[1] + q) if pq else (p, q)
     counts = [multiplicity_factor(st) for st in acc]
-    # exact: over the lcm of the counts; floats: times the float 1/count
-    scale = math.lcm(*counts) if exact else 1
+    scale = math.lcm(*counts)
     out_items = {}
     for (st, (p, q)), c in zip(acc.items(), counts):
-        f = scale // c if exact else 1 / c
+        f = scale // c
         p, q = p * f, q * f
         if p or q:
             out_items[st] = (p, q)
-    return _of_form(out, exact, den * scale, out_items)
+    return _of_form(out, den * scale, out_items)
 
 
-def symmetrize(raw: Mapping[IndexTuple, Value], order: int, dim: int) -> SymTensor:
+def symmetrize(raw: Mapping[IndexTuple, ExactValue], order: int, dim: int) -> SymTensor:
     """Average a raw dense coefficient map over all slot permutations.
 
     Unlisted positions are zero.  Idempotent on tensors that are already
     symmetric (feeding back the canonical entries at their sorted keys).
     """
-    to_value = _converter(raw.values(), _exact_real, _float)
-    values: Dict[IndexTuple, Value] = {}
+    values: Dict[IndexTuple, ExactComplex] = {}
     for key, val in raw.items():
         t = tuple(int(i) for i in key)
         if len(t) != order:
             raise ValueError(f"tuple {t} has wrong length")
         if any(not 0 <= i < dim for i in t):
             raise ValueError(f"index {t} out of range for dim {dim}")
-        v = to_value(val)
+        v = _exact_real(val)
         values[t] = values[t] + v if t in values else v  # keys equal after int()
-    exact = to_value is _exact_real
-    den, items = _numerators(exact, values)
-    return _symmetrized(SymTensor(order, dim), exact, den, items.items())
+    den, items = _numerators(values)
+    return _symmetrized(SymTensor(order, dim), den, items.items())
 
 
-def _weighted_inner(f: _RealTensor, g: _RealTensor, weight: Callable):
+def _weighted_inner(f: _RealTensor, g: _RealTensor, weight: Callable) -> ExactComplex:
     """The sum of weight(key) * f[key] * g[key] over the keys f and g share."""
-    f, g = _one_type(f, g)
     (df, a), (dg, b) = f._form(), g._form()
-    return _value(f.is_exact(), *_sum_products(a, b, weight), df * dg)
+    return _make(*_sum_products(a, b, weight), 0, 0, df * dg)
 
 
 def _block_weight(key: Tuple[IndexTuple, IndexTuple]) -> int:
     return multiplicity_factor(key[0]) * multiplicity_factor(key[1])
 
 
-def inner(f: SymTensor, g: SymTensor):
+def inner(f: SymTensor, g: SymTensor) -> ExactComplex:
     """Full-tuple inner product: sum over all index tuples of f * g."""
     if (f.order, f.dim) != (g.order, g.dim):
         raise ValueError("shape mismatch")
@@ -344,22 +280,22 @@ class BlockTensor(_RealTensor):
     def __init__(self, orders: Tuple[int, int], dim: int):
         self.orders = (int(orders[0]), int(orders[1]))
         self.dim = int(dim)
-        self._data, self._num, self._exact = {}, None, True
+        self._data, self._num = {}, None
 
-    def inner(self, other: "BlockTensor"):
+    def inner(self, other: "BlockTensor") -> ExactComplex:
         """Full-tuple inner product: sum over all index tuples of self * other."""
         if (self.orders, self.dim) != (other.orders, other.dim):
             raise ValueError("shape mismatch")
         return _weighted_inner(self, other, _block_weight)
 
-    def norm_sq(self):
+    def norm_sq(self) -> ExactComplex:
         return self.inner(self)
 
-    def scalar(self):
+    def scalar(self) -> ExactComplex:
         """Value of an order-(0,0) block tensor."""
         if self.orders != (0, 0):
             raise ValueError("not a scalar tensor")
-        return self.data.get(((), ()), 0)
+        return self.data.get(((), ()), ZERO)
 
     def __repr__(self):
         return f"BlockTensor(orders={self.orders}, dim={self.dim}, nnz={len(self.data)})"
@@ -370,7 +306,7 @@ def _splits(t: IndexTuple, r: int):
     k of the c copies of t's first index are contracted, for each k the rest
     of t can complete, and the rest splits the same way.  Kept tuples come
     in increasing order, the first-occurrence order of a walk over position
-    subsets, which fixes the summation order of float contractions.  The
+    subsets, which fixes the order of a contraction's entries.  The
     recursion is as deep as t has distinct indices and costs one step per
     split, not C(len(t), r)."""
     if not t:
@@ -395,7 +331,6 @@ def contract(u: SymTensor, v: SymTensor, r: int) -> BlockTensor:
     order = u.order
     if not 0 <= r <= order:
         raise ValueError(f"contraction order {r} outside 0..{order}")
-    u, v = _one_type(u, v)
     (du, a), (dv, b) = u._form(), v._form()
 
     def split_map(items: Mapping):
@@ -426,7 +361,7 @@ def contract(u: SymTensor, v: SymTensor, r: int) -> BlockTensor:
                     pq[0] += p1 * p2 + q1x2 * q2
                     pq[1] += p1 * q2 + q1 * p2
     out = {key: (p, q) for key, (p, q) in acc.items() if p or q}
-    return _of_form(BlockTensor((order - r, order - r), u.dim), u.is_exact(), du * dv, out)
+    return _of_form(BlockTensor((order - r, order - r), u.dim), du * dv, out)
 
 
 def _symmetrize_block(block: BlockTensor) -> SymTensor:
@@ -438,10 +373,10 @@ def _symmetrize_block(block: BlockTensor) -> SymTensor:
     for (t1, t2), (p, q) in items.items():
         w = multiplicity_factor(t1) * multiplicity_factor(t2)
         raw.append((t1 + t2, (w * p, w * q)))
-    return _symmetrized(SymTensor(sum(block.orders), block.dim), block.is_exact(), den, raw)
+    return _symmetrized(SymTensor(sum(block.orders), block.dim), den, raw)
 
 
-def pair_moments(u: SymTensor, v: SymTensor) -> Dict[Tuple[int, int], Value]:
+def pair_moments(u: SymTensor, v: SymTensor) -> Dict[Tuple[int, int], ExactComplex]:
     """E[U^a V^b] for 2 <= a + b <= 4, U and V the order-q integrals of u, v.
 
     The product formula (Nourdin-Peccati 2012, ch. 5) over one contraction
@@ -460,11 +395,10 @@ def pair_moments(u: SymTensor, v: SymTensor) -> Dict[Tuple[int, int], Value]:
     q = u.order
     if q < 1:
         raise ValueError("order must be >= 1")
-    u, v = _one_type(u, v)
     qf = math.factorial(q)
     a, b, c = qf * inner(u, u), qf * inner(v, v), qf * inner(u, v)
     moments = {(2, 0): a, (1, 1): c, (0, 2): b,
-               **dict.fromkeys(((3, 0), (2, 1), (1, 2), (0, 3)), ZERO if u.is_exact() else 0.0),
+               **dict.fromkeys(((3, 0), (2, 1), (1, 2), (0, 3)), ZERO),
                (4, 0): 3 * a * a, (3, 1): 3 * a * c, (2, 2): a * b + 2 * c * c,
                (1, 3): 3 * b * c, (0, 4): 3 * b * b}
     for r in range(1, q):
@@ -486,7 +420,7 @@ def pair_moments(u: SymTensor, v: SymTensor) -> Dict[Tuple[int, int], Value]:
     return moments
 
 
-def product_moment(u: SymTensor, v: SymTensor):
+def product_moment(u: SymTensor, v: SymTensor) -> ExactComplex:
     """E[U^2 V^2] for U, V the order-q integrals of u, v (:func:`pair_moments`)."""
     return pair_moments(u, v)[(2, 2)]
 
@@ -494,25 +428,34 @@ def product_moment(u: SymTensor, v: SymTensor):
 # -- complex kernels ---------------------------------------------------------------
 
 
-class ComplexKernel(_OneScalarType):
+class ComplexKernel:
     """Element of the (m, n) bidegree kernel space over C^dim.
 
     Coefficients are indexed by a pair (sorted m-tuple, sorted n-tuple) in
     the basis e_{i1} x ... x conj(e_{j1}) x ...; the kernel is symmetric
-    separately within each block.  Kernels are not mutated after
-    construction; ``_term_plan`` holds ``chaos.eval_complex``'s evaluation
-    plan, built on first use on the route its cost rule picks (the term
-    loop or the Wick-trace matrices).
+    separately within each block.  Its values share one scalar type
+    (module docstring): ``_exact`` is set once, when the kernel is built,
+    true when every stored value is exact, so also when none is stored.
+    Kernels are not mutated after construction; ``_term_plan`` holds
+    ``chaos.eval_complex``'s evaluation plan, built on first use on the
+    route its cost rule picks (the term loop or the Wick-trace matrices).
     """
 
-    __slots__ = ("m", "n", "dim", "data", "_term_plan")
+    __slots__ = ("m", "n", "dim", "data", "_exact", "_term_plan")
 
     def __init__(self, m: int, n: int, dim: int,
                  data: Mapping[Tuple[IndexTuple, IndexTuple], Value] | None = None):
         if m < 0 or n < 0 or dim < 1:
             raise ValueError("need m, n >= 0 and dim >= 1")
         self.m, self.n, self.dim = int(m), int(n), int(dim)
-        self.data = _store(self, data, ExactComplex.coerce, _complex, self._key)
+        data = data or {}
+        to_value = _converter(data.values(), ExactComplex.coerce, _complex)
+        self.data = {}
+        for key, val in data.items():
+            key, v = self._key(key), to_value(val)
+            if v:
+                self.data[key] = v
+        self._exact = to_value is not _complex or not self.data
         self._term_plan = None
 
     def _key(self, key) -> Tuple[IndexTuple, IndexTuple]:
@@ -524,6 +467,9 @@ class ComplexKernel(_OneScalarType):
         if any(not 0 <= i < self.dim for i in ta + tb):
             raise ValueError("index out of range")
         return ta, tb
+
+    def is_exact(self) -> bool:
+        return self._exact
 
     @classmethod
     def rank_one(cls, h: Sequence[Value], m: int, n: int) -> "ComplexKernel":
@@ -567,20 +513,23 @@ def kernel_inner(f: ComplexKernel, g: ComplexKernel):
 
     Exact, with f = f' + i f'' and g = g' + i g'' split into real and
     imaginary parts, it is <f', g'> + <f'', g''> + i (<f'', g'> - <f', g''>),
-    four sums over the parts' numerator forms.  Floating, it is one sum of
-    complex entries (x, 0) over 1, with g's conjugated.
+    four sums over the parts' numerator forms.  When either kernel is
+    floating it is one complex sum over the keys of the smaller kernel,
+    each term (weight * f[key]) * conj(g[key]), an exact entry taken as
+    its complex value.
     """
     if (f.m, f.n, f.dim) != (g.m, g.n, g.dim):
         raise ValueError("shape mismatch")
-    f, g = _one_type(f, g)
-    if not f.is_exact():
-        big_p, _ = _sum_products({k: (x, 0) for k, x in f.data.items()},
-                                 {k: (x.conjugate(), 0) for k, x in g.data.items()},
-                                 _block_weight)
-        return _value(False, big_p, 0, 1)
-    f_parts = [_numerators(True, f.data, imag) for imag in (False, True)]
+    if not (f.is_exact() and g.is_exact()):
+        a, b = f.data, g.data
+        total = 0.0
+        for key in (a if len(a) <= len(b) else b):
+            if key in a and key in b:
+                total += _block_weight(key) * _complex(a[key]) * _complex(b[key]).conjugate()
+        return total
+    f_parts = [_numerators(f.data, imag) for imag in (False, True)]
     (df, fr), (_, fi) = f_parts
-    (dg, gr), (_, gi) = f_parts if g is f else [_numerators(True, g.data, imag)
+    (dg, gr), (_, gi) = f_parts if g is f else [_numerators(g.data, imag)
                                                 for imag in (False, True)]
     (p1, q1), (p2, q2), (p3, q3), (p4, q4) = (
         _sum_products(x, y, _block_weight) for x, y in ((fr, gr), (fi, gi), (fi, gr), (fr, gi)))

@@ -97,7 +97,8 @@ class TestEvalReal:
     def test_power_tensor_addition_rule(self):
         # h = (e0 + e1)/sqrt(2): I_2(h (x) h) = H_2((xi0 + xi1)/sqrt(2))
         batch = sample_batch(1, 64, seed=8)
-        f = SymTensor(2, 2, {(0, 0): 0.5, (0, 1): 0.5, (1, 1): 0.5})  # h (x) h
+        half = Fraction(1, 2)
+        f = SymTensor(2, 2, {(0, 0): half, (0, 1): half, (1, 1): half})  # h (x) h
         arg = (batch.xi[:, 0] + batch.eta[:, 0]) / math.sqrt(2)
         assert np.allclose(eval_real(f, batch), arg ** 2 - 1, atol=1e-12)
 

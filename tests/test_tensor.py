@@ -25,8 +25,7 @@ from chaoslab.wick import GaussianFamily, GaussPoly, expect
 def dense_of(t: SymTensor) -> np.ndarray:
     a = np.zeros((t.dim,) * t.order)
     for idx in itertools.product(range(t.dim), repeat=t.order):
-        v = t.entry(idx)
-        a[idx] = v.to_complex().real if isinstance(v, ExactComplex) else float(v)
+        a[idx] = t.entry(idx).to_complex().real
     return a
 
 
@@ -79,7 +78,7 @@ def random_sqrt2_tensor(order, dim, rnd) -> SymTensor:
 
 def exact_dense(t: SymTensor) -> dict:
     """Every dense entry of an exact tensor as an ExactComplex, zeros included."""
-    return {idx: ExactComplex.coerce(t.entry(idx))
+    return {idx: t.entry(idx)
             for idx in itertools.product(range(t.dim), repeat=t.order)}
 
 
@@ -160,6 +159,15 @@ class TestContract:
         v = random_exact_tensor(2, 3, rnd)
         assert contract(u, v, 2).scalar() == inner(u, v)
 
+    def test_absent_entries_are_exact_zero(self):
+        # disjoint supports: the full contraction stores nothing, and its
+        # scalar is the ExactComplex zero that inner gives
+        u, v = SymTensor(2, 2, {(0, 0): 1}), SymTensor(2, 2, {(1, 1): 1})
+        got = contract(u, v, 2).scalar()
+        assert isinstance(got, ExactComplex) and got == inner(u, v) == ZERO
+        assert got.to_complex() == 0
+        assert isinstance(u.entry((1, 0)), ExactComplex) and u.entry((1, 0)) == ZERO
+
     def test_power_tensor_single_contraction(self):
         t = SymTensor(2, 2, {(0, 0): 1})
         b = contract(t, t, 1)
@@ -197,9 +205,7 @@ class TestContract:
                     for i_idx in itertools.product(range(3), repeat=order - r):
                         for j_idx in itertools.product(range(3), repeat=order - r):
                             key = (tuple(sorted(i_idx)), tuple(sorted(j_idx)))
-                            v_got = got.data.get(key, 0)
-                            as_f = (v_got.to_complex().real
-                                    if isinstance(v_got, ExactComplex) else float(v_got))
+                            as_f = got.data.get(key, ZERO).to_complex().real
                             assert as_f == pytest.approx(float(want[i_idx + j_idx]))
                     # symmetrized variant matches dense symmetrization
                     sym = _symmetrize_block(contract(u, v, r))
@@ -412,7 +418,8 @@ def random_exact_kernel(m, n, dim, rnd) -> ComplexKernel:
 
 
 class TestFloatingPath:
-    """The same algorithms on float copies agree with the exact results."""
+    """Float kernels run the same algorithms as exact ones and agree with
+    them; real tensors refuse float values."""
 
     @staticmethod
     def assert_close(got, want):
@@ -420,25 +427,18 @@ class TestFloatingPath:
         assert complex(got) == pytest.approx(want.to_complex(), rel=1e-12, abs=1e-12)
 
     def test_real_tensor_algebra(self):
-        rnd = random.Random(17)
-        for order in (1, 2, 3):
-            for _ in range(3):
-                u = random_exact_tensor(order, 3, rnd)
-                v = random_exact_tensor(order, 3, rnd)
-                fu = SymTensor(order, 3, {t: x.to_complex().real for t, x in u.data.items()})
-                fv = SymTensor(order, 3, {t: x.to_complex().real for t, x in v.data.items()})
-                assert not fu.is_exact() and not fv.is_exact()
-                self.assert_close(inner(fu, fv), inner(u, v))
-                # an exact operand meets a floating one in floating point
-                self.assert_close(inner(u, fv), inner(u, v))
-                for r in range(order + 1):
-                    self.assert_close(contract(fu, fv, r).norm_sq(),
-                                      contract(u, v, r).norm_sq())
-                    got = _symmetrize_block(contract(fu, fv, r))
-                    want = _symmetrize_block(contract(u, v, r))
-                    for key in got.data.keys() | want.data.keys():
-                        self.assert_close(float(got.entry(key)), ExactComplex.coerce(want.entry(key)))
-                self.assert_close(product_moment(fu, fv), product_moment(u, v))
+        # the TypeError of ExactComplex.coerce
+        with pytest.raises(TypeError):
+            SymTensor(2, 2, {(0, 0): 0.5})
+        with pytest.raises(TypeError):
+            symmetrize({(0, 1): 1, (1, 0): 0.25}, 2, 2)
+        u = SymTensor(2, 2, {(0, 0): 1, (0, 1): Fraction(1, 2)})
+        for scalar in (0.5, 1.0):
+            with pytest.raises(TypeError):
+                u * scalar
+            with pytest.raises(TypeError):
+                scalar * u
+        assert 2 * u == u + u == SymTensor(2, 2, {(0, 0): 2, (0, 1): 1})
 
     def test_kernel_inner_and_norm(self):
         rnd = random.Random(19)
@@ -448,14 +448,16 @@ class TestFloatingPath:
             ff = ComplexKernel(m, n, 2, {k: x.to_complex() for k, x in f.data.items()})
             fg = ComplexKernel(m, n, 2, {k: x.to_complex() for k, x in g.data.items()})
             self.assert_close(kernel_inner(ff, fg), kernel_inner(f, g))
+            # an exact kernel meets a floating one as its complex values
+            self.assert_close(kernel_inner(f, fg), kernel_inner(f, g))
+            self.assert_close(kernel_inner(ff, g), kernel_inner(f, g))
             norm = ff.norm_sq()
             assert type(norm) is float
             self.assert_close(norm, f.norm_sq())
 
     def test_one_scalar_type_per_tensor(self):
-        mixed = SymTensor(2, 2, {(0, 0): 1, (0, 1): 0.5, (1, 1): EC(Fraction(1, 3))})
-        assert all(type(x) is float for x in mixed.data.values())
-        assert mixed.data[(1, 1)] == pytest.approx(1 / 3)
+        with pytest.raises(TypeError):
+            SymTensor(2, 2, {(0, 0): 1, (0, 1): 0.5, (1, 1): EC(Fraction(1, 3))})
         exact = SymTensor(2, 2, {(0, 0): 1, (0, 1): Fraction(1, 2), (1, 1): EC(3)})
         assert all(isinstance(x, ExactComplex) for x in exact.data.values())
         kernel = ComplexKernel(1, 1, 2, {((0,), (0,)): 1, ((0,), (1,)): 0.5j})
@@ -463,21 +465,9 @@ class TestFloatingPath:
 
 
 class TestFloatingResults:
-    """Floating operands give float results, bit for bit as a plain loop
-    does, also where a contraction or an operand is empty."""
-
-    def test_inner_weights_the_first_operand_first(self):
-        rnd = random.Random(23)
-        f = SymTensor(3, 3, {t: rnd.uniform(-1, 1) for t in
-                             itertools.combinations_with_replacement(range(3), 3)})
-        g = SymTensor(3, 3, {t: rnd.uniform(-1, 1) for t in list(f.data)[::2]})
-        for x, y in ((f, g), (g, f)):
-            small, big = (x.data, y.data) if len(x.data) <= len(y.data) else (y.data, x.data)
-            want = 0.0
-            for t in small:
-                if t in big:
-                    want = want + multiplicity_factor(t) * x.data[t] * y.data[t]
-            assert inner(x, y) == want
+    """Float kernels give float results, bit for bit as a plain loop does,
+    also where an operand is empty; real-tensor results are ExactComplex
+    in the same cases."""
 
     def test_kernel_inner_is_one_complex_sum(self):
         rnd = random.Random(29)
@@ -493,58 +483,41 @@ class TestFloatingResults:
                            * f.data[k] * g.data[k].conjugate())
         assert kernel_inner(f, g) == want
 
-    def test_symmetrize_is_a_plain_float_loop(self):
-        rnd = random.Random(31)
-        raw = {tuple(rnd.randrange(3) for _ in range(3)): rnd.uniform(-1, 1) for _ in range(20)}
-        acc = {}
-        for t, x in raw.items():
-            st = tuple(sorted(t))
-            acc[st] = acc[st] + x if st in acc else x
-        want = [(st, (1 / multiplicity_factor(st)) * x) for st, x in acc.items()]
-        assert list(symmetrize(raw, 3, 3).data.items()) == want
-
     def test_self_contraction_sums_every_ordered_pair(self):
-        # u (x)_r u gives what it gives for an equal copy of u, in the same
-        # order: exact and floating tensors run one loop
+        # u (x)_r u gives what it gives for an equal copy of u, in the same order
         rnd = random.Random(37)
         keys = list(itertools.combinations_with_replacement(range(3), 3))
-        floating = SymTensor(3, 3, {t: rnd.uniform(-1, 1) for t in keys})
-        exact = SymTensor(3, 3, {t: Fraction(rnd.randint(-9, 9), rnd.randint(1, 5))
-                                 for t in keys})
-        for u in (floating, exact):
-            copy = SymTensor(3, 3, dict(u.data))
-            for r in range(4):
-                assert (list(contract(u, u, r).data.items())
-                        == list(contract(u, copy, r).data.items()))
-
-    def test_exact_block_meets_a_floating_one_as_floats(self):
-        ue = SymTensor(2, 2, {(0, 0): 1, (0, 1): 2})
-        uf = SymTensor(2, 2, {(0, 0): 1.0, (0, 1): 2.0})
-        be, bf = contract(ue, ue, 1), contract(uf, uf, 1)
-        # the dense square [[5, 2], [2, 4]] has squared norm 49
-        for x, y in ((be, bf), (bf, be)):
-            got = x.inner(y)
-            assert type(got) is float and got == 49.0
+        u = SymTensor(3, 3, {t: Fraction(rnd.randint(-9, 9), rnd.randint(1, 5)) for t in keys})
+        copy = SymTensor(3, 3, dict(u.data))
+        for r in range(4):
+            assert (list(contract(u, u, r).data.items())
+                    == list(contract(u, copy, r).data.items()))
 
     def test_empty_operands_and_contractions(self):
-        a = SymTensor(2, 2, {(0, 0): 1.0})
+        a = SymTensor(2, 2, {(0, 0): 1})
+        b = SymTensor(2, 2, {(1, 1): 1})
         zero = SymTensor(2, 2)
         assert zero.is_exact()
-        # disjoint supports: the (u, v) contractions are empty
-        for u, v in ((a, SymTensor(2, 2, {(1, 1): 1.0})), (a, zero), (zero, a)):
-            exact = [SymTensor(2, 2, {t: int(x) for t, x in w.data.items()}) for w in (u, v)]
-            want = pair_moments(*exact)
+        # U = H_2(x0), V = H_2(x1): E U^2 = 2, E U^3 = 8, E U^4 = 60, and U, V
+        # independent; a zero tensor's integral is 0
+        moments_of_a = {(2, 0): 2, (3, 0): 8, (4, 0): 60}
+        cases = ((a, b, {**moments_of_a, (0, 2): 2, (0, 3): 8, (0, 4): 60, (2, 2): 4}),
+                 (a, zero, moments_of_a),
+                 (zero, a, {(i, j): x for (j, i), x in moments_of_a.items()}))
+        for u, v, nonzero in cases:
+            want = {(i, j): EC(nonzero.get((i, j), 0))
+                    for i in range(5) for j in range(5) if 2 <= i + j <= 4}
             got = pair_moments(u, v)
-            assert all(type(x) is float for x in got.values())
-            assert got == {key: x.to_complex().real for key, x in want.items()}
-            assert product_moment(u, v) == got[(2, 2)]
-            block = contract(u, v, 1)
-            assert not block.is_exact() and block.data == {}
-            assert type(block.norm_sq()) is float
-            assert type(_symmetrize_block(block).norm_sq()) is float
-        for x, y in ((zero, a), (a, zero)):
-            assert type(inner(x, y)) is float and inner(x, y) == 0
-        assert inner(zero, zero) == ZERO
+            assert all(isinstance(x, ExactComplex) for x in got.values())
+            assert got == want
+            assert product_moment(u, v) == want[(2, 2)]
+            # disjoint supports: the (u, v) contractions are empty
+            for r in (1, 2):
+                block = contract(u, v, r)
+                assert block.is_exact() and block.data == {}
+                for x in (inner(u, v), block.norm_sq(), _symmetrize_block(block).norm_sq()):
+                    assert isinstance(x, ExactComplex) and x == ZERO
+        assert inner(zero, zero) == ZERO and isinstance(inner(zero, zero), ExactComplex)
         fk = ComplexKernel(1, 1, 2, {((0,), (1,)): 1 + 2j})
         empty = ComplexKernel(1, 1, 2)
         for x, y in ((empty, fk), (fk, empty)):
@@ -657,7 +630,7 @@ def _position_splits(t, r):
 @given(st.lists(st.integers(0, 4), max_size=9).map(lambda xs: tuple(sorted(xs))))
 @settings(max_examples=200, deadline=None)
 def test_splits_follow_the_position_walk(t):
-    # float contractions sum in this order, so it fixes their rounding
+    # a contraction's entries come in this order
     for r in range(len(t) + 1):
         assert list(tensor_module._splits(t, r)) == _position_splits(t, r)
 
