@@ -61,18 +61,18 @@ from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, compress, product, repeat
 from typing import Dict, Iterable, List, Tuple, Union
 
 import numpy as np
 from scipy.special import ndtri
 
 from .convert import conversion_tables
-from .exact import EC, ONE, ExactComplex, half_power
+from .exact import ONE, ExactComplex, half_power
 from .hermite import complex_hermite, hermite_coeffs
-from .tensor import ComplexKernel, SymTensor, _complex, _float, multiplicity_factor
+from .tensor import (ComplexKernel, SymTensor, _complex, _float, _symmetrized,
+                     multiplicity_factor)
 from .wick import GaussianFamily, GaussPoly, embed, expect
 
 ChaosElementT = Union[SymTensor, ComplexKernel]
@@ -331,8 +331,8 @@ def eval_complex(phi: ComplexKernel, batch: SampleBatch) -> np.ndarray:
 
 def _expand(elem: ChaosElementT, factor) -> GaussPoly:
     """Sum over elem's stored terms of the rule's constant (module docstring)
-    times the factor table's term map ``factor(real, a_k, b_k)`` placed at
-    k for a real key t (read as (t, ())), at (k, D + k) for a kernel key.
+    times the small polynomial ``factor(real, a_k, b_k)`` placed at k for
+    a real key t (read as (t, ())), at (k, D + k) for a kernel key.
 
     The stored value is not multiplied in: it weights the term in the one
     ``plus``, which runs on the polynomials' int numerators."""
@@ -352,33 +352,36 @@ def _expand(elem: ChaosElementT, factor) -> GaussPoly:
 
 
 @lru_cache(maxsize=None)
-def _hermite_factor(real: bool, a: int, b: int) -> Dict[Tuple[int, ...], ExactComplex]:
-    """One coordinate's factor in the real Hermite-product basis: H_a for a
-    real key; for a kernel key J_{a,b}(x + iy) as its row of the exact table
-    ``conversion_tables(a + b)[0]``, the key (j, l) standing for H_j(x) H_l(y)."""
+def _hermite_factor(real: bool, a: int, b: int) -> GaussPoly:
+    """One coordinate's small polynomial in the real Hermite-product basis:
+    H_a, key (a,), for a real key; for a kernel key J_{a,b}(x + iy) as its row
+    of the table ``conversion_tables(a + b)[0]``, key (j, l) for H_j(x) H_l(y)."""
     if real:
-        return {(a,): ONE}
+        return GaussPoly(1, {(a,): 1})
     row = conversion_tables(a + b)[0].rows[a]
-    return {(j, a + b - j): c for j, c in enumerate(row) if not c.is_zero()}
+    return GaussPoly(2, {(j, a + b - j): c for j, c in enumerate(row)})
 
 
 def _hermite_pair(terms, order: int) -> Tuple[SymTensor, SymTensor]:
     """The real pair (u, v) of sum c I(elem) over exact (c, elem) terms of
     one chaos order: the weighted Hermite-basis expansions (``_expand`` with
-    ``_hermite_factor``) summed in one pass over (xi, eta), then read off.
+    ``_hermite_factor``) summed in one pass over (xi, eta), then read off
+    the sum's numerator form.
 
-    Their exponent tuples are Hermite multi-indices: e stands for
-    prod_i H_{e_i}(w_i) and carries order!/t! (u + iv)[t], t its index tuple.
-    ``_expand``'s GaussPoly product is right for them only because a term's
-    factors sit on distinct coordinates, so adding exponents concatenates."""
+    Its exponent tuples are Hermite multi-indices: e stands for
+    prod_i H_{e_i}(w_i) and carries order!/t! (u + iv)[t], t its sorted
+    index tuple, so u and v are its (p, q) and (r, s) halves over order!/t!
+    (``_symmetrized`` of t alone).  ``_expand``'s GaussPoly product is right
+    for them only because a term's factors sit on distinct coordinates, so
+    adding exponents concatenates."""
     polys = [(c, _expand(elem, _hermite_factor)) for c, elem in terms]
-    dim = polys[0][1].dim
-    u_data, v_data = {}, {}
-    for mvec, cf in GaussPoly(dim).plus(polys).terms().items():
-        t = tuple(i for i, m in enumerate(mvec) for _ in range(m))
-        scaled = cf * EC(Fraction(1, multiplicity_factor(t)))
-        u_data[t], v_data[t] = scaled.real(), scaled.imag()  # zeros are dropped
-    return SymTensor(order, dim, u_data), SymTensor(order, dim, v_data)
+    total = GaussPoly(polys[0][1].dim).plus(polys)
+    coords, flat = range(total.dim), chain.from_iterable
+    # compress skips, in C, the zero exponents that fill a 2D-long tuple
+    rows = [(tuple(flat(repeat(i, e[i]) for i in compress(coords, e))), v)
+            for e, v in total._num.items()]
+    return tuple(_symmetrized(SymTensor(order, total.dim), total._den,
+                              ((t, x[i:i + 2]) for t, x in rows)) for i in (0, 2))
 
 
 def decompose(phi: ComplexKernel) -> Tuple[SymTensor, SymTensor]:
@@ -402,11 +405,11 @@ def decompose(phi: ComplexKernel) -> Tuple[SymTensor, SymTensor]:
 
 
 @lru_cache(maxsize=None)
-def _factor_terms(real: bool, a: int, b: int) -> Dict[Tuple[int, ...], ExactComplex]:
-    """One coordinate's factor as a term map: H_a(x), or J_{a,b}(x + iy) in (x, y)."""
+def _factor_terms(real: bool, a: int, b: int) -> GaussPoly:
+    """One coordinate's factor as a small polynomial: H_a(x), or J_{a,b}(x + iy) in (x, y)."""
     if real:
-        return {(k,): EC(c) for k, c in enumerate(hermite_coeffs(a)) if c}
-    return complex_hermite(a, b).to_xy()
+        return GaussPoly(1, {(k,): c for k, c in enumerate(hermite_coeffs(a))})
+    return GaussPoly(2, complex_hermite(a, b).to_xy())
 
 
 def element_poly(elem: ChaosElementT, conj: bool = False) -> GaussPoly:

@@ -13,13 +13,22 @@ equal values have equal fields and ``==`` and ``hash`` compare five ints.
 Every operation builds its result with ``_make``, which restores the
 invariant with one ``math.gcd`` call; no ``Fraction`` is formed on the
 arithmetic path.
+
+A map of field values (a polynomial's coefficients, a tensor's entries) has
+one numerator form, built and reduced only here (:func:`_numerators`): an
+int ``den`` and, per key, a nonzero int tuple (p, q, r, s) standing for
+(p + q*sqrt(2) + (r + s*sqrt(2))*i) / den.  It is canonical, with den > 0
+and gcd(den, every component) = 1 (:func:`_reduced`), so equal maps have
+equal forms.  Sums and products run on the ints (:func:`_add_into`,
+:func:`_scaled`), the denominator multiplying once per operation and the
+form reduced once at its end.  Real tensors keep the (p, q) half.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, sqrt
-from typing import Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 _SQRT2 = sqrt(2.0)
 
@@ -283,3 +292,52 @@ def half_power(n: int) -> ExactComplex:
 def i_power(n: int) -> ExactComplex:
     """Exact i**n for any integer n."""
     return (ONE, I_UNIT, -ONE, -I_UNIT)[n % 4]
+
+
+def _numerator(c: ExactComplex, f: int = 1) -> Tuple[int, int, int, int]:
+    """The numerator of c over f times its denominator."""
+    return c.p * f, c.q * f, c.r * f, c.s * f
+
+
+def _add_into(out: Dict, items: Iterable) -> Dict:
+    """``out`` with the (key, numerator) items added in, key by key."""
+    for k, v in items:
+        old = out.get(k)
+        out[k] = v if old is None else (
+            old[0] + v[0], old[1] + v[1], old[2] + v[2], old[3] + v[3])
+    return out
+
+
+def _scaled(items: Mapping, m: Tuple[int, int, int, int]) -> Dict:
+    """Each numerator of ``items`` times the numerator m = (a, b, c, d), as
+    elements a + b sqrt2 + (c + d sqrt2) i multiply."""
+    a, b, c, d = m
+    if not (b or c or d):
+        return {k: (a * p, a * q, a * r, a * s) for k, (p, q, r, s) in items.items()}
+    return {k: (a * p - c * r + 2 * (b * q - d * s), a * q + b * p - c * s - d * r,
+                a * r + c * p + 2 * (b * s + d * q), a * s + b * r + c * q + d * p)
+            for k, (p, q, r, s) in items.items()}
+
+
+def _reduced(den: int, items: Mapping) -> Tuple[int, Dict]:
+    """The canonical form of (den, items): zero numerators dropped, and den
+    and every component divided by their common gcd (den 1 when empty)."""
+    kept, g = {}, den
+    for k, v in items.items():
+        if v != (0, 0, 0, 0):
+            kept[k] = v
+            if g != 1:
+                g = gcd(g, *v)
+    if g != 1:
+        den //= g
+        kept = {k: (p // g, q // g, r // g, s // g) for k, (p, q, r, s) in kept.items()}
+    return den, kept
+
+
+def _numerators(pairs: Iterable[Tuple[object, object]]) -> Tuple[int, Dict]:
+    """The canonical numerator form (den, {key: (p, q, r, s)}) of (key,
+    scalar) pairs, first over the lcm of the scalars' denominators; the
+    values of a repeated key are summed."""
+    coeffs = [(k, ExactComplex.coerce(c)) for k, c in pairs]
+    den = lcm(*(c.n for _, c in coeffs))
+    return _reduced(den, _add_into({}, ((k, _numerator(c, den // c.n)) for k, c in coeffs)))

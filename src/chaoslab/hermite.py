@@ -44,8 +44,9 @@ from typing import Dict, Mapping, Tuple, Union
 
 import numpy as np
 
-from .exact import EC, ExactComplex, HALF, I_UNIT, ONE, ZERO, _make as _element, i_power
-from .wick import GaussPoly, _reduced
+from .exact import (EC, ExactComplex, HALF, I_UNIT, ONE, ZERO, _make as _element, _reduced,
+                    i_power)
+from .wick import GaussPoly
 
 Scalar = Union[int, Fraction, ExactComplex]
 ExponentPair = Tuple[int, int]
@@ -54,7 +55,7 @@ ExponentPair = Tuple[int, int]
 class BiPoly(GaussPoly):
     """Polynomial in (z, zbar) with coefficients in Q(i, sqrt2): the
     two-variable ``GaussPoly`` whose key (a, b) is the degree in z and in
-    zbar, stored as its numerator form (``wick`` module docstring).
+    zbar, stored as its numerator form (``exact`` module docstring).
     Conjugation and the derivatives map the int numerators; a coefficient
     becomes an ``ExactComplex`` only when read (:meth:`coefficient`,
     ``terms()``).  ``_plan`` holds the floating radial plan of

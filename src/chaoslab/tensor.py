@@ -12,13 +12,12 @@ once when it is built: ExactComplex if every input value is exact (int,
 Fraction or ExactComplex), otherwise complex, which the Monte Carlo path
 evaluates.
 
-The algebra (contractions, symmetrization, inner products) runs on a
-tensor's numerator form: one positive int denominator and, per stored key,
-an int pair (p, q) standing for (p + q*sqrt(2))/den (``_numerators``; an
-exact complex kernel splits into the forms of its real and imaginary
-parts).  A product of two entries is four int multiplies, a sum two int
-adds, and the denominator multiplies once per operation, not once per
-entry.  An ExactComplex is formed only for a returned scalar, with one
+The algebra (contractions, symmetrization, inner products) runs on the
+numerator form of a tensor's entries (``exact`` module docstring): a real
+tensor keeps its (p, q) half, an exact complex kernel is read as the full
+(p, q, r, s) form.  A product of two real entries is four int multiplies,
+and the denominator multiplies once per operation, not once per entry.
+An ExactComplex is formed only for a returned scalar, with one
 ``exact._make``, and for a returned tensor's ``data``, filled from its
 form when first read; results compare with ``==``.
 
@@ -37,7 +36,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .exact import ExactComplex, I_UNIT, ZERO, _make
+from .exact import ExactComplex, I_UNIT, ZERO, _make, _numerators
 
 IndexTuple = Tuple[int, ...]
 ExactValue = Union[int, Fraction, ExactComplex]
@@ -85,19 +84,6 @@ def _complex(v) -> complex:
 # -- numerator forms ---------------------------------------------------------------
 
 
-def _numerators(data: Mapping, imag: bool = False):
-    """The numerator form (den, {key: (p, q)}) of data's exact values: the
-    value at key is (p + q sqrt2)/den, den the lcm of the values'
-    denominators, taking their real parts, or their imaginary parts if
-    ``imag``."""
-    den = math.lcm(*(v.n for v in data.values()))
-    out = {}
-    for k, v in data.items():
-        s = den // v.n
-        out[k] = (v.r * s, v.s * s) if imag else (v.p * s, v.q * s)
-    return den, out
-
-
 def _sum_products(a: Mapping, b: Mapping, weight: Callable):
     """(P, Q), the numerator over the product of the two denominators of the
     sum of weight(key) * a[key] * b[key] over the keys two numerator maps
@@ -119,7 +105,7 @@ def _sum_products(a: Mapping, b: Mapping, weight: Callable):
 class _RealTensor:
     """Base of SymTensor and BlockTensor, whose values are exact and real.
 
-    The tensor algebra reads a tensor's numerator form (``_numerators``),
+    The tensor algebra reads the (p, q) half of a tensor's numerator form,
     built from ``data`` on first use and kept in ``_num``.  A tensor the
     algebra returns holds only its form, and ``data`` is filled from it
     when first read.  Tensors are not mutated after construction."""
@@ -139,7 +125,8 @@ class _RealTensor:
 
     def _form(self):
         if self._num is None:
-            self._num = _numerators(self._data)
+            den, items = _numerators(self._data.items())
+            self._num = den, {k: v[:2] for k, v in items.items()}
         return self._num
 
 
@@ -168,11 +155,11 @@ class SymTensor(_RealTensor):
                 self._data[key] = v
 
     def _key(self, key) -> IndexTuple:
-        t = tuple(int(i) for i in key)
+        t = tuple(key)
         if len(t) != self.order:
             raise ValueError(f"tuple {t} has wrong length")
-        if any(not 0 <= i < self.dim for i in t):
-            raise ValueError(f"index out of range in {t}")
+        if any(not isinstance(i, int) or not 0 <= i < self.dim for i in t):
+            raise ValueError(f"index in {t} is not an int in 0..{self.dim - 1}")
         if tuple(sorted(t)) != t:
             raise ValueError(f"tuple {t} is not sorted")
         return t
@@ -238,17 +225,16 @@ def symmetrize(raw: Mapping[IndexTuple, ExactValue], order: int, dim: int) -> Sy
     Unlisted positions are zero.  Idempotent on tensors that are already
     symmetric (feeding back the canonical entries at their sorted keys).
     """
-    values: Dict[IndexTuple, ExactComplex] = {}
+    values = []
     for key, val in raw.items():
-        t = tuple(int(i) for i in key)
+        t = tuple(key)
         if len(t) != order:
             raise ValueError(f"tuple {t} has wrong length")
-        if any(not 0 <= i < dim for i in t):
-            raise ValueError(f"index {t} out of range for dim {dim}")
-        v = _exact_real(val)
-        values[t] = values[t] + v if t in values else v  # keys equal after int()
+        if any(not isinstance(i, int) or not 0 <= i < dim for i in t):
+            raise ValueError(f"index in {t} is not an int in 0..{dim - 1}")
+        values.append((t, _exact_real(val)))
     den, items = _numerators(values)
-    return _symmetrized(SymTensor(order, dim), den, items.items())
+    return _symmetrized(SymTensor(order, dim), den, ((t, v[:2]) for t, v in items.items()))
 
 
 def _weighted_inner(f: _RealTensor, g: _RealTensor, weight: Callable) -> ExactComplex:
@@ -459,13 +445,13 @@ class ComplexKernel:
         self._term_plan = None
 
     def _key(self, key) -> Tuple[IndexTuple, IndexTuple]:
-        ta, tb = (tuple(map(int, t)) for t in key)
+        ta, tb = (tuple(t) for t in key)
         if len(ta) != self.m or len(tb) != self.n:
             raise ValueError("kernel tuple of wrong length")
+        if any(not isinstance(i, int) or not 0 <= i < self.dim for i in ta + tb):
+            raise ValueError(f"kernel index is not an int in 0..{self.dim - 1}")
         if tuple(sorted(ta)) != ta or tuple(sorted(tb)) != tb:
             raise ValueError("kernel tuples must be sorted")
-        if any(not 0 <= i < self.dim for i in ta + tb):
-            raise ValueError("index out of range")
         return ta, tb
 
     def is_exact(self) -> bool:
@@ -511,12 +497,11 @@ class ComplexKernel:
 def kernel_inner(f: ComplexKernel, g: ComplexKernel):
     """Hermitian inner product <f, g>, conjugate-linear in g.
 
-    Exact, with f = f' + i f'' and g = g' + i g'' split into real and
-    imaginary parts, it is <f', g'> + <f'', g''> + i (<f'', g'> - <f', g''>),
-    four sums over the parts' numerator forms.  When either kernel is
-    floating it is one complex sum over the keys of the smaller kernel,
-    each term (weight * f[key]) * conj(g[key]), an exact entry taken as
-    its complex value.
+    Exact, it is one sum of weight * f[key] * conj(g[key]) over the keys of
+    f's (p, q, r, s) numerator form that g's form shares.  When either
+    kernel is floating it is one complex sum over the keys of the smaller
+    kernel, each term (weight * f[key]) * conj(g[key]), an exact entry
+    taken as its complex value.
     """
     if (f.m, f.n, f.dim) != (g.m, g.n, g.dim):
         raise ValueError("shape mismatch")
@@ -527,13 +512,20 @@ def kernel_inner(f: ComplexKernel, g: ComplexKernel):
             if key in a and key in b:
                 total += _block_weight(key) * _complex(a[key]) * _complex(b[key]).conjugate()
         return total
-    f_parts = [_numerators(f.data, imag) for imag in (False, True)]
-    (df, fr), (_, fi) = f_parts
-    (dg, gr), (_, gi) = f_parts if g is f else [_numerators(g.data, imag)
-                                                for imag in (False, True)]
-    (p1, q1), (p2, q2), (p3, q3), (p4, q4) = (
-        _sum_products(x, y, _block_weight) for x, y in ((fr, gr), (fi, gi), (fi, gr), (fr, gi)))
-    return _make(p1 + p2, q1 + q2, p3 - p4, q3 - q4, df * dg)
+    df, a = _numerators(f.data.items())
+    dg, b = (df, a) if g is f else _numerators(g.data.items())
+    big_p = big_q = big_r = big_s = 0
+    for key, (p1, q1, r1, s1) in a.items():
+        y = b.get(key)
+        if y is not None:
+            # (x1 + i y1)(x2 - i y2) with x, y in Z[sqrt2] as (int, sqrt2) pairs
+            p2, q2, r2, s2 = y
+            w = _block_weight(key)
+            big_p += w * (p1 * p2 + r1 * r2 + 2 * (q1 * q2 + s1 * s2))
+            big_q += w * (p1 * q2 + q1 * p2 + r1 * s2 + s1 * r2)
+            big_r += w * (r1 * p2 - p1 * r2 + 2 * (s1 * q2 - q1 * s2))
+            big_s += w * (r1 * q2 + s1 * p2 - p1 * s2 - q1 * r2)
+    return _make(big_p, big_q, big_r, big_s, df * dg)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -23,16 +23,13 @@ larger one.  Sharing the algebra does not make the oracle depend on what it
 checks: the expectation is still a pairing sum over the covariance
 (``_pairing_sum``), never a closed form for products of chaos elements.
 
-A polynomial is stored as its numerator form: one positive int
-denominator ``den`` and, per exponent tuple, a nonzero int tuple
-(p, q, r, s) standing for the coefficient (p + q sqrt2 + (r + s sqrt2) i)/den.
-The form is canonical, den and all components having gcd 1, so ``==`` and
-``hash`` compare forms.  Products, sums, conjugation, :func:`embed` and
-:func:`expect` run on these ints: a product of two coefficients is sixteen
-int multiplies, a sum four int adds, the denominator multiplies once per
-operation and the form is reduced once at its end.  An ``ExactComplex`` is
-formed only where a coefficient leaves the algebra: :meth:`GaussPoly.terms`,
-``repr``, ``BiPoly.coefficient`` and the result of :func:`expect`, one
+A polynomial is stored as the numerator form of its coefficient map, keyed
+by exponent tuple (``exact`` module docstring), so ``==`` and ``hash``
+compare forms.  Products, sums, conjugation, :func:`embed` and
+:func:`expect` run on its ints: a product of two coefficients is sixteen
+int multiplies.  An ``ExactComplex`` is formed only where a coefficient
+leaves the algebra: :meth:`GaussPoly.terms`, ``repr``,
+``BiPoly.coefficient`` and the result of :func:`expect`, one
 ``exact._make`` each.
 
 Exact terms are summed in one place, :meth:`GaussPoly.plus`: a linear
@@ -44,11 +41,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import add
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .exact import EC, ExactComplex, ONE, _make as _element
+from .exact import (EC, ExactComplex, ONE, _add_into, _make as _element, _numerator,
+                    _numerators, _reduced, _scaled)
 
 Exponents = Tuple[int, ...]
 
@@ -157,11 +155,11 @@ class GaussianFamily:
 
 def isserlis_moment(fam: GaussianFamily, exponents: Sequence[int]) -> Fraction:
     """E[prod_i g_i^{k_i}] as an exact pairing sum; 0 for odd total degree."""
-    exps = tuple(int(e) for e in exponents)
+    exps = tuple(exponents)
     if len(exps) != fam.dim:
         raise ValueError(f"expected {fam.dim} exponents, got {len(exps)}")
-    if any(e < 0 for e in exps):
-        raise ValueError("exponents must be nonnegative")
+    if any(not isinstance(e, int) or e < 0 for e in exps):
+        raise ValueError("exponents must be nonnegative ints")
     degree = sum(exps)
     if degree % 2:
         return Fraction(0)
@@ -189,55 +187,6 @@ def _pairing_sum(counts: Exponents, rows, memo) -> int:
     return total
 
 
-def _numerator(c: ExactComplex, f: int = 1) -> Tuple[int, int, int, int]:
-    """The numerator of c over f times its denominator."""
-    return c.p * f, c.q * f, c.r * f, c.s * f
-
-
-def _add_into(out: Dict, items: Iterable) -> Dict:
-    """``out`` with the (key, numerator) items added in, key by key."""
-    for k, v in items:
-        old = out.get(k)
-        out[k] = v if old is None else (
-            old[0] + v[0], old[1] + v[1], old[2] + v[2], old[3] + v[3])
-    return out
-
-
-def _scaled(items: Mapping, m: Tuple[int, int, int, int]) -> Dict:
-    """Each numerator of ``items`` times the numerator m = (a, b, c, d), as
-    elements a + b sqrt2 + (c + d sqrt2) i multiply."""
-    a, b, c, d = m
-    if not (b or c or d):
-        return {k: (a * p, a * q, a * r, a * s) for k, (p, q, r, s) in items.items()}
-    return {k: (a * p - c * r + 2 * (b * q - d * s), a * q + b * p - c * s - d * r,
-                a * r + c * p + 2 * (b * s + d * q), a * s + b * r + c * q + d * p)
-            for k, (p, q, r, s) in items.items()}
-
-
-def _reduced(den: int, items: Mapping) -> Tuple[int, Dict]:
-    """The canonical form of (den, items): zero numerators dropped, and den
-    and every component divided by their common gcd (den 1 when empty)."""
-    kept, g = {}, den
-    for k, v in items.items():
-        if v != (0, 0, 0, 0):
-            kept[k] = v
-            if g != 1:
-                g = gcd(g, *v)
-    if g != 1:
-        den //= g
-        kept = {k: (p // g, q // g, r // g, s // g) for k, (p, q, r, s) in kept.items()}
-    return den, kept
-
-
-def _numerators(pairs: Iterable[Tuple[Exponents, object]]) -> Tuple[int, Dict]:
-    """The canonical numerator form (den, {key: (p, q, r, s)}) of (key,
-    scalar) pairs, first over the lcm of the scalars' denominators; the
-    values of a repeated key are summed."""
-    coeffs = [(k, ExactComplex.coerce(c)) for k, c in pairs]
-    den = lcm(*(c.n for _, c in coeffs))
-    return _reduced(den, _add_into({}, ((k, _numerator(c, den // c.n)) for k, c in coeffs)))
-
-
 class GaussPoly:
     """Sparse polynomial in ``dim`` variables with coefficients in Q(i, sqrt2).
 
@@ -252,20 +201,17 @@ class GaussPoly:
 
     def __init__(self, dim: int, terms: Mapping[Exponents, object] | None = None):
         self.dim = int(dim)
-        pairs = []
-        if terms:
-            for key, coeff in terms.items():
-                exps = tuple(int(e) for e in key)
-                if len(exps) != self.dim:
-                    raise ValueError("exponent tuple has wrong length")
-                if any(e < 0 for e in exps):
-                    raise ValueError("exponents must be nonnegative")
-                pairs.append((exps, coeff))
-        self._den, self._num = _numerators(pairs)
+        terms = terms or {}
+        for key in terms:
+            if not (isinstance(key, tuple) and len(key) == self.dim):
+                raise ValueError(f"exponent key {key!r} is not a tuple of length {self.dim}")
+            if any(not isinstance(e, int) or e < 0 for e in key):
+                raise ValueError("exponents must be nonnegative ints")
+        self._den, self._num = _numerators(terms.items())
 
     def _make(self, den: int, items: Dict) -> "GaussPoly":
         """A polynomial of self's class and dim holding the numerator form
-        (den, items) as given: it must be canonical (see :func:`_reduced`)."""
+        (den, items) as given: it must be canonical (``exact._reduced``)."""
         out = object.__new__(type(self))
         out.dim, out._den, out._num = self.dim, den, items
         return out
@@ -364,29 +310,28 @@ class GaussPoly:
         return f"{type(self).__name__}(dim={self.dim}, {{{terms}}})"
 
 
-def embed(terms: Mapping[Exponents, object], coords: Sequence[int], dim: int) -> GaussPoly:
-    """Substitute X_{coords[i]} for variable i of a small polynomial's term map.
+def embed(small: GaussPoly, coords: Sequence[int], dim: int) -> GaussPoly:
+    """Substitute X_{coords[i]} for variable i of a small polynomial.
 
-    The result is a polynomial over ``dim`` coordinates.  Keys that land on
-    one exponent tuple (a repeated coordinate) are summed, so the
-    substitution is a ring map: embed(p * q) = embed(p) * embed(q).
-    Each coordinate must lie in 0..dim-1 and each small key be a tuple of
-    len(coords) nonnegative ints (ValueError otherwise); the output tuples
-    are then valid by construction.
+    The result is a polynomial over ``dim`` coordinates: each numerator of
+    ``small`` moves to its remapped exponent tuple, and the form is reduced
+    once.  Keys that land on one tuple (a repeated coordinate) are summed,
+    so the substitution is a ring map: embed(p * q) = embed(p) * embed(q).
+    ``small`` must have len(coords) variables and each coordinate lie in
+    0..dim-1 (ValueError otherwise); ``small``'s keys were checked when it
+    was built, so the output tuples are valid by construction.
     """
-    if not all(isinstance(c, int) and 0 <= c < dim for c in coords):
-        raise ValueError(f"coordinates {tuple(coords)} outside 0..{dim - 1}")
-    pairs = []
-    for key, coeff in terms.items():
-        if not (isinstance(key, tuple) and len(key) == len(coords)
-                and all(isinstance(e, int) and e >= 0 for e in key)):
-            raise ValueError(f"small key {key!r} is not a tuple of {len(coords)} "
-                             "nonnegative ints")
+    if small.dim != len(coords) or not all(isinstance(c, int) and 0 <= c < dim
+                                           for c in coords):
+        raise ValueError(f"a polynomial in {small.dim} variables placed at coordinates "
+                         f"{tuple(coords)} of 0..{dim - 1}")
+    moved = []
+    for key, v in small._num.items():
         exps = [0] * dim
         for coord, e in zip(coords, key):
             exps[coord] += e
-        pairs.append((tuple(exps), coeff))
-    return GaussPoly(dim)._make(*_numerators(pairs))
+        moved.append((tuple(exps), v))
+    return GaussPoly(dim)._make(*_reduced(small._den, _add_into({}, moved)))
 
 
 def expect(fam: GaussianFamily, poly: GaussPoly) -> ExactComplex:
@@ -418,7 +363,7 @@ def bipoly_to_gausspoly(p: GaussPoly, var: int, fam: GaussianFamily) -> GaussPol
     """Substitute zeta_var = xi + i eta into a ``hermite.BiPoly`` in (z, zbar)."""
     if fam.complex_pairs is None:
         raise ValueError("family carries no complex coordinate pairs")
-    return embed(p.to_xy(), fam.complex_pairs[var], fam.dim)
+    return embed(GaussPoly(2, p.to_xy()), fam.complex_pairs[var], fam.dim)
 
 
 def expect_complex(fam: GaussianFamily,

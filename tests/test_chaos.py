@@ -391,6 +391,34 @@ exact_values = st.builds(ExactComplex, exact_part, exact_part, exact_part, exact
 
 
 @st.composite
+def kernel_pairs(draw):
+    """Two exact kernels of one bidegree (m, n), 1 <= m + n <= 3, over
+    d <= 2 complex coordinates, with sqrt(2) and complex parts in values."""
+    m, n = draw(st.sampled_from([(m, n) for m in range(4) for n in range(4 - m) if m + n]))
+    d = draw(st.integers(1, 2))
+    keys = [(ta, tb) for ta in itertools.combinations_with_replacement(range(d), m)
+            for tb in itertools.combinations_with_replacement(range(d), n)]
+
+    def kernel():
+        chosen = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+        return ComplexKernel(m, n, d, {key: draw(exact_values) for key in chosen})
+
+    return kernel(), kernel()
+
+
+@given(kernel_pairs())
+@settings(max_examples=40, deadline=None)
+def test_exact_kernel_inner_with_sqrt2_parts_matches_the_wick_oracle(pair):
+    # the sqrt(2) cross terms of kernel_inner's one Hermitian sum, with the
+    # Wick oracle as the reference: E[I(phi) conj I(psi)] = m! n! <phi, psi>
+    phi, psi = pair
+    weight = math.factorial(phi.m) * math.factorial(phi.n)
+    assert exact_moment([phi, (psi, True)]) == weight * kernel_inner(phi, psi)
+    assert exact_moment([phi, (phi, True)]) == weight * kernel_inner(phi, phi)
+    assert kernel_inner(psi, phi) == kernel_inner(phi, psi).conjugate()
+
+
+@st.composite
 def one_order_targets(draw):
     """A real pair (u, v) or 1 to 3 weighted terms, exact kernels and real
     tensors of one chaos order q <= 4 over d <= 3 complex coordinates, with

@@ -112,6 +112,19 @@ class TestSymmetrize:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             symmetrize({(0, 5): 1}, 2, 3)
+        with pytest.raises(ValueError):  # used to be stored at key (0, 1)
+            symmetrize({(0.9, 1.2): 1}, 2, 2)
+
+    @pytest.mark.parametrize("order, key", [
+        (1, (3,)),      # index equal to dim
+        (1, (-1,)),     # negative index
+        (1, (1.7,)),    # non-int index: used to be stored at index 1
+        (1, (0, 0)),    # wrong length
+        (2, (1, 0)),    # not sorted
+    ])
+    def test_symtensor_rejects_bad_keys(self, order, key):
+        with pytest.raises(ValueError):
+            SymTensor(order, 3, {key: 1})
 
 
 class TestInner:
@@ -406,6 +419,8 @@ class TestComplexKernel:
             ComplexKernel(1, 1, 2, {((0, 1), (0,)): 1})
         with pytest.raises(ValueError):
             ComplexKernel(1, 1, 2, {((3,), (0,)): 1})
+        with pytest.raises(ValueError):  # used to be stored at index 1
+            ComplexKernel(1, 0, 3, {((1.7,), ()): 1})
 
 
 def random_exact_kernel(m, n, dim, rnd) -> ComplexKernel:

@@ -47,6 +47,8 @@ class TestIsserlis:
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             isserlis_moment(GaussianFamily.standard(2), [2, -1])
+        with pytest.raises(ValueError):  # not truncated to E g^2
+            isserlis_moment(GaussianFamily.standard(1), [2.7])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -389,7 +391,7 @@ def test_embed_is_a_ring_map(pq, dim, data):
                                 max_size=len(_symbols(p))))  # repeats allowed
 
     def emb(poly):
-        return embed(poly.terms(), coords, dim)
+        return embed(poly, coords, dim)
 
     assert emb(p * q) == emb(p) * emb(q)
     assert emb(p + q) == emb(p) + emb(q)
@@ -402,17 +404,32 @@ def test_embed_is_a_ring_map(pq, dim, data):
 @pytest.mark.parametrize("terms, coords", [
     ({(1,): 1}, (-1,)),           # negative coordinate: used to land on dim - 1
     ({(1,): 1}, (3,)),            # coordinate equal to dim
-    ({(1, 0): 1}, (0,)),          # key longer than coords
-    ({(1,): 1}, (0, 1)),          # key shorter than coords
-    ({(-1,): 1}, (0,)),           # negative exponent
-    ({(1.0,): 1}, (0,)),          # non-int exponent
-    ({1: 1}, (0,)),               # key not a tuple
+    ({(1, 0): 1}, (0,)),          # more variables than coords
+    ({(1,): 1}, (0, 1)),          # fewer variables than coords
 ])
 def test_embed_rejects_bad_inputs(terms, coords):
+    small = GaussPoly(len(next(iter(terms))), terms)
     with pytest.raises(ValueError):
-        embed(terms, coords, 3)
+        embed(small, coords, 3)
+
+
+@pytest.mark.parametrize("key", [
+    (-1,),                        # negative exponent
+    (1.0,),                       # non-int exponent
+    (1.5,),                       # non-int exponent: used to be truncated to x
+    1,                            # key not a tuple
+])
+def test_gausspoly_rejects_bad_keys(key):
+    with pytest.raises(ValueError):
+        GaussPoly(1, {key: 1})
+
+
+def test_bipoly_rejects_non_int_exponents():
+    with pytest.raises(ValueError):  # used to be read as z
+        BiPoly({(1.9, 0): 1})
 
 
 def test_embed_drops_cancelled_terms():
     # two small keys land on one tuple through a repeated coordinate
-    assert embed({(1, 0): 1, (0, 1): -1, (0, 0): 2}, (1, 1), 3).terms() == {(0, 0, 0): EC(2)}
+    small = GaussPoly(2, {(1, 0): 1, (0, 1): -1, (0, 0): 2})
+    assert embed(small, (1, 1), 3).terms() == {(0, 0, 0): EC(2)}
