@@ -39,11 +39,12 @@ configured-law moments and the stated limits.
 from __future__ import annotations
 
 import cmath
+import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -318,6 +319,53 @@ def _map_chunks(fn, n_samples: int, chunk_size: int, workers: int = 1):
             yield pending.pop(0).result()
 
 
+# glibc's mallopt parameter numbers (malloc.h) and the values estimate sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 8 << 20
+_TRIM_THRESHOLD = 32 << 20
+
+
+@lru_cache(maxsize=None)
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds at 8 and 32 MiB, once per
+    process; a no-op where the C library has no ``mallopt``.
+
+    glibc raises both thresholds by itself whenever a freed block was
+    mmapped, so whether a chunk's arrays come from the heap or from a fresh
+    mmap, faulted in page by page, depends on what the process freed
+    before.  Fixed, it depends on the sizes alone.  Blocks of 8 MiB or more,
+    such as the sampler's buffer and the term loop's zeta at D = 64 and
+    8,192 samples, are mmapped and returned on free; smaller ones stay on
+    the heap, whose top is kept up to 32 MiB.
+
+    Measured on 2 CPUs with glibc 2.36.  "Trio" is three ``estimate`` calls
+    (block (1,2) at k = 4, 16, 64, 200,000 samples, workers 2) in a fresh
+    process, six processes per row: minor page faults, and the median wall
+    time.  "mc" is perfbench's mc-experiment (seed 1, 20 s, untraced), four
+    alternating runs per row: ``wall_norm`` and ``peak_rss_mb``.  Without
+    the helper the trio took 90-110 K faults and 1.01 s (with the
+    three-array sampler that ``sample_batch`` replaced, 68-88 K and 0.90 s;
+    mc 1.47-1.54 and 110.3-113.2).  At 4/32 MiB (mmap/trim) it took
+    20-30 K and 0.84 s, mc 1.34-1.40 and 108.3-109.4; at 8/32, 22-30 K
+    and 0.91 s, mc 1.33-1.39 and 108.9-109.5 (lower than 4/32 in 3 of 4
+    pairs); at 12/32, 10.4 K and 0.81 s; at 16/32, 10.4 K and 0.76 s,
+    mc 1.28-1.40 but 117.4-117.5; at 16/64 and 32/64, 10.1-10.4 K and
+    0.82-0.83 s.  A trim threshold of 16 MiB under an mmap threshold of 9
+    to 32 MiB gave 70-78 K (three processes each): the heap top goes back
+    after each chunk and is faulted in again.  So an mmap threshold above
+    8 MiB keeps the D = 64 arrays on the heap and faults least, but leaves
+    the experiment's peak RSS 8 MB higher; 8/32 is the fastest measured
+    setting that lowers both mc numbers.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # Windows' CDLL refuses None: TypeError
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def _mean_se(total, sq_total: float, n: float) -> Tuple[complex, float]:
     """Plug-in mean of n samples and its standard error (sample sd / sqrt n)."""
     mean = total / n
@@ -356,6 +404,13 @@ def estimate(target: EstimateTarget, n_samples: int, seed: int, *,
     ``out`` (complex, n_samples) keeps this pass's values F, the KS side
     channel's samples.  Moments that overflow float are a ConfigError.
 
+    The first call fixes glibc's mmap and trim thresholds for the whole
+    process (:func:`_fix_malloc_thresholds`), so that a chunk's arrays do
+    not come from fresh mmaps that are faulted in again chunk after chunk.
+    Three calls (block (1,2) at k = 4, 16, 64, 200,000 samples, workers 2)
+    in a fresh process took 61-93 K minor page faults before and 22-30 K
+    after; the dense-kernel benchmark's call 1.9 K before and 1.1 K after.
+
     A dense-route kernel (``chaos``'s Wick-trace GEMMs) at workers >= 2
     runs OpenBLAS threads on top of the pool's, which oversubscribes the
     CPUs; run it with OPENBLAS_NUM_THREADS=1.  On 2 CPUs, 300,000 samples
@@ -366,6 +421,7 @@ def estimate(target: EstimateTarget, n_samples: int, seed: int, *,
         raise ValueError("need at least two samples")
     if out is not None and (out.shape != (n_samples,) or out.dtype != np.complex128):
         raise ValueError(f"out must be a complex array of shape ({n_samples},)")
+    _fix_malloc_thresholds()
 
     def chunk_sums(start, size):
         # overflow is refused once, after the fold; numpy's error state is

@@ -93,16 +93,16 @@ class BiPoly(GaussPoly):
 
     def conj(self) -> "BiPoly":
         """Complex conjugate: conjugate coefficients, swap z and zbar powers."""
-        return self._make(self._den, {(b, a): (p, q, -r, -s)
-                                      for (a, b), (p, q, r, s) in self._num.items()})
+        return self._of_form(2, self._den, {(b, a): (p, q, -r, -s)
+                                            for (a, b), (p, q, r, s) in self._num.items()})
 
     def d_z(self) -> "BiPoly":
-        return self._make(*_reduced(self._den, {
+        return self._of_form(2, *_reduced(self._den, {
             (a - 1, b): (a * p, a * q, a * r, a * s)
             for (a, b), (p, q, r, s) in self._num.items() if a}))
 
     def d_zbar(self) -> "BiPoly":
-        return self._make(*_reduced(self._den, {
+        return self._of_form(2, *_reduced(self._den, {
             (a, b - 1): (b * p, b * q, b * r, b * s)
             for (a, b), (p, q, r, s) in self._num.items() if b}))
 

@@ -209,23 +209,23 @@ class GaussPoly:
                 raise ValueError("exponents must be nonnegative ints")
         self._den, self._num = _numerators(terms.items())
 
-    def _make(self, den: int, items: Dict) -> "GaussPoly":
-        """A polynomial of self's class and dim holding the numerator form
-        (den, items) as given: it must be canonical (``exact._reduced``)."""
-        out = object.__new__(type(self))
-        out.dim, out._den, out._num = self.dim, den, items
+    @classmethod
+    def _of_form(cls, dim: int, den: int, items: Dict) -> "GaussPoly":
+        """The polynomial of this class in ``dim`` variables holding the
+        numerator form (den, items) as given: it must be canonical
+        (``exact._reduced``), so nothing is checked or reduced."""
+        out = object.__new__(cls)
+        out.dim, out._den, out._num = dim, den, items
         return out
 
     def _as_poly(self, value) -> "GaussPoly":
-        """A polynomial as it is, a scalar as a constant of self's class and dim."""
-        if isinstance(value, GaussPoly):
-            return value
-        c = ExactComplex.coerce(value)
-        return self._make(*_reduced(c.n, {(0,) * self.dim: _numerator(c)}))
+        """A polynomial as it is, a scalar as a constant of self's dim."""
+        return value if isinstance(value, GaussPoly) else GaussPoly.constant(self.dim, value)
 
     @classmethod
     def constant(cls, dim: int, value) -> "GaussPoly":
-        return cls(dim)._as_poly(ExactComplex.coerce(value))
+        c = ExactComplex.coerce(value)
+        return cls._of_form(dim, *_reduced(c.n, {(0,) * dim: _numerator(c)}))
 
     def terms(self) -> Dict[Exponents, ExactComplex]:
         """The coefficients as ExactComplex, in a new dict."""
@@ -240,8 +240,8 @@ class GaussPoly:
 
     def conj(self) -> "GaussPoly":
         """Conjugate the coefficients; the variables are real."""
-        return self._make(self._den, {k: (p, q, -r, -s)
-                                      for k, (p, q, r, s) in self._num.items()})
+        return self._of_form(self.dim, self._den, {k: (p, q, -r, -s)
+                                                   for k, (p, q, r, s) in self._num.items()})
 
     def plus(self, pairs: Iterable[Tuple[object, "GaussPoly"]]) -> "GaussPoly":
         """self + sum of c * q over the (scalar c, polynomial q) pairs, summed
@@ -257,7 +257,7 @@ class GaussPoly:
         out = _scaled(self._num, (den // self._den, 0, 0, 0))
         for c, q in terms:
             _add_into(out, _scaled(q._num, _numerator(c, den // (c.n * q._den))).items())
-        return self._make(*_reduced(den, out))
+        return self._of_form(self.dim, *_reduced(den, out))
 
     def __add__(self, other):
         return self.plus([(ONE, self._as_poly(other))])
@@ -265,8 +265,8 @@ class GaussPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(self._den, {k: (-p, -q, -r, -s)
-                                      for k, (p, q, r, s) in self._num.items()})
+        return self._of_form(self.dim, self._den, {k: (-p, -q, -r, -s)
+                                                   for k, (p, q, r, s) in self._num.items()})
 
     def __sub__(self, other):
         return self.plus([(-ONE, self._as_poly(other))])
@@ -277,7 +277,8 @@ class GaussPoly:
     def __mul__(self, other):
         if not isinstance(other, GaussPoly):
             c = ExactComplex.coerce(other)
-            return self._make(*_reduced(self._den * c.n, _scaled(self._num, _numerator(c))))
+            return self._of_form(self.dim, *_reduced(self._den * c.n,
+                                                     _scaled(self._num, _numerator(c))))
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
         out: Dict[Exponents, Tuple[int, int, int, int]] = {}
@@ -292,7 +293,7 @@ class GaussPoly:
                 old = out.get(key)
                 out[key] = (p, q, r, s) if old is None else (
                     old[0] + p, old[1] + q, old[2] + r, old[3] + s)
-        return self._make(*_reduced(self._den * other._den, out))
+        return self._of_form(self.dim, *_reduced(self._den * other._den, out))
 
     __rmul__ = __mul__
 
@@ -331,7 +332,7 @@ def embed(small: GaussPoly, coords: Sequence[int], dim: int) -> GaussPoly:
         for coord, e in zip(coords, key):
             exps[coord] += e
         moved.append((tuple(exps), v))
-    return GaussPoly(dim)._make(*_reduced(small._den, _add_into({}, moved)))
+    return GaussPoly._of_form(dim, *_reduced(small._den, _add_into({}, moved)))
 
 
 def expect(fam: GaussianFamily, poly: GaussPoly) -> ExactComplex:

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtri
 
 from chaoslab import chaos, fourth_moment as fm, hermite
 from chaoslab.chaos import (decompose, element_poly, eval_complex, eval_real,
@@ -81,6 +82,22 @@ class TestSampling:
         batch = sample_batch(2, 1, seed=5)
         assert len(batch) == 1 and batch.dim == 2
         assert (batch.zeta == batch.xi + 1j * batch.eta).all()
+
+    @pytest.mark.parametrize("D, N, start", [(1, 1, 0), (2, 13, 37), (3, 1, 24576),
+                                             (5, 9, 0), (64, 7, 3), (65, 4, 1000)])
+    def test_stream_is_the_philox_midpoint_formula(self, D, N, start):
+        # every Monte Carlo byte rests on this stream: sample i takes the 2D
+        # words of Philox blocks i*b .. i*b + b - 1, b = ceil(2D / 4), and
+        # maps each through the midpoint of its top 53 bits and ndtri; an
+        # odd D leaves the last two words of each sample unused
+        seed = 2 ** 100 + 3
+        blocks = (2 * D + 3) // 4
+        raw = np.random.Philox(key=seed, counter=start * blocks).random_raw(4 * blocks * N)
+        words = raw.reshape(N, 4 * blocks)[:, :2 * D]
+        normals = ndtri((words >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54)
+        batch = sample_batch(D, N, seed, start=start)
+        assert batch.xi.tobytes() == normals[:, :D].tobytes()
+        assert batch.eta.tobytes() == normals[:, D:].tobytes()
 
 
 class TestEvalReal:

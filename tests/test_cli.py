@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, reproducible outputs."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -235,6 +236,10 @@ BASE_CONFIG = {
     "exact_reference": True,
 }
 
+# output digests of test_bytes_are_pinned_across_versions
+MOMENTS_CSV_SHA256 = "1efea1d8c6de1a463590afccf727e32d29f3eecdc85a4cc7abb862df15b5ab03"
+VERDICT_JSON_SHA256 = "954f53e814a5c350dfce1633cfdc35fd2a6834f1df54b9e922bfd06a6e64cf34"
+
 
 class TestExperiment:
     def test_block_run_outputs(self, tmp_path, capsys):
@@ -262,6 +267,25 @@ class TestExperiment:
             outs.append(((out / "moments.csv").read_bytes(),
                          (out / "verdict.json").read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_bytes_are_pinned_across_versions(self, tmp_path):
+        # the sampler's stream, the evaluation and the rendering in one
+        # digest: a change to any of them that alters a byte fails here, where
+        # the worker-count test above compares one version with itself.
+        # Recorded on x86-64 with numpy 2.4 and scipy 1.17; a platform whose
+        # float routines round differently would record other digests.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "n_samples": 2000, "workers": 2,
+            "kernel": {"block": {"m": 1, "n": 2}}, "k_values": [1, 4],
+            "criterion": {"case": "gaussian-offdiag", "sigma2": 2.0, "m": 1, "n": 2},
+            "exact_reference": True, "ks": {"k": 4, "component": "re"}}))
+        out = tmp_path / "out"
+        assert run_cli("experiment", str(cfg), "--out", str(out)) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("moments.csv", "verdict.json")}
+        assert digests == {"moments.csv": MOMENTS_CSV_SHA256,
+                           "verdict.json": VERDICT_JSON_SHA256}
 
     def test_exit_zero_even_when_verdict_fails(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,9 +1,14 @@
 """Block kernels, estimation, verdict logic, and the KS side channel."""
 
+import ctypes
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +185,66 @@ class TestEstimate:
         with pytest.raises(ValueError):
             fm.MomentReport(n_samples=0, seed=0, exact=True, abs2=1, sq=0,
                             abs4=1, fourth=0, t3=0, abs2_se=0.1)
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+class _NoMallopt:
+    """A C library without ``mallopt``, as on macOS or Windows."""
+
+
+class TestMallocThresholds:
+    @pytest.fixture(autouse=True)
+    def fresh_helper(self):
+        # the helper runs once per process: forget that it ran, before and after
+        fm._fix_malloc_thresholds.cache_clear()
+        yield
+        fm._fix_malloc_thresholds.cache_clear()
+
+    @pytest.mark.parametrize("cdll", [_no_c_library, lambda name: _NoMallopt()],
+                             ids=["CDLL-raises", "no-mallopt"])
+    def test_without_mallopt_it_does_nothing(self, monkeypatch, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        phi = fm.gen_block_kernel(1, 2, 2)
+        assert fm.estimate(phi, 3000, seed=4, workers=2) == fm.estimate(phi, 3000, seed=4)
+        assert fm._fix_malloc_thresholds.cache_info().misses == 1
+
+    def test_sets_both_thresholds_once_per_process(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        fm._fix_malloc_thresholds()
+        fm.estimate(fm.gen_block_kernel(1, 2, 2), 3000, seed=4, workers=2)
+        fm._fix_malloc_thresholds()
+        assert calls == [(fm._M_MMAP_THRESHOLD, fm._MMAP_THRESHOLD),
+                         (fm._M_TRIM_THRESHOLD, fm._TRIM_THRESHOLD)]
+
+    def test_report_is_the_same_before_and_after(self):
+        # a fresh process, so that "before" runs under the allocator's own
+        # dynamic thresholds, with the helper kept out of the first call
+        code = (
+            "from chaoslab import fourth_moment as fm\n"
+            "phi = fm.gen_block_kernel(1, 2, 64)\n"
+            "helper = fm._fix_malloc_thresholds\n"
+            "fm._fix_malloc_thresholds = lambda: None\n"
+            "before = fm.estimate(phi, 20_000, seed=6, workers=2)\n"
+            "fm._fix_malloc_thresholds = helper\n"
+            "after = fm.estimate(phi, 20_000, seed=6, workers=2)\n"
+            "assert helper.cache_info().misses == 1\n"
+            "print(repr(before) == repr(after))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(fm.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"]
 
 
 class TestThirdMomentCombination:
