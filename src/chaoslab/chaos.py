@@ -82,15 +82,17 @@ ChaosElementT = Union[SymTensor, ComplexKernel]
 
 
 class SampleBatch:
-    """N samples held as (N, D) arrays."""
+    """N samples held as (N, D) arrays.  A drawn batch keeps the sampler's
+    (N, W) buffer ``words``, of which xi and eta are views."""
 
-    __slots__ = ("xi", "eta")
+    __slots__ = ("xi", "eta", "words")
 
-    def __init__(self, xi: np.ndarray, eta: np.ndarray):
+    def __init__(self, xi: np.ndarray, eta: np.ndarray, words: np.ndarray | None = None):
         if xi.shape != eta.shape or xi.ndim != 2:
             raise ValueError("xi and eta must be equal (N, D) arrays")
         self.xi = xi
         self.eta = eta
+        self.words = words
 
     @property
     def dim(self) -> int:
@@ -113,7 +115,12 @@ def sample_batch(D: int, N: int, seed: int, start: int = 0) -> SampleBatch:
     The generator is counter-based: sample i always consumes the same
     Philox blocks no matter how the index range is chunked, so
     ``sample_batch(D, N, s)`` equals the concatenation of any partition of
-    the range.  Normals come from the inverse normal CDF applied to the
+    the range.  Every D cuts the same word stream: sample i reads words
+    [i W, (i + 1) W), W = ``word_width(D)`` = 4 ceil(2D / 4), and its
+    normals are the first 2D of them.  So a batch of another dimension whose
+    words lie inside a drawn batch's is a view of that batch's buffer
+    (``words_batch``), bit for bit the batch this function would draw for
+    it.  Normals come from the inverse normal CDF applied to the
     midpoints (raw >> 11) 2^-53 + 2^-54 of 53-bit uniforms.  The seed is the
     Philox key, so it must lie in [0, 2**128); a larger one would alias a
     smaller one's stream.
@@ -131,12 +138,32 @@ def sample_batch(D: int, N: int, seed: int, start: int = 0) -> SampleBatch:
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must lie in [0, 2**128): Philox takes a 128-bit key, "
                          f"got {seed}")
-    blocks = (2 * D + 3) // 4  # Philox yields 4 uint64 words per block
+    blocks = word_width(D) // 4  # Philox yields 4 uint64 words per block
     buf = np.empty((N, 4 * blocks))
     np.random.Generator(np.random.Philox(key=int(seed), counter=start * blocks)).random(out=buf)
     buf += 2.0 ** -54
     ndtri(buf, out=buf)
-    return SampleBatch(buf[:, :D], buf[:, D:2 * D])
+    return SampleBatch(buf[:, :D], buf[:, D:2 * D], buf)
+
+
+def word_width(D: int) -> int:
+    """W = 4 ceil(2D / 4): the Philox words one sample of dimension D reads."""
+    return 4 * ((2 * D + 3) // 4)
+
+
+def words_batch(batch: SampleBatch, D: int, first: int, N: int) -> SampleBatch:
+    """The dimension-D batch of N samples whose words begin at word ``first``
+    of a drawn batch's buffer, as views of it with no copy.  The words must
+    lie inside the buffer.  A buffer drawn from sample s0 at width W0 starts
+    at the stream's word s0 W0, so by the stream identity of
+    ``sample_batch``, ``first`` = s W - s0 W0 gives, bit for bit,
+    ``sample_batch(D, N, seed, start=s)``."""
+    width, flat = word_width(D), batch.words.reshape(-1)
+    if first < 0 or first + N * width > flat.size:
+        raise ValueError(f"words [{first}, {first + N * width}) lie outside the "
+                         f"batch's {flat.size}")
+    rows = flat[first:first + N * width].reshape(N, width)
+    return SampleBatch(rows[:, :D], rows[:, D:2 * D], rows)
 
 
 # -- pathwise evaluation -------------------------------------------------------------
@@ -356,7 +383,7 @@ def _expand(elem: ChaosElementT, factor) -> GaussPoly:
             coords = (k,) if real else (k, elem.dim + k)
             term = term * embed(factor(real, a, b), coords, dim)
         pairs.append((val, term))
-    return GaussPoly(dim).plus(pairs)
+    return GaussPoly._of_form(dim, 1, {}).plus(pairs)
 
 
 @lru_cache(maxsize=None)
@@ -383,7 +410,7 @@ def _hermite_pair(terms, order: int) -> Tuple[SymTensor, SymTensor]:
     for them only because a term's factors sit on distinct coordinates, so
     adding exponents concatenates."""
     polys = [(c, _expand(elem, _hermite_factor)) for c, elem in terms]
-    total = GaussPoly(polys[0][1].dim).plus(polys)
+    total = GaussPoly._of_form(polys[0][1].dim, 1, {}).plus(polys)
     coords, flat = range(total.dim), chain.from_iterable
     # compress skips, in C, the zero exponents that fill a 2D-long tuple
     rows = [(tuple(flat(repeat(i, e[i]) for i in compress(coords, e))), v)

@@ -404,9 +404,11 @@ def run_experiment(doc: dict, base: Path) -> tuple:
                else [(k, fm.gen_block_kernel(m, n, k)) for k in k_values])
     references = fm.block_reference_trajectory(m, n, k_values) if exact else None
     values = None if ks is None else numpy.empty(n_samples, complex)
-    reports = [(k, fm.estimate(kernel, n_samples, seed, workers=workers, chunk_size=chunk,
-                               out=values if ks and k == ks[0] else None))
-               for k, kernel in kernels]
+    # one pass for every k: each reads its normals from the widest k's draws
+    trajectory = fm.estimate([kernel for _, kernel in kernels], n_samples, seed,
+                             workers=workers, chunk_size=chunk,
+                             out=[values if ks and k == ks[0] else None for k, _ in kernels])
+    reports = [(k, rep) for (k, _), rep in zip(kernels, trajectory)]
     the_verdict = fm.verdict(reports, spec, references)
     result = the_verdict.as_dict()
     result["seed"] = seed

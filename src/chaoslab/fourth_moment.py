@@ -51,7 +51,7 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from .chaos import (SampleBatch, _hermite_pair, decompose, eval_complex, eval_real,
-                    exact_moment, sample_batch, top_degree)
+                    exact_moment, sample_batch, top_degree, word_width, words_batch)
 from .exact import EC, ExactComplex, I_UNIT, ONE, ZERO
 from .tensor import ComplexKernel, SymTensor, _complex, contract, pair_moments
 from .wick import GaussPoly
@@ -392,9 +392,10 @@ def _moment_arrays(f):
     return [(abs2, abs4), (sq, abs4), (abs4, a8), (fourth, a8), (t3, np.abs(t3) ** 2)]
 
 
-def estimate(target: EstimateTarget, n_samples: int, seed: int, *,
-             workers: int = 1, chunk_size: int = DEFAULT_CHUNK,
-             out: Optional[np.ndarray] = None) -> MomentReport:
+def estimate(target: Union[EstimateTarget, List[ComplexKernel]], n_samples: int, seed: int,
+             *, workers: int = 1, chunk_size: int = DEFAULT_CHUNK,
+             out: Union[None, np.ndarray, List[Optional[np.ndarray]]] = None
+             ) -> Union[MomentReport, List[MomentReport]]:
     """Monte Carlo moment report for a chaos target: plug-in means with
     (sample sd / sqrt N) standard errors.  Chunks stream through a pool
     with a bounded number in flight, their sums are added in chunk-index
@@ -404,38 +405,91 @@ def estimate(target: EstimateTarget, n_samples: int, seed: int, *,
     ``out`` (complex, n_samples) keeps this pass's values F, the KS side
     channel's samples.  Moments that overflow float are a ConfigError.
 
+    A ``list`` of ``ComplexKernel``s is a trajectory, such as F_k over the
+    k of an experiment: the result is the list of their reports in input
+    order, each equal to the report of its own call, and ``out`` is a list
+    aligned with the targets, of None or such arrays.  One chunk loop runs
+    over the chunks of the lead target, the one whose samples read the
+    most Philox words (``chaos.word_width``); each lead chunk draws its
+    batch once.  Every target keeps its own chunks of ``chunk_size``
+    samples, and a chunk is evaluated in the lead chunk that holds its first
+    word: through a view of that batch (``chaos.words_batch``) when all of
+    its words lie inside it, or else, when it straddles a lead boundary,
+    from a batch of its own.  Either way it reads the same normals.  A
+    single target is a trajectory of one.  On the acceptance-10 run (block
+    (1,2) at k = 4, 16, 64, 200,000 samples, workers 2) three calls, one
+    per k, drew 33.6 M normals; the one trajectory call draws 25.6 M, those
+    of k = 64.  perfbench's mc-experiment ``wall_norm`` (2-CPU VM, medians
+    of 10 alternating 20 s pairs) fell 1.231 -> 1.032 at seed 1 and
+    1.244 -> 1.010 at seed 2, and traced ``chaos.sample_batch.self_s``
+    0.88 -> 0.69 s.
+
     The first call fixes glibc's mmap and trim thresholds for the whole
     process (:func:`_fix_malloc_thresholds`), so that a chunk's arrays do
     not come from fresh mmaps that are faulted in again chunk after chunk.
-    Three calls (block (1,2) at k = 4, 16, 64, 200,000 samples, workers 2)
-    in a fresh process took 61-93 K minor page faults before and 22-30 K
-    after; the dense-kernel benchmark's call 1.9 K before and 1.1 K after.
+    The acceptance-10 trajectory call in a fresh process took 17-30 K minor
+    page faults, against 61-72 K with the helper disabled (six processes
+    each); the dense-kernel benchmark's call 1.9 K before and 1.1 K after.
 
     A dense-route kernel (``chaos``'s Wick-trace GEMMs) at workers >= 2
     runs OpenBLAS threads on top of the pool's, which oversubscribes the
     CPUs; run it with OPENBLAS_NUM_THREADS=1.  On 2 CPUs, 300,000 samples
     of a rank-one (2,2) kernel over d = 8 at workers 2 took 0.69-0.82 s
     with the variable unset and 0.33-0.34 s with it set to 1."""
-    dim = _target_sample_dim(target)
+    many = isinstance(target, list) and all(isinstance(t, ComplexKernel) for t in target)
+    targets = target if many else [target]
+    outs = ([None] * len(targets) if out is None else out) if many else [out]
+    if not targets:
+        raise ValueError("empty trajectory")
+    if not isinstance(outs, list) or len(outs) != len(targets):
+        raise ValueError(f"out must be a list of {len(targets)} entries, one per target")
+    dims = [_target_sample_dim(t) for t in targets]
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    if out is not None and (out.shape != (n_samples,) or out.dtype != np.complex128):
-        raise ValueError(f"out must be a complex array of shape ({n_samples},)")
+    for kept in outs:
+        if kept is not None and (not isinstance(kept, np.ndarray) or kept.shape != (n_samples,)
+                                 or kept.dtype != np.complex128):
+            raise ValueError(f"out must be a complex array of shape ({n_samples},)")
     _fix_malloc_thresholds()
+    widths = [word_width(d) for d in dims]
+    lead = widths.index(max(widths))
 
-    def chunk_sums(start, size):
+    def lead_chunk(start, size):
         # overflow is refused once, after the fold; numpy's error state is
         # per thread, so it is set here, in the worker
         with np.errstate(over="ignore", invalid="ignore"):
-            f = eval_target(target, sample_batch(dim, size, seed, start=start))
-            if out is not None:
-                out[start:start + size] = f
-            return [(complex(np.sum(value)), complex(np.sum(square)))
-                    for value, square in _moment_arrays(f)]
+            batch = sample_batch(dims[lead], size, seed, start=start)
+            first, last = start * widths[lead], (start + size) * widths[lead]
+            parts = []
+            for t, dim, width, kept in zip(targets, dims, widths, outs):
+                # t's chunks whose first word lies in [first, last)
+                step = chunk_size * width
+                starts = range(-(-first // step) * chunk_size,
+                               min(-(-last // step) * chunk_size, n_samples), chunk_size)
+                sums = []
+                for s in starts:
+                    n = min(chunk_size, n_samples - s)
+                    f = eval_target(t, words_batch(batch, dim, s * width - first, n)
+                                    if (s + n) * width <= last else
+                                    sample_batch(dim, n, seed, start=s))
+                    if kept is not None:
+                        kept[s:s + n] = f
+                    sums.append([(complex(np.sum(value)), complex(np.sum(square)))
+                                 for value, square in _moment_arrays(f)])
+                parts.append(sums)
+            return parts
 
-    totals = [(0j, 0j)] * len(QUANTITIES)
-    for part in _map_chunks(chunk_sums, n_samples, chunk_size, workers):
-        totals = [(v + pv, s + ps) for (v, s), (pv, ps) in zip(totals, part)]
+    totals = [[(0j, 0j)] * len(QUANTITIES) for _ in targets]
+    for parts in _map_chunks(lead_chunk, n_samples, chunk_size, workers):
+        for i, sums in enumerate(parts):
+            for part in sums:
+                totals[i] = [(v + pv, s + ps) for (v, s), (pv, ps) in zip(totals[i], part)]
+    reports = [_report(sums, n_samples, seed) for sums in totals]
+    return reports if many else reports[0]
+
+
+def _report(totals, n_samples: int, seed: int) -> MomentReport:
+    """The report of one target from its folded (value, |value|^2) sums."""
     if not all(cmath.isfinite(x) for pair in totals for x in pair):
         raise ConfigError("the moments overflow float: the kernel values are too large")
     (abs2, abs2_se), (sq, sq_se), (abs4, abs4_se), (fourth, fourth_se), (t3, t3_se) = (

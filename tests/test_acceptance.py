@@ -5,7 +5,9 @@ the pass/fail status visible in the pytest output (run with -s or read the
 captured stdout of failures).
 """
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -15,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import j0
 
-from chaoslab import convert, fourth_moment as fm, hermite
+from chaoslab import cli, convert, fourth_moment as fm, hermite
 from chaoslab.chaos import decompose, eval_complex, eval_real, exact_moment, sample_batch
 from chaoslab.cli import run_experiment
 from chaoslab.exact import EC, ONE, ZERO, ExactComplex
@@ -438,4 +440,36 @@ def test_criterion_11_determinism_across_workers(tmp_path):
                         json.dumps(verdict_doc, sort_keys=True).encode()))
     ok = outputs[0] == outputs[1] == outputs[2]
     report(11, ok, "CSV and verdict bytes identical for 1, 2 and 5 workers")
+    assert ok
+
+
+# digests of the straddling run below, recorded from the per-k estimate calls
+# that the trajectory pass replaced (x86-64, numpy 2.4, scipy 1.17)
+STRADDLE_DIGESTS = {
+    "moments.csv": "f10865232808bbff6a1c82efe087d26513dc72393cc621ba2b5b522d5230a8fa",
+    "verdict.json": "6125ae65dfca2b040727417a776243541e806a4813cf9fabf1ae49bdf68c0045",
+}
+
+
+def test_criterion_11_determinism_across_workers_on_straddling_chunks(tmp_path):
+    """Criterion 11 where the trajectory pass draws for straddling chunks.
+
+    k = 5 and 6 read 12 words a sample and k = 3 reads 8, so at 97 samples
+    a chunk, k = 3's chunks cut across the lead (k = 5) chunks' word ranges
+    and draw batches of their own; the ks section keeps F_3 from them."""
+    outputs = []
+    for workers in (1, 2, 5):
+        cfg = tmp_path / f"cfg{workers}.json"
+        cfg.write_text(json.dumps({
+            "seed": 4242, "n_samples": 2000, "workers": workers, "chunk_size": 97,
+            "kernel": {"block": {"m": 1, "n": 2}}, "k_values": [3, 5, 6],
+            "criterion": {"case": "gaussian-offdiag", "sigma2": 2.0, "m": 1, "n": 2},
+            "exact_reference": True, "ks": {"k": 3, "component": "re"}}))
+        out = tmp_path / f"out{workers}"
+        assert cli.main(["experiment", str(cfg), "--out", str(out)]) == 0
+        outputs.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in STRADDLE_DIGESTS})
+    ok = outputs[0] == outputs[1] == outputs[2] == STRADDLE_DIGESTS
+    report("11b", ok, "straddling chunks: CSV and verdict bytes identical for 1, 2 and "
+           "5 workers and to the per-k calls")
     assert ok

@@ -360,8 +360,9 @@ class TestExperiment:
         cfg.write_text(json.dumps({**BASE_CONFIG, "n_samples": 1000, "chunk_size": 300,
                                    "workers": 2, "ks": {"k": 2, "component": "im"}}))
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 0
-        # 2 k normals per sample at each k of the run, none again for the KS
-        assert sum(drawn) == sum(2 * k * 1000 for k in BASE_CONFIG["k_values"])
+        # one pass for the trajectory: 2 k normals per sample at the widest k,
+        # whose batches every k reads, and none again for the KS
+        assert sum(drawn) == 2 * max(BASE_CONFIG["k_values"]) * 1000 == 8000
 
     def test_config_parse_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"

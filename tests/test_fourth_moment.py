@@ -187,6 +187,83 @@ class TestEstimate:
                             abs4=1, fourth=0, t3=0, abs2_se=0.1)
 
 
+def _lead_and_straddlers(kernels, n_samples, chunk_size):
+    """(D, N, start) of every batch a trajectory estimate may draw: the lead
+    target's chunks, and each chunk of another target whose first and last
+    words fall in different lead chunks."""
+    width = [chaos.word_width(phi.dim) for phi in kernels]
+    lead = width.index(max(width))
+    span = chunk_size * width[lead]  # the words of one lead chunk
+    draws = []
+    for phi, w in zip(kernels, width):
+        for s in range(0, n_samples, chunk_size):
+            n = min(chunk_size, n_samples - s)
+            if phi is kernels[lead] or s * w // span != ((s + n) * w - 1) // span:
+                draws.append((phi.dim, n, s))
+    return sorted(draws)
+
+
+class TestTrajectory:
+    """``estimate`` over a list of kernels: one pass, the reports and the kept
+    values of one call per kernel."""
+
+    @given(ks=st.lists(st.integers(1, 7), min_size=1, max_size=3, unique=True),
+           bidegree=st.sampled_from([(1, 1), (1, 2), (2, 0)]),
+           n_samples=st.integers(2, 700), chunk_size=st.integers(1, 160),
+           workers=st.integers(1, 3), keep=st.lists(st.booleans(), min_size=3, max_size=3))
+    @example(ks=[3, 5, 6], bidegree=(1, 2), n_samples=600, chunk_size=97, workers=3,
+             keep=[True, False, True])
+    @example(ks=[1, 2, 7], bidegree=(1, 2), n_samples=700, chunk_size=100, workers=1,
+             keep=[True, True, True])
+    @settings(max_examples=30, deadline=None)
+    def test_equals_one_call_per_kernel(self, ks, bidegree, n_samples, chunk_size, workers,
+                                        keep):
+        kernels = [fm.gen_block_kernel(*bidegree, k) for k in ks]
+        outs = [np.empty(n_samples, complex) if kept else None for kept in keep[:len(ks)]]
+        drawn = []
+
+        def counting(D, N, seed, start=0):
+            drawn.append((D, N, start))
+            return sample_batch(D, N, seed, start=start)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fm, "sample_batch", counting)
+            reports = fm.estimate(kernels, n_samples, seed=31, workers=workers,
+                                  chunk_size=chunk_size, out=outs)
+        assert sorted(drawn) == _lead_and_straddlers(kernels, n_samples, chunk_size)
+        for phi, rep, kept in zip(kernels, reports, outs):
+            own = None if kept is None else np.empty(n_samples, complex)
+            assert rep == fm.estimate(phi, n_samples, seed=31, chunk_size=chunk_size, out=own)
+            assert kept is None or kept.tobytes() == own.tobytes()
+
+    def test_a_single_kernel_is_a_trajectory_of_one(self):
+        phi = fm.gen_block_kernel(1, 2, 3)
+        out, kept = np.empty(500, complex), [np.empty(500, complex)]
+        assert fm.estimate([phi], 500, seed=2, chunk_size=70, out=kept) == [
+            fm.estimate(phi, 500, seed=2, chunk_size=70, out=out)]
+        assert kept[0].tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("targets, out", [
+        ([], None),
+        ([], []),
+        ([fm.gen_block_kernel(1, 2, 2)] * 2, [None]),
+        ([fm.gen_block_kernel(1, 2, 2)] * 2, [None, None, None]),
+        ([fm.gen_block_kernel(1, 2, 2)], np.empty(300, complex)),
+        ([fm.gen_block_kernel(1, 2, 2)] * 2, [None, np.empty(299, complex)]),
+        ([fm.gen_block_kernel(1, 2, 2)] * 2, [np.empty((300, 1), complex), None]),
+        ([fm.gen_block_kernel(1, 2, 2)] * 2, [np.empty(300), None]),
+        ([fm.gen_block_kernel(1, 2, 2)], [[0j] * 300]),
+    ], ids=["empty", "empty-with-out", "out-short", "out-long", "out-not-a-list",
+            "entry-short", "entry-2-d", "entry-float", "entry-a-list"])
+    def test_bad_trajectory_input_is_refused_before_sampling(self, monkeypatch, targets, out):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the input was checked")
+
+        monkeypatch.setattr(fm, "sample_batch", no_sampling)
+        with pytest.raises(ValueError):
+            fm.estimate(targets, 300, seed=1, out=out)
+
+
 def _no_c_library(name):
     raise OSError("no C library")
 
