@@ -444,7 +444,7 @@ def _factor_terms(real: bool, a: int, b: int) -> GaussPoly:
     """One coordinate's factor as a small polynomial: H_a(x), or J_{a,b}(x + iy) in (x, y)."""
     if real:
         return GaussPoly(1, {(k,): c for k, c in enumerate(hermite_coeffs(a))})
-    return GaussPoly(2, complex_hermite(a, b).to_xy())
+    return complex_hermite(a, b).to_xy()
 
 
 def element_poly(elem: ChaosElementT, conj: bool = False) -> GaussPoly:

@@ -4,8 +4,8 @@
 ``zbar`` with coefficients in Q(i, sqrt(2)).  It is the two-variable case of
 ``wick.GaussPoly``, the package's one sparse exact polynomial class, and
 adds only what is particular to (z, zbar): the derivatives, the conjugation
-that swaps z and zbar, and the real form: writing ``z = x + i y`` gives an
-equivalent polynomial in ``(x, y)`` (:meth:`BiPoly.to_xy`).
+that swaps z and zbar, and the real form: writing ``z = x + i y`` gives the
+equivalent two-variable ``GaussPoly`` in ``(x, y)`` (:meth:`BiPoly.to_xy`).
 
 The real Hermite polynomials H_n follow the probabilists' normalization
 H_n(x) = (-1)^n exp(x^2/2) d^n/dx^n exp(-x^2/2) (leading coefficient 1).
@@ -44,8 +44,8 @@ from typing import Dict, Mapping, Tuple, Union
 
 import numpy as np
 
-from .exact import (EC, ExactComplex, HALF, I_UNIT, ONE, ZERO, _make as _element, _reduced,
-                    i_power)
+from .exact import (EC, ExactComplex, HALF, I_UNIT, ONE, ZERO, _add_into, _make as _element,
+                    _reduced)
 from .wick import GaussPoly
 
 Scalar = Union[int, Fraction, ExactComplex]
@@ -106,18 +106,20 @@ class BiPoly(GaussPoly):
             (a, b - 1): (b * p, b * q, b * r, b * s)
             for (a, b), (p, q, r, s) in self._num.items() if b}))
 
-    def to_xy(self) -> Dict[ExponentPair, ExactComplex]:
-        """Exact real-coordinate form: map (i, j) -> coeff of x^i y^j."""
-        out: Dict[ExponentPair, ExactComplex] = {}
-        for (a, b), coeff in self.terms().items():
-            # z^a zbar^b = (x + iy)^a (x - iy)^b
-            for r in range(a + 1):
-                ca = math.comb(a, r) * (i_power(a - r))
-                for s in range(b + 1):
-                    cb = math.comb(b, s) * ((-I_UNIT) ** (b - s))
-                    key, val = (r + s, a + b - r - s), coeff * ca * cb
-                    out[key] = out[key] + val if key in out else val
-        return {key: val for key, val in out.items() if not val.is_zero()}
+    def to_xy(self) -> GaussPoly:
+        """The real form: the two-variable ``GaussPoly`` in (x, y), key (i, j)
+        for x^i y^j, equal to this polynomial at z = x + i y.  z^a zbar^b =
+        (x + iy)^a (x - iy)^b expands on the int numerators: its term
+        x^(i+j) y^e, e = a + b - i - j, weighs C(a,i) C(b,j) (-1)^(b-j) times
+        i^e, a rotation of (p, q, r, s).  No ``ExactComplex`` is formed."""
+        out: Dict[ExponentPair, Tuple[int, int, int, int]] = {}
+        for (a, b), (p, q, r, s) in self._num.items():
+            turns = ((p, q, r, s), (-r, -s, p, q), (-p, -q, -r, -s), (r, s, -p, -q))
+            weights = [(i + j, math.comb(a, i) * math.comb(b, j) * (-1) ** (b - j))
+                       for i in range(a + 1) for j in range(b + 1)]
+            _add_into(out, (((k, a + b - k), tuple(w * c for c in turns[(a + b - k) % 4]))
+                            for k, w in weights))
+        return GaussPoly._of_form(2, *_reduced(self._den, out))
 
     def __call__(self, z):
         return evaluate(self, z)

@@ -83,7 +83,7 @@ class GaussianFamily:
     entry twice, never store a different one.
     """
 
-    def __init__(self, covariance, complex_pairs=None):
+    def __init__(self, covariance):
         rows = [tuple(row) for row in covariance]
         d = len(rows)
         if any(len(row) != d for row in rows):
@@ -104,31 +104,29 @@ class GaussianFamily:
                   for j, x in enumerate(row) if x)
             for row in rows)
         self._sums: Dict[Exponents, int] = {(0,) * d: 1}
-        # optional map complex variable k -> (xi coordinate, eta coordinate)
-        self.complex_pairs = tuple(complex_pairs) if complex_pairs else None
+        # K for a family of K complex variables (from_complex_gram), else None
+        self.complex_dim = None
 
     @classmethod
     @lru_cache(maxsize=None)
     def standard(cls, d: int) -> "GaussianFamily":
         """d i.i.d. standard normal coordinates; one shared family per d,
         so its pairing memo serves every caller in the process."""
-        eye = [[int(i == j) for j in range(d)] for i in range(d)]
-        pairs = None
-        if d % 2 == 0:
-            k = d // 2
-            pairs = [(i, k + i) for i in range(k)]
-        return cls(eye, complex_pairs=pairs)
+        return cls([[int(i == j) for j in range(d)] for i in range(d)])
 
     @classmethod
     def from_complex_gram(cls, gram) -> "GaussianFamily":
         """Jointly symmetric complex Gaussians zeta_k = xi_k + i eta_k.
 
-        ``gram`` is the Hermitian matrix of E[zeta_j conj(zeta_k)]; the
+        ``gram`` is the square Hermitian matrix of E[zeta_j conj(zeta_k)]; the
         relation matrix E[zeta_j zeta_k] is identically zero (symmetry).
-        Real layout: coordinates 0..K-1 are xi, K..2K-1 are eta.
+        Real layout: coordinates 0..K-1 are xi, K..2K-1 are eta, so
+        ``complex_dim`` = K and zeta_k sits at (k, K + k).
         """
         g = [[ExactComplex.coerce(x) for x in row] for row in gram]
         k = len(g)
+        if any(len(row) != k for row in g):
+            raise ValueError("gram matrix must be square")
         for i in range(k):
             for j in range(k):
                 if g[i][j] != g[j][i].conjugate():
@@ -144,7 +142,9 @@ class GaussianFamily:
                 cov[k + i][k + j] = re      # E[eta_i eta_j]
                 cov[i][k + j] = -im         # E[xi_i eta_j]
                 cov[k + i][j] = im          # E[eta_i xi_j]
-        return cls(cov, complex_pairs=[(i, k + i) for i in range(k)])
+        fam = cls(cov)
+        fam.complex_dim = k
+        return fam
 
     @classmethod
     def complex_standard(cls, k: int) -> "GaussianFamily":
@@ -360,22 +360,18 @@ def expect(fam: GaussianFamily, poly: GaussPoly) -> ExactComplex:
     return _element(big_p, big_q, big_r, big_s, poly._den * scale ** top)
 
 
-def bipoly_to_gausspoly(p: GaussPoly, var: int, fam: GaussianFamily) -> GaussPoly:
-    """Substitute zeta_var = xi + i eta into a ``hermite.BiPoly`` in (z, zbar)."""
-    if fam.complex_pairs is None:
-        raise ValueError("family carries no complex coordinate pairs")
-    return embed(GaussPoly(2, p.to_xy()), fam.complex_pairs[var], fam.dim)
-
-
 def expect_complex(fam: GaussianFamily,
                    factors: Iterable[Tuple[GaussPoly, int]]) -> ExactComplex:
     """E[prod of (z, zbar) polynomials in the family's complex coordinates].
 
-    Each factor is (``hermite.BiPoly``, complex variable index); conjugate a
-    factor with its conj() before passing it in.  Everything is reduced to real
-    coordinates and delegated to :func:`expect`.
+    Each factor is (``hermite.BiPoly``, complex variable index k in 0..K-1);
+    conjugate a factor with its conj() before passing it in.  Its (x, y) form
+    is embedded at zeta_k's coordinates (k, K + k) of a ``from_complex_gram``
+    family, the factors multiplied left to right and :func:`expect` taken.
     """
+    if fam.complex_dim is None:
+        raise ValueError("family has no complex coordinates (see from_complex_gram)")
     poly = GaussPoly.constant(fam.dim, 1)
     for p, var in factors:
-        poly = poly * bipoly_to_gausspoly(p, var, fam)
+        poly = poly * embed(p.to_xy(), (var, fam.complex_dim + var), fam.dim)
     return expect(fam, poly)

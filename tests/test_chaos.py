@@ -16,11 +16,11 @@ from scipy.special import ndtri
 from chaoslab import chaos, fourth_moment as fm, hermite
 from chaoslab.chaos import (decompose, element_poly, eval_complex, eval_real,
                             exact_moment, sample_batch)
-from chaoslab.exact import EC, I_UNIT, ExactComplex
+from chaoslab.exact import EC, I_UNIT, ExactComplex, half_power
 from chaoslab.hermite import complex_hermite
 from chaoslab.tensor import (ComplexKernel, SymTensor, inner, kernel_inner,
                              multiplicity_factor)
-from chaoslab.wick import GaussianFamily, GaussPoly, expect
+from chaoslab.wick import GaussianFamily, GaussPoly, expect, expect_complex
 
 
 def random_exact_tensor(order, dim, rnd):
@@ -579,3 +579,42 @@ class TestExactMoment:
         assert GaussianFamily.standard(4) is fam
         assert type(fam.covariance) is tuple
         assert all(type(row) is tuple for row in fam.covariance)
+
+
+@st.composite
+def _point_factors(draw):
+    """K complex coordinates and (a, b, k, conj, c) factors of total degree <= 10,
+    c a small Gaussian integer.  Half the cases append each factor's mirror
+    (conj flipped, a new c), so that many moments are nonzero."""
+    dim, mirror = draw(st.integers(1, 3)), draw(st.booleans())
+    factors, budget = [], 5 if mirror else 10
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(0, min(4, budget)))
+        b = draw(st.integers(0, min(4, budget - a)))
+        budget -= a + b
+        factors.append((a, b, draw(st.integers(0, dim - 1)), draw(st.booleans())))
+    if mirror:
+        factors += [(a, b, k, not conj) for a, b, k, conj in factors]
+    return dim, [f + (EC(draw(st.integers(-2, 2)), draw(st.integers(-2, 2))),)
+                 for f in factors]
+
+
+@given(_point_factors())
+@example((2, [(1, 0, 1, False, EC(1)), (1, 0, 0, True, EC(1))]))
+@example((2, [(1, 0, 1, False, EC(1)), (1, 0, 1, True, EC(1))]))
+@example((3, [(2, 1, 2, False, EC(1)), (2, 1, 2, True, EC(0, 1)), (1, 1, 0, False, EC(1)),
+              (1, 1, 0, False, EC(2, -1))]))
+@settings(max_examples=40, deadline=None)
+def test_wick_oracle_front_door_matches_exact_moment(case):
+    # prod c_i J_{a_i,b_i}(zeta_{k_i}) (conjugated where asked) under
+    # expect_complex, against exact_moment of the point kernels
+    # c_i e_k^(x a) (x) conj(e_k)^(x b): the two front doors place zeta_k and
+    # scale J by 2^(-(a+b)/2) independently
+    dim, factors = case
+    fam = GaussianFamily.complex_standard(dim)
+    polys = [((complex_hermite(a, b) * c).conj() if conj else complex_hermite(a, b) * c, k)
+             for a, b, k, conj, c in factors]
+    kernels = [(ComplexKernel(a, b, dim, {((k,) * a, (k,) * b): c}), conj)
+               for a, b, k, conj, c in factors]
+    degree = sum(a + b for a, b, *_ in factors)
+    assert expect_complex(fam, polys) * half_power(degree) == exact_moment(kernels)

@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from chaoslab.exact import EC, SQRT2, ExactComplex
 from chaoslab.hermite import BiPoly, complex_hermite
-from chaoslab.wick import (GaussPoly, GaussianFamily, bipoly_to_gausspoly, embed,
-                           expect, expect_complex, isserlis_moment)
+from chaoslab.wick import (GaussPoly, GaussianFamily, embed, expect, expect_complex,
+                           isserlis_moment)
 
 
 def brute_moment(cov, exponents):
@@ -276,11 +276,58 @@ class TestComplexExpectations:
         with pytest.raises(ValueError, match="rational-complex"):
             GaussianFamily.from_complex_gram([[EC(2), SQRT2], [SQRT2, EC(2)]])
 
+    @pytest.mark.parametrize("gram", [
+        [[EC(2), EC(0), EC(0)], [EC(0), EC(2), EC(0)]],
+        [[EC(2), EC(0)], [EC(0), EC(2)], [EC(0), EC(0)]],
+        [[EC(2), EC(0)], [EC(0)]],
+    ], ids=["2x3", "3x2", "ragged"])
+    def test_gram_must_be_square(self, gram):
+        # a 2 x 3 gram must not lose its third column silently
+        with pytest.raises(ValueError, match="gram matrix must be square"):
+            GaussianFamily.from_complex_gram(gram)
+
     def test_bipoly_substitution_layout(self):
-        fam = GaussianFamily.complex_standard(2)
-        poly = bipoly_to_gausspoly(BiPoly.z(), 1, fam)
         # zeta_1 = xi_1 + i eta_1 lives at coordinates 1 and 3 of (xi, xi, eta, eta)
+        poly = embed(BiPoly.z().to_xy(), (1, 3), 4)
         assert poly.terms() == {(0, 1, 0, 0): EC(1), (0, 0, 0, 1): EC(0, 1)}
+        # expect_complex places zeta_k there itself; distinct gram entries make
+        # a swapped or shifted layout give other values
+        g01 = ExactComplex(Fraction(1, 2), Fraction(1, 3))
+        fam = GaussianFamily.from_complex_gram([[EC(2), g01], [g01.conjugate(), EC(3)]])
+        assert fam.complex_dim == 2
+        z, zb = BiPoly.z(), BiPoly.zbar()
+        assert expect_complex(fam, [(z, 1), (zb, 1)]) == EC(3)
+        assert expect_complex(fam, [(z, 0), (zb, 1)]) == g01
+        assert expect_complex(fam, [(z, 1), (z, 1)]) == EC(0)
+
+    @pytest.mark.parametrize("var", [-1, 2])
+    def test_variable_index_outside_the_family_is_refused(self, var):
+        # -1 must not wrap round to zeta_1, nor 2 = K reach past the last eta
+        fam = GaussianFamily.from_complex_gram([[EC(2), EC(1)], [EC(1), EC(3)]])
+        with pytest.raises(ValueError, match="coordinates"):
+            expect_complex(fam, [(BiPoly.z(), var), (BiPoly.zbar(), var)])
+
+    def test_real_family_is_refused(self):
+        # only from_complex_gram lays out complex coordinates
+        fam = GaussianFamily.standard(2)
+        assert fam.complex_dim is None
+        with pytest.raises(ValueError, match="no complex coordinates"):
+            expect_complex(fam, [(BiPoly.z(), 0), (BiPoly.zbar(), 0)])
+
+    def test_real_form_forms_no_exactcomplex_arithmetic(self, monkeypatch):
+        # to_xy expands on the int numerators, so placing the factors of a
+        # complex Wick call takes no ExactComplex arithmetic at all
+        p, fam = complex_hermite(4, 4), GaussianFamily.complex_standard(1)
+        calls = []
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            op = getattr(ExactComplex, name)
+            monkeypatch.setattr(ExactComplex, name,
+                                lambda a, b, op=op, name=name: calls.append(name) or op(a, b))
+        assert type(p.to_xy()) is GaussPoly
+        assert calls == []
+        got = expect_complex(fam, [(p, 0), (p.conj(), 0)])
+        assert calls == []
+        assert got == EC(math.factorial(4) ** 2 * 2 ** 8)
 
 
 # -- the shared polynomial algebra against sympy --------------------------------------
