@@ -14,10 +14,11 @@ Exit codes are a stable contract:
         overflow float (a kernel scaled by 10**100, say), a criterion whose
         limit moments overflow float (sigma2 = 1e200, or a chi-square case
         whose configured law does) or that has no configured chi-square law
-        (a = 1), a ks section beside a chi-square case, and a value past a
-        MAX_* bound below: kernel degree m + n, kernel dimension (block k),
-        workers, n_samples beside a ks section, the oracle's complex_dim and
-        the cells of one chunk, min(chunk_size, n_samples) x kernel dimension
+        (a = 1), a ks section beside a chi-square case, block k_values that
+        repeat a value or do not increase, and a value past a MAX_* bound
+        below: kernel degree m + n, kernel dimension (block k), workers,
+        n_samples beside a ks section, the oracle's complex_dim and the
+        cells of one chunk, min(chunk_size, n_samples) x kernel dimension
     66  missing kernel file
 
 A default seed may be supplied via the CHAOSLAB_SEED environment variable;
@@ -315,6 +316,8 @@ def _kernel_from(doc: dict, base: Path) -> tuple:
               for k in _value(doc.get("k_values", [1]), list, "k_values", 1)]
         if len(set(ks)) != len(ks):
             raise fm.ConfigError(f"k_values repeats a value: {ks}")
+        if ks != sorted(ks):
+            raise fm.ConfigError(f"k_values must increase: {ks}")
         kern = None
     elif "k_values" in doc:
         raise fm.ConfigError(f"k_values applies to a block kernel only; "

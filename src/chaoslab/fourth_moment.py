@@ -334,9 +334,11 @@ def _fix_malloc_thresholds() -> None:
     mmapped, so whether a chunk's arrays come from the heap or from a fresh
     mmap, faulted in page by page, depends on what the process freed
     before.  Fixed, it depends on the sizes alone.  Blocks of 8 MiB or more,
-    such as the sampler's buffer and the term loop's zeta at D = 64 and
-    8,192 samples, are mmapped and returned on free; smaller ones stay on
-    the heap, whose top is kept up to 32 MiB.
+    such as the sampler's buffer at D = 64 and 8,192 samples, are mmapped
+    and returned on free; smaller ones stay on the heap, whose top is kept
+    up to 32 MiB.  The term loop's largest block there is one 1 MiB group
+    of zeta (the measurements below predate that: it then laid out the
+    whole 8 MiB zeta).
 
     Measured on 2 CPUs with glibc 2.36.  "Trio" is three ``estimate`` calls
     (block (1,2) at k = 4, 16, 64, 200,000 samples, workers 2) in a fresh

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -187,6 +188,30 @@ class TestEvalComplex:
                 assert np.abs(got - want).max() <= 1e-9
 
 
+@st.composite
+def grouped_term_kernels(draw):
+    """Kernels over up to 20 coordinates, so up to three groups of the term
+    loop's layout, whose terms draw their coordinates from a few: factors
+    are shared between terms, a coordinate repeats within a term, and the
+    stored order jumps between groups and back."""
+    d = draw(st.integers(1, 20))
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 3 - m))
+    pool = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=5))
+    block = lambda size: st.lists(st.sampled_from(pool), min_size=size, max_size=size).map(
+        lambda t: tuple(sorted(t)))
+    keys = draw(st.lists(st.tuples(block(m), block(n)), min_size=1, max_size=12, unique=True))
+    value = st.complex_numbers(min_magnitude=0.1, max_magnitude=3, allow_nan=False,
+                               allow_infinity=False)
+    return ComplexKernel(m, n, d, {key: draw(value) for key in keys})
+
+
+# the third term returns to the first group after one that reads the third
+REVISITING_KERNEL = ComplexKernel(2, 1, 20, {
+    ((0, 0), (1,)): 1.5, ((17, 19), (17,)): -0.5j, ((0, 0), (0,)): 2 - 1j,
+    ((1, 9), (17,)): 0.25, ((9, 9), (9,)): -1.0})
+
+
 class TestEvalComplexWork:
     """What one evaluation computes: each distinct J factor once per call,
     and the kernel's term plan once per kernel."""
@@ -281,6 +306,44 @@ class TestEvalComplexWork:
                 batch = chaos.SampleBatch(np.asfortranarray(batch.xi),
                                           np.asfortranarray(batch.eta))
             assert np.array_equal(loop(batch), term_loop_on_a_whole_array_layout(loop, batch))
+
+    # two samples at least: numpy rounds a one-element in-place complex
+    # product (the loop's ``buf *=``) apart from ``a * b`` (the reference's)
+    @given(grouped_term_kernels(), st.sampled_from(["sampled", "words", "fortran"]),
+           st.integers(2, 40), st.booleans())
+    @example(REVISITING_KERNEL, "sampled", 33, False)
+    @example(REVISITING_KERNEL, "words", 33, True)
+    @example(REVISITING_KERNEL, "fortran", 7, True)
+    @settings(max_examples=60, deadline=None)
+    def test_groups_and_lifetimes_change_no_bit(self, phi, kind, n, gather):
+        batch = sample_batch(phi.dim, n, seed=n)
+        if kind == "words":  # strided rows of a wider batch's buffer
+            width, wide_dim = chaos.word_width(phi.dim), phi.dim + 3
+            wide = sample_batch(wide_dim, -(-(n + 2) * width // chaos.word_width(wide_dim)), seed=n)
+            batch = chaos.words_batch(wide, phi.dim, 2 * width, n)
+        elif kind == "fortran":
+            batch = chaos.SampleBatch(np.asfortranarray(batch.xi), np.asfortranarray(batch.eta))
+        loop = chaos._TermLoop(phi)
+        with pytest.MonkeyPatch.context() as patch:  # both ways of building a group
+            patch.setattr(chaos, "_SPAN_BYTES", 0 if gather else 1 << 62)
+            got = loop(batch)
+        want = term_loop_on_a_whole_array_layout(loop, batch)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+    def test_one_call_holds_no_chunk_sized_table(self):
+        # a k = 64 chunk's whole zeta and J rows are 8 MiB each; the call
+        # holds one group of 8 coordinates (1 MiB, and 1 MiB more while it
+        # is built) and a few J rows
+        loop = chaos._TermLoop(fm.gen_block_kernel(1, 2, 64))
+        batch = sample_batch(64, 8192, seed=1)
+        loop(batch)  # the J polynomials' evaluation plans are built once
+        tracemalloc.start()
+        try:
+            loop(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 def term_loop_on_a_whole_array_layout(loop, batch):

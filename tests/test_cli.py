@@ -642,6 +642,19 @@ class TestExperimentConfigChecks:
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("ks", [[4, 1], [1, 16, 4]], ids=["4-1", "1-16-4"])
+    def test_decreasing_k_values_exit_65_before_any_kernel(self, tmp_path, monkeypatch,
+                                                            capsys, ks):
+        # these ran every estimate, then exited 1 in the verdict's order check
+        for name in ("gen_block_kernel", "block_reference_trajectory", "estimate"):
+            monkeypatch.setattr(cli.fm, name, _no_sampling)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, "k_values": ks}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 65
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "k_values" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("source", ["file", "inline"])
     def test_k_values_with_a_file_or_inline_kernel_exit_65(self, tmp_path, monkeypatch,
                                                            capsys, source):
