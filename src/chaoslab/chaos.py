@@ -25,12 +25,12 @@ it builds:
 - **The term loop** walks the stored terms.  Its plan holds each term's
   float constant (m!/a!)(n!/b!) 2^(-(m+n)/2) f[a,b] and its (k, a_k, b_k)
   J factors, and a schedule: a call lays zeta out coordinate-major in
-  groups of ``_GROUP`` coordinates, each built just before the first term
-  that reads it and dropped after the last, evaluates each distinct J
-  factor once, just before its first use, drops it after its last, and
-  accumulates the terms in stored order into one buffer.  So no
-  chunk-sized zeta or J table exists.  It serves sparse kernels (block
-  kernels store d terms over d coordinates) and small ones.
+  groups of ``_GROUP`` coordinates (the last takes the remainder), each
+  built just before the first term that reads it and dropped after the
+  last, evaluates each distinct J factor once, just before its first use,
+  drops it after its last, and accumulates the terms in stored order into
+  one buffer.  So no chunk-sized zeta or J table exists.  It serves sparse
+  kernels (block kernels store d terms over d coordinates) and small ones.
 - **The Wick-trace route** expands each J by Ito's product formula, which
   for a kernel f in the full tensor power gives
 
@@ -210,37 +210,33 @@ def _coord_degrees(ta: Tuple[int, ...], tb: Tuple[int, ...]) -> List[Tuple[int, 
     return [(k, ta.count(k), tb.count(k)) for k in sorted(set(ta + tb))]
 
 
-# bytes of one row block of the Wick trace's widest Kronecker power (16
-# d^max(m,n) a row): 512 rows at d^2 = 64, a block that fits the L2 cache
+# bytes of one row block, one budget for both routes: of the batch rows a
+# term-loop group is transposed from (16 D a row, xi and eta) and of the
+# Wick trace's widest Kronecker power (16 d^max(m,n) a row); 512 rows at
+# D = 64 or d^2 = 64.  Such blocks fit the L2 cache: laying out an 8,192 x 64
+# batch took 2.0-2.7 ms in them, 10.5-11.2 ms in one piece
 _BLOCK_BYTES = 1 << 19
 
-# coordinates per group of the term loop's zeta layout: 8 float64s of xi, one
-# cache line.  One call on block (1,2) at 8,192 samples took 5.30, 5.05, 6.41
-# and 7.33 ms at 4, 8, 16 and 32 coordinates a group for k = 64 (5.32 with
-# the whole zeta laid out first) and 1.36, 1.24, 1.47 and 1.48 ms for k = 16
-# (1.20); its traced peak at k = 64 was 1.31, 2.25, 4.25 and 8.25 MiB (16.45)
-_GROUP = 8
-
-# rows of a batch spanning this many bytes or more (the L2 cache of a core)
-# are gathered row by row before a group is transposed: 8,192 samples took
-# 0.98 ms written directly against 1.22 ms gathered at k = 12 (rows spanning
-# 1.5 MiB), 1.88 against 1.20 at k = 16 (2 MiB) and 7.3 against 4.9 at k = 64
-_SPAN_BYTES = 1 << 21
+# coordinates per group of the term loop's zeta layout: 16 float64s of xi,
+# two cache lines, 2 MiB at 8,192 samples; d coordinates make d // 16 groups
+# (at least one), the last taking the remainder.  Interleaved with the whole
+# zeta laid out first, one block (1,2) call at 8,192 samples took 0.92,
+# 0.91, 0.90, 0.96 and 1.00 of its time at k = 4, 16, 24, 32 and 64
+# (medians over 8 processes, 20 at k = 64).  Groups of 8 took 1.07 at k = 24
+# and 1.14 at k = 64; groups of 32 raised the traced peak at k = 64 from
+# 2.81 to 4.81 MiB
+_GROUP = 16
 
 
 def _zeta_group(batch: SampleBatch, lo: int, hi: int) -> np.ndarray:
-    """zeta_k for k in [lo, hi) as a (hi - lo, N) array.  Rows spanning less
-    than ``_SPAN_BYTES`` are written by one transposing write of xi's
-    columns and one of eta's.  Wider ones are first copied, row by row, into
-    an (N, hi - lo) array that is then transposed, so that each row's cache
-    line is read once, not once per coordinate."""
-    xi, eta = batch.xi[:, lo:hi], batch.eta[:, lo:hi]
-    if len(batch) * abs(batch.xi.strides[0]) >= _SPAN_BYTES:
-        rows = np.empty(xi.shape, dtype=np.complex128)
-        rows.real, rows.imag = xi, eta
-        return np.ascontiguousarray(rows.T)
+    """zeta_k for k in [lo, hi) as a (hi - lo, N) array, transposed from
+    xi's and eta's columns in row blocks of ``_BLOCK_BYTES`` of the batch."""
     z = np.empty((hi - lo, len(batch)), dtype=np.complex128)
-    z.real, z.imag = xi.T, eta.T
+    re, im = z.real, z.imag
+    step = max(1, _BLOCK_BYTES // (16 * batch.dim))
+    for s in range(0, len(batch), step):
+        re[:, s:s + step] = batch.xi[s:s + step, lo:hi].T
+        im[:, s:s + step] = batch.eta[s:s + step, lo:hi].T
     return z
 
 
@@ -251,13 +247,14 @@ class _TermLoop:
 
     A call accumulates the terms, in stored order, into one scratch buffer
     and holds no chunk-sized zeta or J table.  zeta is laid out in groups
-    of ``_GROUP`` coordinates (``_zeta_group``); a group is built just
-    before the first term that reads one of its coordinates and dropped
-    after the last, and each J factor is evaluated just before the first
-    term that uses it and dropped after its last use.  ``schedule`` holds
-    these steps per term, so a call does no bookkeeping of its own.
-    Evaluation is elementwise and every product runs in the same order, so
-    the layout changes no bit."""
+    of ``_GROUP`` coordinates, the last taking the remainder
+    (``_zeta_group``); a group is built just before the first term that
+    reads one of its coordinates and dropped after the last, and each J
+    factor is evaluated just before the first term that uses it and
+    dropped after its last use.  ``schedule`` holds these steps per term,
+    so a call does no bookkeeping of its own.  Evaluation is elementwise
+    and every product runs in the same order, so the layout changes no
+    bit."""
 
     __slots__ = ("factors", "terms", "n_slots", "schedule")
 
@@ -278,22 +275,23 @@ class _TermLoop:
         the groups (slot, lo, hi) and the factors (slot, J, group slot, row)
         the term uses first, and the slots it uses last.  A call keeps its
         arrays in one list of that many slots: the factors at their
-        positions, then the group of coordinate k at len(factors) + k // _GROUP."""
-        base = len(self.factors)
-        group = [base + k // _GROUP for k, _, _ in self.factors]
+        positions, then the dim // _GROUP groups (at least one), the last
+        of which takes the remainder."""
+        base, count = len(self.factors), max(1, dim // _GROUP)
+        group = [base + min(k // _GROUP, count - 1) for k, _, _ in self.factors]
         uses = [set(chain(where, (group[i] for i in where))) for _, where in self.terms]
         first = {slot: t for t, used in reversed(list(enumerate(uses))) for slot in used}
         last = {slot: t for t, used in enumerate(uses) for slot in used}
         steps = []
         for t, ((c, where), used) in enumerate(zip(self.terms, uses)):
             new = sorted(slot for slot in used if first[slot] == t)
-            groups = tuple((g, (g - base) * _GROUP, min(dim, (g - base + 1) * _GROUP))
-                           for g in new if g >= base)
-            factors = tuple((i, complex_hermite(a, b), group[i], k % _GROUP)
+            groups = tuple((g, (g - base) * _GROUP, dim if g == base + count - 1 else
+                            (g - base + 1) * _GROUP) for g in new if g >= base)
+            factors = tuple((i, complex_hermite(a, b), group[i], k - (group[i] - base) * _GROUP)
                             for i in new if i < base for k, a, b in (self.factors[i],))
             drops = tuple(slot for slot in used if last[slot] == t)
             steps.append((groups, factors, c, where, drops))
-        return base + -(-dim // _GROUP), tuple(steps)
+        return base + count, tuple(steps)
 
     def __call__(self, batch: SampleBatch) -> np.ndarray:
         live: List[np.ndarray | None] = [None] * self.n_slots

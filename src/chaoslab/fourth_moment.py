@@ -336,7 +336,7 @@ def _fix_malloc_thresholds() -> None:
     before.  Fixed, it depends on the sizes alone.  Blocks of 8 MiB or more,
     such as the sampler's buffer at D = 64 and 8,192 samples, are mmapped
     and returned on free; smaller ones stay on the heap, whose top is kept
-    up to 32 MiB.  The term loop's largest block there is one 1 MiB group
+    up to 32 MiB.  The term loop's largest block there is one 2 MiB group
     of zeta (the measurements below predate that: it then laid out the
     whole 8 MiB zeta).
 

@@ -190,11 +190,11 @@ class TestEvalComplex:
 
 @st.composite
 def grouped_term_kernels(draw):
-    """Kernels over up to 20 coordinates, so up to three groups of the term
+    """Kernels over up to 50 coordinates, so up to three groups of the term
     loop's layout, whose terms draw their coordinates from a few: factors
     are shared between terms, a coordinate repeats within a term, and the
     stored order jumps between groups and back."""
-    d = draw(st.integers(1, 20))
+    d = draw(st.integers(1, 50))
     m = draw(st.integers(0, 3))
     n = draw(st.integers(0, 3 - m))
     pool = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=5))
@@ -206,10 +206,11 @@ def grouped_term_kernels(draw):
     return ComplexKernel(m, n, d, {key: draw(value) for key in keys})
 
 
-# the third term returns to the first group after one that reads the third
-REVISITING_KERNEL = ComplexKernel(2, 1, 20, {
-    ((0, 0), (1,)): 1.5, ((17, 19), (17,)): -0.5j, ((0, 0), (0,)): 2 - 1j,
-    ((1, 9), (17,)): 0.25, ((9, 9), (9,)): -1.0})
+# the third term returns to the first group after one that reads the
+# third, and the fourth reads all three
+REVISITING_KERNEL = ComplexKernel(2, 1, 48, {
+    ((0, 0), (1,)): 1.5, ((33, 39), (33,)): -0.5j, ((0, 0), (0,)): 2 - 1j,
+    ((1, 17), (33,)): 0.25, ((17, 17), (17,)): -1.0})
 
 
 class TestEvalComplexWork:
@@ -310,12 +311,13 @@ class TestEvalComplexWork:
     # two samples at least: numpy rounds a one-element in-place complex
     # product (the loop's ``buf *=``) apart from ``a * b`` (the reference's)
     @given(grouped_term_kernels(), st.sampled_from(["sampled", "words", "fortran"]),
-           st.integers(2, 40), st.booleans())
-    @example(REVISITING_KERNEL, "sampled", 33, False)
-    @example(REVISITING_KERNEL, "words", 33, True)
-    @example(REVISITING_KERNEL, "fortran", 7, True)
+           st.integers(2, 40))
+    @example(REVISITING_KERNEL, "sampled", 33)
+    @example(REVISITING_KERNEL, "words", 33)
+    @example(REVISITING_KERNEL, "fortran", 7)
+    @example(fm.gen_block_kernel(1, 2, 40), "sampled", 9)  # a last group of 24
     @settings(max_examples=60, deadline=None)
-    def test_groups_and_lifetimes_change_no_bit(self, phi, kind, n, gather):
+    def test_groups_and_lifetimes_change_no_bit(self, phi, kind, n):
         batch = sample_batch(phi.dim, n, seed=n)
         if kind == "words":  # strided rows of a wider batch's buffer
             width, wide_dim = chaos.word_width(phi.dim), phi.dim + 3
@@ -324,16 +326,12 @@ class TestEvalComplexWork:
         elif kind == "fortran":
             batch = chaos.SampleBatch(np.asfortranarray(batch.xi), np.asfortranarray(batch.eta))
         loop = chaos._TermLoop(phi)
-        with pytest.MonkeyPatch.context() as patch:  # both ways of building a group
-            patch.setattr(chaos, "_SPAN_BYTES", 0 if gather else 1 << 62)
-            got = loop(batch)
         want = term_loop_on_a_whole_array_layout(loop, batch)
-        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert np.array_equal(loop(batch).view(np.float64), want.view(np.float64))
 
     def test_one_call_holds_no_chunk_sized_table(self):
         # a k = 64 chunk's whole zeta and J rows are 8 MiB each; the call
-        # holds one group of 8 coordinates (1 MiB, and 1 MiB more while it
-        # is built) and a few J rows
+        # holds one group of 16 coordinates (2 MiB) and a few J rows
         loop = chaos._TermLoop(fm.gen_block_kernel(1, 2, 64))
         batch = sample_batch(64, 8192, seed=1)
         loop(batch)  # the J polynomials' evaluation plans are built once
